@@ -9,17 +9,13 @@ experiment harness with a CLI.
 from .algorithms import CceDb, CceLinDb, MinMaxDb, default_gamma
 from .core import (
     ActionDistribution,
-    GeneralMatrix,
     JointActionDistribution,
     PreferenceMatrix,
-    RoundRecord,
-    marginals,
     product_joint,
     sample_joint,
     sample_outcome,
     sample_pair,
     skew_complete,
-    validate_preference_matrix,
 )
 from .environments import (
     FiniteClassEnvironment,
@@ -67,7 +63,6 @@ __all__ = [
     "FiniteClassAggregator",
     "FiniteClassEnvironment",
     "FixedMatrixEnvironment",
-    "GeneralMatrix",
     "JointActionDistribution",
     "LinearRealizableEnvironment",
     "MinMaxDb",
@@ -77,7 +72,6 @@ __all__ = [
     "RegretBudget",
     "RegretLedger",
     "RngHandle",
-    "RoundRecord",
     "RunSummary",
     "SolverConfig",
     "VawForecaster",
@@ -89,7 +83,6 @@ __all__ = [
     "fb_regret_step",
     "hardness",
     "make_finite_class",
-    "marginals",
     "named_fixture",
     "policy_regret_accumulate",
     "product_joint",
@@ -103,6 +96,5 @@ __all__ = [
     "solve_cce",
     "solve_minmax_feasibility",
     "solve_zero_sum_nash",
-    "validate_preference_matrix",
     "__version__",
 ]

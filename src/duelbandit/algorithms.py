@@ -8,18 +8,9 @@ snapshots the learners publish (last confidence matrix, last marginal, ...).
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .core import (
-    GeneralMatrix,
-    pair_index,
-    product_joint,
-    sample_joint,
-    sample_pair,
-    skew_complete,
-)
+from .core import product_joint, sample_joint, sample_pair, skew_complete
 from .errors import GammaTooSmall, HorizonTooShort
 from .games import SolverConfig, solve_cce, solve_minmax_feasibility
 from .oracles import OracleInput, RegretBudget
@@ -88,7 +79,7 @@ class CceDb:
     def select(self, context, rng: RngHandle):
         """Solve the CCE of the current upper matrix and sample a duel."""
         mean, width, upper = self._statistics()
-        report = solve_cce(GeneralMatrix(upper), self.solver_config)
+        report = solve_cce(upper, self.solver_config)
         joint = report.point
         self.last_mean = mean
         self.last_confidence = width
@@ -115,14 +106,9 @@ class CceLinDb:
 
     def __init__(self, dim: int, horizon: int, delta: float,
                  ridge: float = 1.0, width_multiplier: float | None = None,
-                 exploration_length: int | None = None,
                  solver_config: SolverConfig | None = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if exploration_length is not None:
-            # declared by the source pseudocode but never used by it
-            warnings.warn("exploration_length is accepted but ignored",
-                          stacklevel=2)
         self.dim = int(dim)
         self.ridge = float(ridge)
         if width_multiplier is None:
@@ -156,7 +142,7 @@ class CceLinDb:
         width = width.reshape(k, k)
         upper = mean + self.width_multiplier * width
         np.fill_diagonal(upper, 0.0)
-        report = solve_cce(GeneralMatrix(upper), self.solver_config)
+        report = solve_cce(upper, self.solver_config)
         joint = report.point
         self.last_mean = mean
         self.last_confidence = width
@@ -189,23 +175,20 @@ class MinMaxDb:
         self.oracle = oracle
         self.solver_config = solver_config or SolverConfig()
         self.t = 1
-        self.pairs = pair_index(k)
-        self._triu = np.triu_indices(k, 1)  # same ordering as self.pairs
+        self._triu = np.triu_indices(k, 1)  # the pair order of skew_complete
         self.last_prediction = None
         self.last_marginal: np.ndarray | None = None
         self.last_violation = 0.0
         self.last_iterations = 0
 
     def _predict_pairs(self, context) -> np.ndarray:
+        """One batched oracle call: a context-indexed table
+        (`predict_matrix`) or per-pair feature vectors (`predict_features`)."""
         oracle = self.oracle
         if hasattr(oracle, "predict_matrix"):
             return oracle.predict_matrix(context)[self._triu]
-        if hasattr(oracle, "predict_features"):
-            x = np.asarray(context, dtype=np.float64)
-            return oracle.predict_features(x[self._triu])
-        return np.array(
-            [oracle.predict(OracleInput(context, a, b)) for a, b in self.pairs]
-        )
+        x = np.asarray(context, dtype=np.float64)
+        return oracle.predict_features(x[self._triu])
 
     def select(self, context, rng: RngHandle):
         predictions = self._predict_pairs(context)

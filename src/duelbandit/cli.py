@@ -61,11 +61,11 @@ def _cmd_run(args) -> int:
 def _cmd_solve_cce(args) -> int:
     try:
         u = load_matrix(args.matrix)
+        # solve_cce rejects a non-square or non-finite matrix with ValueError
+        report = solve_cce(u, SolverConfig())
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    try:
-        report = solve_cce(u, SolverConfig())
     except DuelBanditError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

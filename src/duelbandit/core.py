@@ -8,7 +8,6 @@ expected win-signal of arm a over arm b, so Pr(a beats b) = (P[a, b] + 1) / 2.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,36 +69,23 @@ class PreferenceMatrix:
         exact.setflags(write=False)
         self.entries = exact
 
+    @classmethod
+    def _unchecked(cls, entries: np.ndarray) -> PreferenceMatrix:
+        """Wrap an exactly skew matrix in [-1, 1] built inside the package.
+
+        Skips every check of `__init__`; `entries` is frozen, not copied.
+        """
+        m = cls.__new__(cls)
+        entries.setflags(write=False)
+        m.entries = entries
+        return m
+
     @property
     def k(self) -> int:
         return self.entries.shape[0]
 
     def __repr__(self) -> str:
         return f"PreferenceMatrix(k={self.k})"
-
-
-class GeneralMatrix:
-    """K x K real matrix with finite entries; no symmetry requirement.
-
-    Houses upper-confidence matrices, which are generally not skew.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        arr = _as_square(entries)
-        if not np.isfinite(arr).all():
-            raise RangeViolation("non-finite entry in matrix")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.entries = arr
-
-    @property
-    def k(self) -> int:
-        return self.entries.shape[0]
-
-    def __repr__(self) -> str:
-        return f"GeneralMatrix(k={self.k})"
 
 
 def _clean_weights(raw, shape_name: str) -> np.ndarray:
@@ -130,6 +116,16 @@ class ActionDistribution:
             raise ValueError(f"expected a weight vector, got shape {w.shape}")
         self.weights = w
 
+    @classmethod
+    def _unchecked(cls, weights: np.ndarray) -> ActionDistribution:
+        """Wrap a simplex point computed inside the package (a solver's
+        output): no checks, no renormalization; `weights` is frozen, not
+        copied."""
+        d = cls.__new__(cls)
+        weights.setflags(write=False)
+        d.weights = weights
+        return d
+
     @property
     def k(self) -> int:
         return self.weights.shape[0]
@@ -149,6 +145,16 @@ class JointActionDistribution:
             raise ValueError(f"expected K x K weights, got shape {w.shape}")
         self.weights = _clean_weights(w, "joint distribution")
 
+    @classmethod
+    def _unchecked(cls, weights: np.ndarray) -> JointActionDistribution:
+        """Wrap a K x K joint computed inside the package (a solver's output
+        or an exact product): no checks, no renormalization; `weights` is
+        frozen, not copied."""
+        j = cls.__new__(cls)
+        weights.setflags(write=False)
+        j.weights = weights
+        return j
+
     @property
     def k(self) -> int:
         return self.weights.shape[0]
@@ -163,48 +169,14 @@ class JointActionDistribution:
         return f"JointActionDistribution(k={self.k})"
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One interaction: context, duel, binary outcome, learner snapshot."""
-
-    round_index: int
-    context_id: object
-    duel: tuple[int, int]
-    outcome: int
-    learner_joint: JointActionDistribution
-
-    def __post_init__(self):
-        if self.round_index < 1:
-            raise ValueError("round_index starts at 1")
-        a, b = self.duel
-        k = self.learner_joint.k
-        if not (0 <= a < k and 0 <= b < k):
-            raise ValueError(f"duel {self.duel} out of range for k={k}")
-        if self.outcome not in (-1, 1):
-            raise ValueError(f"outcome must be -1 or +1, got {self.outcome}")
-
-
-def validate_preference_matrix(entries) -> PreferenceMatrix:
-    """Check skew-symmetry (tolerance 1e-12), zero diagonal and range.
-
-    Raises SkewSymmetryViolation / DiagonalViolation / RangeViolation with
-    the offending index; on success returns the exactly antisymmetrized
-    matrix.
-    """
-    return PreferenceMatrix(entries)
-
-
-def pair_index(k: int) -> list[tuple[int, int]]:
-    """Canonical ordering of unordered arm pairs: (0,1), (0,2), ..., (k-2,k-1)."""
-    return [(a, b) for a in range(k) for b in range(a + 1, k)]
-
-
 def skew_complete(upper_values, k: int | None = None) -> PreferenceMatrix:
     """Build a preference matrix from one value per pair a < b.
 
-    Values are taken in the `pair_index` order. Values outside [-1, 1]
-    (online regressors may overshoot) are clamped and the clamp is logged;
-    the diagonal is zero by construction.
+    Values are taken row by row over the upper triangle: (0, 1), (0, 2),
+    ..., (k-2, k-1), the order of `np.triu_indices(k, 1)`. Values outside
+    [-1, 1] (online regressors may overshoot) are clamped and the clamp is
+    logged; the diagonal is zero by construction, so the result is built
+    without `PreferenceMatrix`'s checks.
     """
     vals = np.asarray(upper_values, dtype=np.float64).ravel()
     if k is None:
@@ -223,12 +195,7 @@ def skew_complete(upper_values, k: int | None = None) -> PreferenceMatrix:
     rows, cols = np.triu_indices(k, 1)
     m[rows, cols] = clamped
     m -= m.T
-    return PreferenceMatrix(m)
-
-
-def marginals(joint: JointActionDistribution) -> tuple[ActionDistribution, ActionDistribution]:
-    """Left and right marginals of a joint duel distribution."""
-    return joint.left_marginal(), joint.right_marginal()
+    return PreferenceMatrix._unchecked(m)
 
 
 def sample_outcome(p_value: float, rng: RngHandle) -> int:
@@ -260,4 +227,4 @@ def sample_joint(joint: JointActionDistribution, rng: RngHandle) -> tuple[int, i
 
 def product_joint(dist: ActionDistribution) -> JointActionDistribution:
     """The exact product measure p x p as a joint distribution."""
-    return JointActionDistribution(np.outer(dist.weights, dist.weights))
+    return JointActionDistribution._unchecked(np.outer(dist.weights, dist.weights))

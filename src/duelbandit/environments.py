@@ -1,8 +1,8 @@
 """Synthetic contextual dueling environments and the named matrix fixtures.
 
-Environments draw (context, realized preference matrix) pairs and expose the
-ground-truth conditional mean for evaluation only; learners see contexts and
-binary outcomes, never the matrix. Realizability holds by construction: the
+Each round an environment draws a context, the realized preference matrix
+and the ground-truth conditional mean, the last for evaluation only;
+learners see contexts and binary outcomes, never a matrix. Realizability holds by construction: the
 generating function is a member of the hypothesis class handed to the oracle.
 """
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PreferenceMatrix, validate_preference_matrix
+from .core import PreferenceMatrix
 from .errors import UnknownContext
 from .rng import RngHandle
 
@@ -68,8 +68,9 @@ def _skew_perturbation(k: int, amplitude: float, base: np.ndarray,
 
 
 class Environment:
-    """Contract: sample_round draws (context, realized matrix); ground_truth
-    maps a context back to its conditional-mean matrix."""
+    """Contract: sample_round draws (context, realized matrix, truth), where
+    truth is the context's conditional-mean matrix, so the round loop needs
+    no second call; ground_truth maps a context back to that same matrix."""
 
     kind = "abstract"
 
@@ -101,8 +102,8 @@ class FixedMatrixEnvironment(Environment):
         if self.perturbation > 0.0:
             noise = _skew_perturbation(self.k, self.perturbation,
                                        self.matrix.entries, rng)
-            return 0, validate_preference_matrix(self.matrix.entries + noise)
-        return 0, self.matrix
+            return 0, PreferenceMatrix(self.matrix.entries + noise), self.matrix
+        return 0, self.matrix, self.matrix
 
     def ground_truth(self, x) -> PreferenceMatrix:
         if x != 0:
@@ -125,7 +126,7 @@ class FiniteClassEnvironment(Environment):
         self.tables = tables
         self.truth_index = int(truth_index)
         self.perturbation = float(perturbation)
-        self._truth = [validate_preference_matrix(tables[truth_index, c])
+        self._truth = [PreferenceMatrix(tables[truth_index, c])
                        for c in range(tables.shape[1])]
 
     @property
@@ -142,8 +143,8 @@ class FiniteClassEnvironment(Environment):
         if self.perturbation > 0.0:
             noise = _skew_perturbation(self.k, self.perturbation,
                                        truth.entries, rng)
-            return x, validate_preference_matrix(truth.entries + noise)
-        return x, truth
+            return x, PreferenceMatrix(truth.entries + noise), truth
+        return x, truth, truth
 
     def ground_truth(self, x) -> PreferenceMatrix:
         xi = int(x)
@@ -185,7 +186,8 @@ class LinearRealizableEnvironment(Environment):
         if peak > 1.0 - 1e-9:
             # headroom absorbs re-summation error when truth is recomputed
             feats *= (1.0 - 1e-9) / peak
-        return feats, self.ground_truth(feats)
+        truth = self.ground_truth(feats)
+        return feats, truth, truth
 
     def ground_truth(self, x) -> PreferenceMatrix:
         x = np.asarray(x, dtype=np.float64)
@@ -193,7 +195,7 @@ class LinearRealizableEnvironment(Environment):
             raise UnknownContext(
                 f"expected a ({self._k}, {self._k}, {self.dim}) feature tensor"
             )
-        return validate_preference_matrix(x @ self.weight)
+        return PreferenceMatrix(x @ self.weight)
 
 
 def make_finite_class(

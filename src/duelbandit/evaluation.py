@@ -125,11 +125,9 @@ class RegretLedger:
 
 def policy_regret_accumulate(
     ledger: RegretLedger, f_star: PreferenceMatrix, context,
-    duel: tuple[int, int], policy_set: list | None = None,
+    duel: tuple[int, int],
 ) -> RegretLedger:
     """Add one realized-duel step to every policy column of the ledger."""
-    if policy_set is not None and list(policy_set) != ledger.policies:
-        raise ValueError("policy_set does not match the ledger's policies")
     a, b = duel
     f = f_star.entries
     k = f_star.k

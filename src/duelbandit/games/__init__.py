@@ -25,9 +25,9 @@ import numpy as np
 
 from ..core import (
     ActionDistribution,
-    GeneralMatrix,
     JointActionDistribution,
     PreferenceMatrix,
+    _as_square,
 )
 from ..errors import GammaTooSmall, NotConverged
 from ._backend import backend_name, get_kernels
@@ -82,7 +82,7 @@ class FeasibilityReport:
 
 
 def _entries(m) -> np.ndarray:
-    if isinstance(m, (PreferenceMatrix, GeneralMatrix)):
+    if isinstance(m, PreferenceMatrix):
         return m.entries
     return np.asarray(m, dtype=np.float64)
 
@@ -125,9 +125,10 @@ def solve_cce(u, config: SolverConfig | None = None) -> FeasibilityReport:
     Solved as a linear feasibility problem over the joint simplex (minimize
     the max violation of the 2K deviation constraints). A CCE always exists
     for a finite matrix, so NotConverged signals solver misconfiguration.
+    A matrix that is not square or has a non-finite entry raises ValueError.
     """
     cfg = config or SolverConfig()
-    ue = _entries(u)
+    ue = _as_square(_entries(u))
     if not np.isfinite(ue).all():
         raise ValueError("matrix entries must be finite")
     k = ue.shape[0]
@@ -142,7 +143,7 @@ def solve_cce(u, config: SolverConfig | None = None) -> FeasibilityReport:
             max_violation=viol,
             iterations=iters,
         )
-    joint = JointActionDistribution(x.reshape(k, k))
+    joint = JointActionDistribution._unchecked(x.reshape(k, k))
     return FeasibilityReport(joint, viol, iters, True)
 
 
@@ -166,7 +167,7 @@ def solve_zero_sum_nash(p, config: SolverConfig | None = None) -> FeasibilityRep
             max_violation=viol,
             iterations=iters,
         )
-    return FeasibilityReport(ActionDistribution(q), viol, iters, True)
+    return FeasibilityReport(ActionDistribution._unchecked(q), viol, iters, True)
 
 
 def minmax_rhs(k: int, gamma: float) -> float:
@@ -231,4 +232,5 @@ def solve_minmax_feasibility(
             max_violation=viol,
             iterations=iters,
         )
-    return FeasibilityReport(ActionDistribution(p), float(viol), iters, True)
+    return FeasibilityReport(ActionDistribution._unchecked(p), float(viol),
+                             iters, True)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .algorithms import CceDb, CceLinDb, MinMaxDb, default_gamma
-from .core import PreferenceMatrix, RoundRecord, sample_outcome
+from .core import PreferenceMatrix, sample_outcome
 from .environments import (
     Environment,
     FiniteClassEnvironment,
@@ -180,7 +180,6 @@ def build_learner(spec: dict, env: Environment, horizon: int):
             env.dim, horizon, delta,
             ridge=float(spec.get("ridge", 1.0)),
             width_multiplier=spec.get("width_multiplier"),
-            exploration_length=spec.get("exploration_length"),
             solver_config=solver_config,
         )
     if kind == "minmaxdb":
@@ -297,12 +296,10 @@ def run_single_seed(config: ExperimentConfig, seed: int):
     solver_iters = 0
     try:
         for t in range(1, config.horizon + 1):
-            x, realized = env.sample_round(env_rng)
-            truth = env.ground_truth(x)
+            x, realized, truth = env.sample_round(env_rng)
             joint, duel = learner.select(x, learner_rng)
             a, b = duel
             outcome = sample_outcome(realized.entries[a, b], outcome_rng)
-            record = RoundRecord(t, x, duel, outcome, joint)
             if config.diagnostic:
                 if isinstance(learner, CceDb):
                     if not _diag_check_ccedb(learner, truth, joint):
@@ -310,13 +307,12 @@ def run_single_seed(config: ExperimentConfig, seed: int):
                 elif isinstance(learner, MinMaxDb):
                     _diag_check_minmaxdb(learner, truth)
             learner.observe(x, duel, outcome)
-            ledger.record(truth, record.context_id, record.learner_joint,
-                          record.duel)
+            ledger.record(truth, x, joint, duel)
             solver_iters += learner.last_iterations
             if config.output_dir is not None:
                 gamma = learner.gamma if learner.gamma is not None else 0.0
                 lines.append(",".join([
-                    str(seed), str(record.round_index), str(a), str(b),
+                    str(seed), str(t), str(a), str(b),
                     str(outcome),
                     _fmt(ledger.br_steps[-1]), _fmt(ledger.br_cum[-1]),
                     _fmt(ledger.fb_steps[-1]), _fmt(ledger.fb_cum[-1]),
@@ -345,16 +341,23 @@ def _normalized_br(config, env, learner, ledger) -> float:
     return float(ledger.final_br / (k * np.log(k * t) * np.sqrt(t)))
 
 
-def _worker(args):
-    raw, seed = args
-    config = ExperimentConfig.from_dict(raw)
+def _run_and_write_seed(config: ExperimentConfig, seed: int):
+    """Run one seed and write its round CSV; returns (summary, ledger dict).
+
+    The one per-seed path, taken in-process and by pool workers alike.
+    """
     summary, ledger, lines = run_single_seed(config, seed)
     _write_rounds(config, seed, lines)
-    return seed, summary, {
+    return summary, {
         "br_steps": ledger.br_steps, "fb_steps": ledger.fb_steps,
         "br_cum": ledger.br_cum, "fb_cum": ledger.fb_cum,
         "final_policy": ledger.final_policy,
     }
+
+
+def _worker(args):
+    raw, seed = args
+    return _run_and_write_seed(ExperimentConfig.from_dict(raw), seed)
 
 
 def _write_rounds(config: ExperimentConfig, seed: int, lines: list[str]) -> None:
@@ -384,24 +387,15 @@ def run_experiment(config: ExperimentConfig, keep_ledgers: bool = False):
     order regardless of worker completion order.
     """
     workers = worker_count()
-    results: dict[int, tuple] = {}
     if workers > 1 and len(config.seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for seed, summary, ledger in pool.map(
+            results = list(pool.map(
                 _worker, [(config.to_dict(), s) for s in config.seeds]
-            ):
-                results[seed] = (summary, ledger)
+            ))
     else:
-        for seed in config.seeds:
-            summary, ledger, lines = run_single_seed(config, seed)
-            _write_rounds(config, seed, lines)
-            results[seed] = (summary, {
-                "br_steps": ledger.br_steps, "fb_steps": ledger.fb_steps,
-                "br_cum": ledger.br_cum, "fb_cum": ledger.fb_cum,
-                "final_policy": ledger.final_policy,
-            })
-    summaries = [results[s][0] for s in config.seeds]
-    ledgers = [results[s][1] for s in config.seeds] if keep_ledgers else None
+        results = [_run_and_write_seed(config, s) for s in config.seeds]
+    summaries = [summary for summary, _ in results]
+    ledgers = [ledger for _, ledger in results] if keep_ledgers else None
 
     if config.output_dir is not None:
         os.makedirs(config.output_dir, exist_ok=True)

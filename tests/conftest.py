@@ -1,7 +1,27 @@
 import numpy as np
 import pytest
 
+from duelbandit.games import get_kernels
 from duelbandit.rng import RngHandle
+
+
+def available_backends() -> list[str]:
+    """Every kernel backend `get_kernels` can load here."""
+    names = ["python"]
+    try:
+        get_kernels("c")
+        names.append("c")
+    except ImportError:
+        pass
+    return names
+
+
+BACKENDS = available_backends()
+
+
+@pytest.fixture(params=BACKENDS)
+def kernels(request):
+    return get_kernels(request.param)
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import duelbandit.games as games
 from duelbandit.algorithms import CceDb, CceLinDb, MinMaxDb, default_gamma
-from duelbandit.core import PreferenceMatrix
+from duelbandit.core import SIMPLEX_TOLERANCE, PreferenceMatrix, sample_outcome
 from duelbandit.errors import GammaTooSmall, HorizonTooShort
 from duelbandit.games import cce_deviation_matrix, cce_violation, minmax_violation
+from duelbandit.harness import build_environment, build_learner
 from duelbandit.oracles import (
     FiniteClassAggregator,
     OracleInput,
@@ -147,10 +149,6 @@ class TestCceLinDb:
             expected += np.outer(x[0, 1], x[0, 1])
         assert np.array_equal(learner.gram, expected)
 
-    def test_exploration_length_ignored_with_warning(self):
-        with pytest.warns(UserWarning, match="ignored"):
-            CceLinDb(2, horizon=10, delta=0.1, exploration_length=5)
-
 
 class TestMinMaxDb:
     def _zero_oracle(self, k):
@@ -234,3 +232,47 @@ class TestDefaultGamma:
     def test_horizon_too_short(self):
         with pytest.raises(HorizonTooShort):
             default_gamma(5, 100, RegretBudget(lambda t: 10.0))
+
+
+class TestInteriorValuesNeedNoChecks:
+    """The learners' own joints and prediction matrices are built without
+    the public constructors' checks, so the properties those checks enforce
+    are asserted here on what the learners actually produce, round by round,
+    with every kernel backend."""
+
+    ROUNDS = 200
+    SPECS = {
+        "ccedb": ({"kind": "ccedb"},
+                  {"kind": "fixed", "fixture": "condorcet", "k": 5,
+                   "margin": 0.4}),
+        "ccelindb": ({"kind": "ccelindb"},
+                     {"kind": "linear", "k": 5, "dim": 4, "weight_seed": 5}),
+        "minmaxdb": ({"kind": "minmaxdb", "gamma": "auto",
+                      "oracle": {"kind": "finite"}},
+                     {"kind": "finite_class", "k": 3, "n_contexts": 2,
+                      "class_size": 16, "class_seed": 11}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_joints_and_predictions(self, kind, kernels, monkeypatch):
+        monkeypatch.setattr(games, "get_kernels", lambda name=None: kernels)
+        algorithm, environment = self.SPECS[kind]
+        env = build_environment(environment)
+        # a horizon long enough for gamma "auto"; only ROUNDS of it run
+        learner = build_learner(algorithm, env, horizon=2500)
+        root = RngHandle(7)
+        env_rng, learner_rng, outcome_rng = (
+            root.substream(name) for name in ("environment", "learner", "outcome"))
+        for t in range(1, self.ROUNDS + 1):
+            x, realized, _truth = env.sample_round(env_rng)
+            joint, duel = learner.select(x, learner_rng)
+            w = joint.weights
+            assert w.min() >= 0.0, t
+            assert abs(w.sum() - 1.0) <= SIMPLEX_TOLERANCE, t
+            assert not w.flags.writeable, t
+            if kind == "minmaxdb":
+                y = learner.last_prediction.entries
+                assert np.array_equal(y, -y.T), t
+                assert (np.diagonal(y) == 0.0).all(), t
+            outcome = sample_outcome(realized.entries[duel], outcome_rng)
+            learner.observe(x, duel, outcome)

@@ -36,6 +36,18 @@ class TestSolveCommands:
     def test_solve_cce_missing_file(self, capsys):
         assert main(["solve-cce", "--matrix", "/nonexistent"]) == 1
 
+    @pytest.mark.parametrize("text, reason", [
+        ("0 1 2\n-1 0 1\n", "shape (2, 3)"),
+        ("0 nan\n0 0\n", "finite"),
+    ])
+    def test_solve_cce_bad_matrix_is_config_error(self, tmp_path, capsys,
+                                                  text, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["solve-cce", "--matrix", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err
+
     def test_solve_igw(self, rps_file, capsys):
         assert main(["solve-igw", "--matrix", rps_file, "--gamma", "12"]) == 0
         out = capsys.readouterr().out

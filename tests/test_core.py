@@ -9,14 +9,11 @@ from duelbandit.core import (
     ActionDistribution,
     JointActionDistribution,
     PreferenceMatrix,
-    RoundRecord,
-    marginals,
     product_joint,
     sample_joint,
     sample_outcome,
     sample_pair,
     skew_complete,
-    validate_preference_matrix,
 )
 from duelbandit.errors import (
     DiagonalViolation,
@@ -30,35 +27,35 @@ RPS = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
 
 class TestValidatePreferenceMatrix:
     def test_zero_matrix_accepted(self):
-        m = validate_preference_matrix(np.zeros((4, 4)))
+        m = PreferenceMatrix(np.zeros((4, 4)))
         assert m.k == 4
         assert (m.entries == 0).all()
 
     def test_rps_accepted(self):
-        m = validate_preference_matrix(RPS)
+        m = PreferenceMatrix(RPS)
         assert np.array_equal(m.entries, np.array(RPS, dtype=float))
 
     def test_symmetric_rejected_with_index(self):
         with pytest.raises(SkewSymmetryViolation) as exc:
-            validate_preference_matrix([[0, 1], [1, 0]])
+            PreferenceMatrix([[0, 1], [1, 0]])
         assert exc.value.pair == (0, 1)
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(DiagonalViolation):
-            validate_preference_matrix([[0.5, 0], [0, 0]])
+            PreferenceMatrix([[0.5, 0], [0, 0]])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(RangeViolation):
-            validate_preference_matrix([[0, 1.5], [-1.5, 0]])
+            PreferenceMatrix([[0, 1.5], [-1.5, 0]])
 
     def test_single_arm_rejected(self):
         with pytest.raises(ValueError):
-            validate_preference_matrix([[0.0]])
+            PreferenceMatrix([[0.0]])
 
     def test_storage_exactly_antisymmetric(self):
         # tiny asymmetry below tolerance is absorbed exactly
         eps = 1e-13
-        m = validate_preference_matrix([[0, 0.5], [-0.5 + eps, 0]])
+        m = PreferenceMatrix([[0, 0.5], [-0.5 + eps, 0]])
         assert m.entries[0, 1] == -m.entries[1, 0]
 
     @settings(max_examples=50, deadline=None)
@@ -67,7 +64,7 @@ class TestValidatePreferenceMatrix:
         gen = np.random.default_rng(seed)
         vals = gen.uniform(-1, 1, k * (k - 1) // 2)
         m = skew_complete(vals, k)
-        again = validate_preference_matrix(m.entries)
+        again = PreferenceMatrix(m.entries)
         assert np.array_equal(again.entries, m.entries)
 
 
@@ -94,20 +91,21 @@ class TestSkewComplete:
 class TestMarginals:
     def test_uniform_joint(self):
         j = JointActionDistribution(np.full((2, 2), 0.25))
-        left, right = marginals(j)
+        left, right = j.left_marginal(), j.right_marginal()
         assert np.allclose(left.weights, [0.5, 0.5])
         assert np.allclose(right.weights, [0.5, 0.5])
 
     def test_point_mass(self):
         w = np.zeros((2, 2))
         w[0, 1] = 1.0
-        left, right = marginals(JointActionDistribution(w))
+        j = JointActionDistribution(w)
+        left, right = j.left_marginal(), j.right_marginal()
         assert np.array_equal(left.weights, [1, 0])
         assert np.array_equal(right.weights, [0, 1])
 
     def test_hand_computed_sums(self):
         j = JointActionDistribution([[0.1, 0.2], [0.3, 0.4]])
-        left, right = marginals(j)
+        left, right = j.left_marginal(), j.right_marginal()
         assert np.allclose(left.weights, [0.3, 0.7])
         assert np.allclose(right.weights, [0.4, 0.6])
 
@@ -117,7 +115,7 @@ class TestMarginals:
         gen = np.random.default_rng(seed)
         w = gen.uniform(0, 1, (k, k))
         j = JointActionDistribution(w / w.sum())
-        left, right = marginals(j)
+        left, right = j.left_marginal(), j.right_marginal()
         assert abs(left.weights.sum() - 1) <= 1e-9
         assert abs(right.weights.sum() - 1) <= 1e-9
 
@@ -182,28 +180,6 @@ class TestSampling:
         w[0, 1] = 1.0
         j = JointActionDistribution(w)
         assert all(sample_joint(j, rng) == (0, 1) for _ in range(50))
-
-
-class TestRoundRecord:
-    def test_valid_record(self):
-        j = JointActionDistribution(np.full((2, 2), 0.25))
-        r = RoundRecord(1, 0, (0, 1), -1, j)
-        assert r.duel == (0, 1)
-
-    def test_bad_round_index(self):
-        j = JointActionDistribution(np.full((2, 2), 0.25))
-        with pytest.raises(ValueError):
-            RoundRecord(0, 0, (0, 1), 1, j)
-
-    def test_bad_duel(self):
-        j = JointActionDistribution(np.full((2, 2), 0.25))
-        with pytest.raises(ValueError):
-            RoundRecord(1, 0, (0, 2), 1, j)
-
-    def test_bad_outcome(self):
-        j = JointActionDistribution(np.full((2, 2), 0.25))
-        with pytest.raises(ValueError):
-            RoundRecord(1, 0, (0, 1), 0, j)
 
 
 class TestDeterminism:

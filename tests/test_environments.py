@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duelbandit.core import validate_preference_matrix
+from duelbandit.core import PreferenceMatrix
 from duelbandit.environments import (
     FiniteClassEnvironment,
     FixedMatrixEnvironment,
@@ -41,15 +41,16 @@ class TestFixtures:
 
     def test_fixtures_validate(self):
         for m in (rps3(), condorcet(4, 0.3), hardness(0.7)):
-            validate_preference_matrix(m.entries)
+            PreferenceMatrix(m.entries)
 
 
 class TestFixedMatrixEnvironment:
     def test_round_and_truth(self, rng):
         env = FixedMatrixEnvironment(rps3())
-        x, realized = env.sample_round(rng)
+        x, realized, truth = env.sample_round(rng)
         assert x == 0
         assert realized is env.matrix
+        assert truth is env.matrix
         assert env.ground_truth(0) is env.matrix
         with pytest.raises(UnknownContext):
             env.ground_truth(1)
@@ -59,8 +60,9 @@ class TestFixedMatrixEnvironment:
         rng = RngHandle(0).substream("env")
         draws = []
         for _ in range(3000):
-            _x, realized = env.sample_round(rng)
-            validate_preference_matrix(realized.entries)
+            _x, realized, truth = env.sample_round(rng)
+            PreferenceMatrix(realized.entries)
+            assert truth is env.matrix
             draws.append(realized.entries[0, 1])
         assert abs(np.mean(draws) - 0.4) <= 0.02
         assert np.std(draws) > 0.01  # actually perturbed
@@ -74,7 +76,7 @@ class TestFiniteClassEnvironment:
         truth = tables[env.truth_index]
         for c in range(4):
             assert np.array_equal(env.ground_truth(c).entries, truth[c])
-            validate_preference_matrix(truth[c])
+            PreferenceMatrix(truth[c])
         assert np.abs(tables).max() <= 0.8
 
     def test_single_hypothesis_class(self):
@@ -100,16 +102,19 @@ class TestFiniteClassEnvironment:
 class TestLinearRealizableEnvironment:
     def test_zero_weight_gives_zero_truth(self, rng):
         env = LinearRealizableEnvironment(3, np.zeros(4))
-        x, realized = env.sample_round(rng)
+        x, realized, truth = env.sample_round(rng)
         assert (realized.entries == 0).all()
+        assert truth is realized
 
     def test_features_antisymmetric_and_truth_linear(self, rng):
         env = make_linear_environment(4, 3, RngHandle(5).substream("w"))
         for _ in range(20):
-            x, realized = env.sample_round(rng)
+            x, realized, truth = env.sample_round(rng)
+            assert truth is realized
+            assert np.array_equal(truth.entries, env.ground_truth(x).entries)
             assert np.array_equal(x, -x.transpose(1, 0, 2))
             assert np.allclose(realized.entries, x @ env.weight)
-            validate_preference_matrix(realized.entries)
+            PreferenceMatrix(realized.entries)
             assert np.abs(realized.entries).max() <= 1.0
 
     def test_truth_requires_right_shape(self, rng):
@@ -152,8 +157,9 @@ class TestConditionalMeanConsistency:
     def test_outcome_mean_matches_truth(self, builder):
         env = builder()
         rng = RngHandle(7).substream("mc")
-        x, _ = env.sample_round(rng)
-        truth = env.ground_truth(x).entries[0, 1]
+        x, _, drawn_truth = env.sample_round(rng)
+        assert drawn_truth is env.ground_truth(x)
+        truth = drawn_truth.entries[0, 1]
         n = 100_000
         draws = np.where(rng.generator.random(n) < (truth + 1) / 2, 1.0, -1.0)
         assert abs(draws.mean() - truth) <= 3 * np.sqrt(1 / n) * 2

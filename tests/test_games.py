@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import BACKENDS
 from duelbandit.core import ActionDistribution, PreferenceMatrix
 from duelbandit.errors import GammaTooSmall, NotConverged
 from duelbandit.games import (
@@ -21,24 +22,6 @@ from duelbandit.games.grid_oracle import (
 )
 
 RPS = np.array([[0.0, 1, -1], [-1, 0, 1], [1, -1, 0]])
-
-
-def available_backends():
-    names = ["python"]
-    try:
-        get_kernels("c")
-        names.append("c")
-    except ImportError:
-        pass
-    return names
-
-
-BACKENDS = available_backends()
-
-
-@pytest.fixture(params=BACKENDS)
-def kernels(request):
-    return get_kernels(request.param)
 
 
 class TestDeviationMatrix:
@@ -97,6 +80,10 @@ class TestSolveCce:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             solve_cce(np.array([[0.0, np.inf], [0.0, 0.0]]))
+
+    def test_non_square_rejected_with_shape(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\)"):
+            solve_cce(np.zeros((2, 3)))
 
     def test_report_shape(self):
         report = solve_cce(np.zeros((2, 2)))
