@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import product_joint, sample_joint, sample_pair, skew_complete
+from .core import (
+    pair_indices,
+    product_joint,
+    sample_joint,
+    sample_pair,
+    skew_complete,
+)
 from .errors import GammaTooSmall, HorizonTooShort
 from .games import SolverConfig, solve_cce, solve_minmax_feasibility
 from .oracles import OracleInput, RegretBudget
@@ -175,7 +181,7 @@ class MinMaxDb:
         self.oracle = oracle
         self.solver_config = solver_config or SolverConfig()
         self.t = 1
-        self._triu = np.triu_indices(k, 1)  # the pair order of skew_complete
+        self._triu = pair_indices(k)  # the pair order of skew_complete
         self.last_prediction = None
         self.last_marginal: np.ndarray | None = None
         self.last_violation = 0.0

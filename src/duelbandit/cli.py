@@ -20,7 +20,13 @@ import numpy as np
 from .core import PreferenceMatrix
 from .errors import DuelBanditError
 from .games import SolverConfig, backend_name, cce_violation, solve_cce, solve_minmax_feasibility
-from .harness import ExperimentConfig, RunSummary, aggregate, run_experiment
+from .harness import (
+    ExperimentConfig,
+    RunSummary,
+    aggregate,
+    check_config,
+    run_experiment,
+)
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -44,7 +50,9 @@ def _cmd_run(args) -> int:
         if args.diagnostic:
             raw["diagnostic"] = True
         config = ExperimentConfig.from_dict(raw)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        check_config(config)
+    except (OSError, ValueError, KeyError, DuelBanditError,
+            json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     summaries, _ = run_experiment(config)

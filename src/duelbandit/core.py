@@ -7,6 +7,7 @@ expected win-signal of arm a over arm b, so Pr(a beats b) = (P[a, b] + 1) / 2.
 
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
@@ -169,6 +170,15 @@ class JointActionDistribution:
         return f"JointActionDistribution(k={self.k})"
 
 
+@functools.lru_cache(maxsize=32)
+def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(k, 1)`, the pair order a < b, cached and read-only."""
+    rows, cols = np.triu_indices(k, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def skew_complete(upper_values, k: int | None = None) -> PreferenceMatrix:
     """Build a preference matrix from one value per pair a < b.
 
@@ -192,8 +202,7 @@ def skew_complete(upper_values, k: int | None = None) -> PreferenceMatrix:
         log.debug("skew_complete clamped %d of %d predictions into [-1, 1]",
                   n_clamped, vals.size)
     m = np.zeros((k, k))
-    rows, cols = np.triu_indices(k, 1)
-    m[rows, cols] = clamped
+    m[pair_indices(k)] = clamped
     m -= m.T
     return PreferenceMatrix._unchecked(m)
 
@@ -208,7 +217,7 @@ def sample_outcome(p_value: float, rng: RngHandle) -> int:
 def _draw_categorical(cumulative: np.ndarray, rng: RngHandle) -> int:
     # inverse-CDF draw; independent of numpy's choice() internals
     u = rng.random() * cumulative[-1]
-    return int(np.searchsorted(cumulative, u, side="right").clip(0, cumulative.size - 1))
+    return min(int(np.searchsorted(cumulative, u, side="right")), cumulative.size - 1)
 
 
 def sample_pair(dist: ActionDistribution, rng: RngHandle) -> tuple[int, int]:

@@ -13,6 +13,8 @@ Status codes: 0 = converged, 1 = iteration budget exhausted.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 BACKEND_NAME = "python"
@@ -20,6 +22,36 @@ BACKEND_NAME = "python"
 _RATIO_EPS = 1e-12
 _COST_TOL = 1e-11
 _STALL_LIMIT = 50
+
+
+@functools.lru_cache(maxsize=64)
+def _tableau_template(m: int, n: int) -> np.ndarray:
+    """The data-free part of the epigraph tableau: the -1 column of s, the
+    slack identity and the row sum x = 1. Read-only; callers copy it."""
+    ncol = n + 1 + m  # x vars, epigraph s, row slacks
+    T = np.zeros((m + 1, ncol + 1))
+    T[:m, n] = -1.0
+    T[:m, n + 1:ncol] = np.eye(m)
+    T[m, :n] = 1.0
+    T[m, ncol] = 1.0
+    T.flags.writeable = False
+    return T
+
+
+def _pivot(T: np.ndarray, r: int, c: int, col: np.ndarray,
+           outer: np.ndarray) -> None:
+    """Gauss-Jordan pivot on (r, c), in place.
+
+    `col` (rows,) and `outer` (the tableau's shape) are scratch. The pivot
+    row takes the rank-1 update too, with factor 0, which turns its -0.0
+    entries into +0.0; the sign of a zero can reach the returned x.
+    """
+    prow = T[r]
+    prow /= prow[c]
+    np.copyto(col, T[:, c])
+    col[r] = 0.0
+    np.multiply(col[:, None], prow, out=outer)
+    np.subtract(T, outer, out=T)
 
 
 def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int):
@@ -32,37 +64,29 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int):
     D = np.ascontiguousarray(D, dtype=np.float64)
     m, n = D.shape
     col_max = D.max(axis=0)
-    j0 = int(np.argmin(col_max))
+    j0 = int(col_max.argmin())
     if col_max[j0] <= stop_at:
         x = np.zeros(n)
         x[j0] = 1.0
         return x, float(col_max[j0]), 0, 0
-    i0 = int(np.argmax(D[:, j0]))
+    i0 = int(D[:, j0].argmax())
 
     ncol = n + 1 + m  # x vars, epigraph s, row slacks
     rows = m + 1
-    T = np.zeros((rows, ncol + 1))
+    T = _tableau_template(m, n).copy()
     T[:m, :n] = D
-    T[:m, n] = -1.0
-    T[:m, n + 1:ncol] = np.eye(m)
-    T[m, :n] = 1.0
-    T[m, ncol] = 1.0
-    basis = np.arange(n + 1, n + 1 + m, dtype=np.int64)
-    basis = np.append(basis, 0)
-    basis[m] = j0
+    col = np.empty(rows)
+    outer = np.empty((rows, ncol + 1))
+    ratios = np.empty(rows)
+    pos = np.empty(rows, dtype=bool)
+    rhs = T[:, ncol]
+    basis = list(range(n + 1, n + 1 + m)) + [j0]
     basis[i0] = n
+    srow = i0  # the row where s is basic, -1 once it leaves
 
-    def pivot(r, c):
-        T[r] /= T[r, c]
-        col = T[:, c].copy()
-        col[r] = 0.0
-        T[...] -= np.outer(col, T[r])
+    _pivot(T, m, j0, col, outer)
+    _pivot(T, i0, n, col, outer)
 
-    pivot(m, j0)
-    pivot(i0, n)
-
-    c_obj = np.zeros(ncol)
-    c_obj[n] = 1.0
     it = 0
     bland = False
     stall = 0
@@ -70,32 +94,45 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int):
     status = 1
     while it < max_iter:
         it += 1
-        srow = np.nonzero(basis == n)[0]
-        sval = float(T[srow[0], ncol]) if srow.size else 0.0
+        if srow < 0:
+            status = 0  # s = 0 is optimal
+            break
+        sval = T.item(srow, ncol)
         if sval <= stop_at + 1e-15:
             status = 0
             break
-        red = c_obj - c_obj[basis] @ T[:, :ncol]
+        # The objective is c = e_s, so the reduced cost of column j is
+        # -T[srow, j], and 0 for s itself: the entering column is the
+        # largest (Dantzig) or first (Bland) entry of T[srow] above the
+        # tolerance, with s's own unit entry set to 0 during the search.
+        cost_row = T[srow, :ncol]
+        unit = cost_row[n]
+        cost_row[n] = 0.0
         if bland:
-            cand = np.nonzero(red < -_COST_TOL)[0]
-            if cand.size == 0:
-                status = 0
-                break
-            e = int(cand[0])
+            e = int((cost_row > _COST_TOL).argmax())
         else:
-            e = int(np.argmin(red))
-            if red[e] >= -_COST_TOL:
-                status = 0
-                break
-        col = T[:, e]
-        pos = col > _RATIO_EPS
-        if not pos.any():
-            status = 0  # unbounded cannot happen here; treat as optimal
+            e = int(cost_row.argmax())
+        improving = cost_row[e] > _COST_TOL
+        cost_row[n] = unit
+        if not improving:
+            status = 0
             break
-        ratios = np.where(pos, T[:, ncol] / np.where(pos, col, 1.0), np.inf)
-        r = int(np.argmin(ratios))
-        pivot(r, e)
+        entering = T[:, e]
+        np.greater(entering, _RATIO_EPS, out=pos)
+        ratios.fill(np.inf)
+        np.divide(rhs, entering, out=ratios, where=pos)
+        r = int(ratios.argmin())
+        if not pos[r]:
+            # no positive entry, since a finite tableau has finite ratios:
+            # unbounded cannot happen here; treat as optimal
+            status = 0
+            break
+        _pivot(T, r, e, col, outer)
         basis[r] = e
+        if e == n:
+            srow = r
+        elif r == srow:
+            srow = -1
         if sval >= last_obj - 1e-13:
             stall += 1
             if stall > _STALL_LIMIT:
@@ -105,9 +142,9 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int):
         last_obj = sval
 
     x = np.zeros(n)
-    for r in range(rows):
-        if basis[r] < n:
-            x[basis[r]] = max(T[r, ncol], 0.0)
+    for j, value in zip(basis, rhs.tolist()):
+        if j < n:
+            x[j] = max(value, 0.0)
     total = x.sum()
     if total > 0:
         x /= total

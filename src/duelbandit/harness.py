@@ -239,6 +239,16 @@ def resolve_q_star(benchmark: dict, env: Environment):
     raise ValueError(f"unknown q_star rule {rule!r}")
 
 
+def check_config(config: ExperimentConfig) -> None:
+    """Build what every seed run builds first, so that a config no seed can
+    run fails once, before any seed does: the environment, the learner and
+    the benchmark's q_star. Raises what those builders raise."""
+    env = build_environment(config.environment)
+    build_learner(config.algorithm, env, config.horizon)
+    if config.benchmark.get("q_star") is not None:
+        resolve_q_star(config.benchmark, env)
+
+
 def _make_policies(count: int, k: int) -> list:
     return [(lambda x, arm=j % k: arm) for j in range(count)]
 

@@ -91,6 +91,24 @@ class TestRunCommand:
         cfg_path.write_text(json.dumps({"horizon": 5}))
         assert main(["run", "--config", str(cfg_path)]) == 1
 
+    def test_run_contextual_nash_is_config_error(self, tmp_path, capsys):
+        # the default q_star rule is nash, which a contextual environment
+        # has no single matrix for; no seed may start
+        config = {
+            "algorithm": {"kind": "ccelindb"},
+            "environment": {"kind": "linear", "k": 3, "dim": 2},
+            "horizon": 20,
+            "seeds": [0],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "non-contextual" in err
+        assert not out_dir.exists()
+
     def test_aggregate_empty_dir(self, tmp_path):
         assert main(["aggregate", "--in", str(tmp_path)]) == 1
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import BACKENDS
-from duelbandit.core import ActionDistribution, PreferenceMatrix
+from duelbandit.core import ActionDistribution, PreferenceMatrix, sample_outcome
 from duelbandit.errors import GammaTooSmall, NotConverged
 from duelbandit.games import (
     FeasibilityReport,
@@ -16,12 +15,141 @@ from duelbandit.games import (
     solve_minmax_feasibility,
     solve_zero_sum_nash,
 )
+from duelbandit.games._kernels_py import _COST_TOL, _RATIO_EPS, _STALL_LIMIT
 from duelbandit.games.grid_oracle import (
     cce_grid_min_violation,
     minmax_grid_min_violation,
 )
+from duelbandit.harness import build_environment, build_learner
+from duelbandit.rng import RngHandle
 
 RPS = np.array([[0.0, 1, -1], [-1, 0, 1], [1, -1, 0]])
+
+LEARNER_SPECS = {
+    "ccedb": ({"kind": "ccedb"},
+              {"kind": "fixed", "fixture": "condorcet", "k": 5, "margin": 0.4}),
+    "ccelindb": ({"kind": "ccelindb"},
+                 {"kind": "linear", "k": 5, "dim": 4, "weight_seed": 5}),
+}
+
+
+@pytest.fixture(scope="module")
+def learner_matrices():
+    """The deviation matrices a short seeded run of each CCE learner hands
+    to the simplex kernel, one per round."""
+    out = {}
+    for kind, (algorithm, environment) in LEARNER_SPECS.items():
+        env = build_environment(environment)
+        learner = build_learner(algorithm, env, horizon=2000)
+        root = RngHandle(3)
+        env_rng, learner_rng, outcome_rng = (
+            root.substream(name) for name in ("environment", "learner", "outcome"))
+        mats = []
+        for _ in range(150):
+            x, realized, _truth = env.sample_round(env_rng)
+            _joint, duel = learner.select(x, learner_rng)
+            mats.append(cce_deviation_matrix(learner.last_upper))
+            learner.observe(x, duel, sample_outcome(realized.entries[duel],
+                                                    outcome_rng))
+        out[kind] = mats
+    return out
+
+
+def _reference_epigraph_simplex(D, stop_at, max_iter):
+    """Dense reference for the numpy kernel: the same pivot rules, with the
+    reduced costs recomputed as c - c_B T and the basis searched for s at
+    every pivot. Returns the kernel's (x, max_violation, pivots, status)
+    and whether Bland's rule took over."""
+    D = np.ascontiguousarray(D, dtype=np.float64)
+    m, n = D.shape
+    col_max = D.max(axis=0)
+    j0 = int(np.argmin(col_max))
+    if col_max[j0] <= stop_at:
+        x = np.zeros(n)
+        x[j0] = 1.0
+        return x, float(col_max[j0]), 0, 0, False
+    i0 = int(np.argmax(D[:, j0]))
+
+    ncol = n + 1 + m
+    rows = m + 1
+    T = np.zeros((rows, ncol + 1))
+    T[:m, :n] = D
+    T[:m, n] = -1.0
+    T[:m, n + 1:ncol] = np.eye(m)
+    T[m, :n] = 1.0
+    T[m, ncol] = 1.0
+    basis = np.arange(n + 1, n + 1 + m, dtype=np.int64)
+    basis = np.append(basis, 0)
+    basis[m] = j0
+    basis[i0] = n
+
+    def pivot(r, c):
+        T[r] /= T[r, c]
+        col = T[:, c].copy()
+        col[r] = 0.0
+        T[...] -= np.outer(col, T[r])
+
+    pivot(m, j0)
+    pivot(i0, n)
+
+    c_obj = np.zeros(ncol)
+    c_obj[n] = 1.0
+    it = 0
+    bland = False
+    stall = 0
+    last_obj = np.inf
+    status = 1
+    while it < max_iter:
+        it += 1
+        srow = np.nonzero(basis == n)[0]
+        sval = float(T[srow[0], ncol]) if srow.size else 0.0
+        if sval <= stop_at + 1e-15:
+            status = 0
+            break
+        red = c_obj - c_obj[basis] @ T[:, :ncol]
+        if bland:
+            cand = np.nonzero(red < -_COST_TOL)[0]
+            if cand.size == 0:
+                status = 0
+                break
+            e = int(cand[0])
+        else:
+            e = int(np.argmin(red))
+            if red[e] >= -_COST_TOL:
+                status = 0
+                break
+        col = T[:, e]
+        pos = col > _RATIO_EPS
+        if not pos.any():
+            status = 0
+            break
+        ratios = np.where(pos, T[:, ncol] / np.where(pos, col, 1.0), np.inf)
+        r = int(np.argmin(ratios))
+        pivot(r, e)
+        basis[r] = e
+        if sval >= last_obj - 1e-13:
+            stall += 1
+            if stall > _STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+        last_obj = sval
+
+    x = np.zeros(n)
+    for r in range(rows):
+        if basis[r] < n:
+            x[basis[r]] = max(T[r, ncol], 0.0)
+    total = x.sum()
+    if total > 0:
+        x /= total
+    return x, float((D @ x).max()), it, status, bland
+
+
+def _assert_same_solve(got, want):
+    x, viol, pivots, status = got
+    assert x.tobytes() == want[0].tobytes()
+    assert np.float64(viol).tobytes() == np.float64(want[1]).tobytes()
+    assert (pivots, status) == (want[2], want[3])
 
 
 class TestDeviationMatrix:
@@ -243,10 +371,41 @@ class TestSolverConfig:
             SolverConfig(max_iterations=0)
 
 
+class TestNumpyKernelMatchesReference:
+    """The numpy simplex reads its reduced costs off the epigraph row and
+    updates the tableau in preallocated buffers; it must take the pivots of
+    the dense reference and return the same bits."""
+
+    @pytest.mark.parametrize("kind", sorted(LEARNER_SPECS))
+    def test_learner_matrices(self, kind, learner_matrices):
+        kp = get_kernels("python")
+        pivots = 0
+        for dev in learner_matrices[kind]:
+            want = _reference_epigraph_simplex(dev, 0.0, 50_000)
+            _assert_same_solve(kp.epigraph_simplex(dev, 0.0, 50_000), want)
+            pivots += want[2]
+        assert pivots > 0
+
+    def test_zero_pivot_exit(self):
+        kp = get_kernels("python")
+        dev = cce_deviation_matrix(np.zeros((3, 3)))
+        want = _reference_epigraph_simplex(dev, 0.0, 50_000)
+        assert want[2] == 0
+        _assert_same_solve(kp.epigraph_simplex(dev, 0.0, 50_000), want)
+
+    def test_degenerate_instance_past_bland_switch(self):
+        # ties at every column maximum make the first pivots degenerate,
+        # long enough for the stall counter to pass _STALL_LIMIT
+        dev = (np.random.default_rng(0).random((40, 40)) < 0.7).astype(float)
+        want = _reference_epigraph_simplex(dev, 0.0, 50_000)
+        assert want[4] and want[3] == 0 and want[2] > _STALL_LIMIT
+        got = get_kernels("python").epigraph_simplex(dev, 0.0, 50_000)
+        _assert_same_solve(got, want)
+
+
 class TestBackendParity:
-    @pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-    def test_same_verdicts_and_close_points(self, make_skew):
-        kc = get_kernels("c")
+    def test_same_verdicts_and_close_points(self, compiled_kernels, make_skew):
+        kc = compiled_kernels
         kp = get_kernels("python")
         gen = np.random.default_rng(123)
         for i in range(40):
@@ -265,3 +424,13 @@ class TestBackendParity:
             pp, vvp, _, ssp = kp.minmax_descent(*args)
             assert ssc == ssp == 0
             assert abs(vvc - vvp) <= 1e-6
+
+    @pytest.mark.parametrize("kind", sorted(LEARNER_SPECS))
+    def test_same_pivots_on_learner_matrices(self, kind, compiled_kernels,
+                                             learner_matrices):
+        kp = get_kernels("python")
+        for dev in learner_matrices[kind]:
+            _, vc, pivots_c, sc = compiled_kernels.epigraph_simplex(dev, 0.0, 50_000)
+            _, vp, pivots_p, sp = kp.epigraph_simplex(dev, 0.0, 50_000)
+            assert (pivots_c, sc) == (pivots_p, sp)
+            assert max(vc, vp) <= 1e-8
