@@ -62,6 +62,7 @@ class CceDb:
         self.last_confidence: np.ndarray | None = None
         self.last_upper: np.ndarray | None = None
         self.last_iterations = 0
+        self._basis: list[int] = []  # the last CCE solve's simplex basis
 
     def counts(self) -> np.ndarray:
         return self.wins + self.wins.T
@@ -85,7 +86,9 @@ class CceDb:
     def select(self, context, rng: RngHandle):
         """Solve the CCE of the current upper matrix and sample a duel."""
         mean, width, upper = self._statistics()
-        report = solve_cce(upper, self.solver_config)
+        # the upper matrix moves little between rounds, so the previous
+        # round's basis usually still gives a CCE
+        report = solve_cce(upper, self.solver_config, warm_start=self._basis)
         joint = report.point
         self.last_mean = mean
         self.last_confidence = width

@@ -119,13 +119,22 @@ def cce_violation(u, joint) -> float:
     return max(dev_row - value_row, dev_col - value_col)
 
 
-def solve_cce(u, config: SolverConfig | None = None) -> FeasibilityReport:
+def solve_cce(
+    u,
+    config: SolverConfig | None = None,
+    warm_start: list | None = None,
+) -> FeasibilityReport:
     """Find a coarse correlated equilibrium of the general-sum matrix `u`.
 
     Solved as a linear feasibility problem over the joint simplex (minimize
     the max violation of the 2K deviation constraints). A CCE always exists
     for a finite matrix, so NotConverged signals solver misconfiguration.
     A matrix that is not square or has a non-finite entry raises ValueError.
+
+    `warm_start` is a list the caller keeps from solve to solve: the numpy
+    kernel tries the simplex basis it holds first and leaves its final
+    basis in it. The returned joint is then often the previous solve's
+    vertex, not necessarily the one a cold solve finds.
     """
     cfg = config or SolverConfig()
     ue = _as_square(_entries(u))
@@ -133,9 +142,13 @@ def solve_cce(u, config: SolverConfig | None = None) -> FeasibilityReport:
         raise ValueError("matrix entries must be finite")
     k = ue.shape[0]
     dev = cce_deviation_matrix(ue)
-    x, viol, iters, status = get_kernels().epigraph_simplex(
-        dev, 0.0, cfg.max_iterations
-    )
+    kernels = get_kernels()
+    args = (dev, 0.0, cfg.max_iterations)
+    # Only the numpy kernel takes a basis: the compiled one cold-starts in
+    # less time than numpy takes to re-solve a basis.
+    if warm_start is not None and kernels.BACKEND_NAME == "python":
+        args += (warm_start,)
+    x, viol, iters, status = kernels.epigraph_simplex(*args)
     if status != 0 or viol > cfg.violation_tolerance:
         raise NotConverged(
             f"CCE solve stopped at violation {viol:.3e} "

@@ -1,7 +1,8 @@
 """Pure-numpy solver kernels (fallback backend).
 
-Semantics match `_speedups.pyx`; the compiled module is preferred at import
-time when available. Both implement:
+Semantics match `_speedups.pyx`, except that only this epigraph_simplex
+takes a warm-start basis; the compiled module is preferred at import time
+when available. Both implement:
 
   * epigraph_simplex -- minimize max_i (D x)_i over the simplex, i.e. the
     linear feasibility core behind CCE and zero-sum Nash solves,
@@ -22,6 +23,7 @@ BACKEND_NAME = "python"
 _RATIO_EPS = 1e-12
 _COST_TOL = 1e-11
 _STALL_LIMIT = 50
+_WARM_TOL = 1e-12  # how far a warm vertex may miss x, s >= 0, D x <= stop_at
 
 
 @functools.lru_cache(maxsize=64)
@@ -54,18 +56,64 @@ def _pivot(T: np.ndarray, r: int, c: int, col: np.ndarray,
     np.subtract(T, outer, out=T)
 
 
-def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int):
+def _basic_point(basis: list, values: list, n: int):
+    """The x part of a basic solution, clipped at 0 and renormalized, and
+    its sum before renormalizing."""
+    x = np.zeros(n)
+    for j, value in zip(basis, values):
+        if j < n:
+            x[j] = max(value, 0.0)
+    total = x.sum()
+    if total > 0:
+        x /= total
+    return x, total
+
+
+def _warm_vertex(D: np.ndarray, T: np.ndarray, basis: list, stop_at: float):
+    """The vertex of `basis` in the unpivoted tableau `T`, as a finished
+    solve, if it is primal feasible with s <= stop_at and its point meets
+    max(D x) <= stop_at; otherwise None."""
+    n = D.shape[1]
+    try:
+        values = np.linalg.solve(T[:, basis], T[:, -1]).tolist()
+    except np.linalg.LinAlgError:
+        return None
+    if min(values) < -_WARM_TOL:
+        return None
+    if n in basis and values[basis.index(n)] > stop_at + 1e-15:
+        return None
+    x, total = _basic_point(basis, values, n)
+    viol = float((D @ x).max())
+    # the point itself is checked: a NaN that reaches x fails here
+    if not (total > 0 and viol <= stop_at + _WARM_TOL):
+        return None
+    return x, viol, 0, 0
+
+
+def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int,
+                     basis: list | None = None):
     """Minimize s subject to D x <= s 1, sum x = 1, x >= 0, s >= 0.
 
     Dantzig pivoting with first-index tie breaks, switching to Bland's rule
     after a degenerate stall; stops early once the basic solution reaches
     s <= stop_at. Returns (x, max_violation, pivots, status).
+
+    `basis`, if given, is a list of tableau columns, one per row (x vars,
+    then s, then the row slacks), and holds the final basis on return. When
+    it holds a full basis on entry, for instance the previous solve's on a
+    nearby D, and that basis's vertex already has s <= stop_at and
+    max(D x) <= stop_at, that vertex is returned with 0 pivots. Otherwise
+    the solve starts cold, exactly as without a basis.
     """
     D = np.ascontiguousarray(D, dtype=np.float64)
     m, n = D.shape
+    if basis is None:
+        basis = []
     col_max = D.max(axis=0)
     j0 = int(col_max.argmin())
     if col_max[j0] <= stop_at:
+        basis[:] = range(n + 1, n + 1 + m)
+        basis.append(j0)
         x = np.zeros(n)
         x[j0] = 1.0
         return x, float(col_max[j0]), 0, 0
@@ -75,12 +123,17 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int):
     rows = m + 1
     T = _tableau_template(m, n).copy()
     T[:m, :n] = D
+    if len(basis) == rows:
+        warm = _warm_vertex(D, T, basis, stop_at)
+        if warm is not None:
+            return warm
     col = np.empty(rows)
     outer = np.empty((rows, ncol + 1))
     ratios = np.empty(rows)
     pos = np.empty(rows, dtype=bool)
     rhs = T[:, ncol]
-    basis = list(range(n + 1, n + 1 + m)) + [j0]
+    basis[:] = range(n + 1, n + 1 + m)
+    basis.append(j0)
     basis[i0] = n
     srow = i0  # the row where s is basic, -1 once it leaves
 
@@ -141,13 +194,7 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int):
             stall = 0
         last_obj = sval
 
-    x = np.zeros(n)
-    for j, value in zip(basis, rhs.tolist()):
-        if j < n:
-            x[j] = max(value, 0.0)
-    total = x.sum()
-    if total > 0:
-        x /= total
+    x, _ = _basic_point(basis, rhs.tolist(), n)
     return x, float((D @ x).max()), it, status
 
 
@@ -156,6 +203,8 @@ def kl_project_floored(w: np.ndarray, floor: float) -> np.ndarray:
     k = w.shape[0]
     if k * floor >= 1.0:
         return np.full(k, 1.0 / k)
+    if w.min() >= floor - 1e-15:
+        return w.copy()  # what the loop returns at f = 0, where lambda = 1
     order = np.argsort(w, kind="stable")
     ws = w[order]
     prefix = np.concatenate(([0.0], np.cumsum(ws)))

@@ -116,8 +116,38 @@ class RunSummary:
         ])
 
 
+# The keys each kind of spec reads; any other key is a config error.
+_ENVIRONMENT_KEYS = {
+    "fixed": {"matrix", "fixture", "k", "margin", "eps", "perturbation"},
+    "finite_class": {"k", "n_contexts", "class_size", "class_seed",
+                     "margin_cap", "perturbation"},
+    "linear": {"k", "dim", "weight_seed"},
+}
+_SOLVER_KEYS = {"solver_max_iterations", "solver_tolerance"}
+_ALGORITHM_KEYS = {
+    "ccedb": _SOLVER_KEYS | {"delta"},
+    "ccelindb": _SOLVER_KEYS | {"delta", "ridge", "width_multiplier"},
+    "minmaxdb": _SOLVER_KEYS | {"gamma", "oracle"},
+}
+_ORACLE_KEYS = {
+    "finite": {"class_size", "class_seed"},  # read for a fixed environment
+    "vaw": {"ridge"},
+    "ogd": {"radius"},
+}
+
+
+def _check_keys(spec: dict, known: dict, what: str, kind) -> None:
+    """Reject an unknown kind, or a key that this kind of spec never reads."""
+    if not isinstance(kind, str) or kind not in known:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    unused = sorted(set(spec) - known[kind] - {"kind"})
+    if unused:
+        raise ValueError(f"{what} kind {kind!r} does not use keys {unused}")
+
+
 def build_environment(spec: dict) -> Environment:
     kind = spec.get("kind", "fixed")
+    _check_keys(spec, _ENVIRONMENT_KEYS, "environment", kind)
     perturbation = float(spec.get("perturbation", 0.0))
     if kind == "fixed":
         if "matrix" in spec:
@@ -138,11 +168,10 @@ def build_environment(spec: dict) -> Environment:
             perturbation=perturbation,
         )
         return env
-    if kind == "linear":
-        weight_rng = RngHandle(int(spec.get("weight_seed", 0))).substream("weight")
-        w = weight_rng.generator.uniform(-1.0, 1.0, int(spec["dim"]))
-        return LinearRealizableEnvironment(int(spec["k"]), w)
-    raise ValueError(f"unknown environment kind {kind!r}")
+    # kind == "linear"
+    weight_rng = RngHandle(int(spec.get("weight_seed", 0))).substream("weight")
+    w = weight_rng.generator.uniform(-1.0, 1.0, int(spec["dim"]))
+    return LinearRealizableEnvironment(int(spec["k"]), w)
 
 
 def _finite_tables_for(env: Environment, spec: dict) -> tuple[np.ndarray, int]:
@@ -165,6 +194,7 @@ def _finite_tables_for(env: Environment, spec: dict) -> tuple[np.ndarray, int]:
 
 def build_learner(spec: dict, env: Environment, horizon: int):
     kind = spec.get("kind")
+    _check_keys(spec, _ALGORITHM_KEYS, "algorithm", kind)
     solver_config = SolverConfig(
         max_iterations=int(spec.get("solver_max_iterations", 50_000)),
         violation_tolerance=float(spec.get("solver_tolerance", 1e-8)),
@@ -182,28 +212,26 @@ def build_learner(spec: dict, env: Environment, horizon: int):
             width_multiplier=spec.get("width_multiplier"),
             solver_config=solver_config,
         )
-    if kind == "minmaxdb":
-        oracle_spec = dict(spec.get("oracle", {"kind": "finite"}))
-        okind = oracle_spec.get("kind", "finite")
-        if okind == "finite":
-            tables, _ = _finite_tables_for(env, oracle_spec)
-            oracle = FiniteClassAggregator(tables)
-        elif okind == "vaw":
-            if not isinstance(env, LinearRealizableEnvironment):
-                raise ValueError("vaw oracle needs a linear environment")
-            oracle = VawForecaster(env.dim, ridge=float(oracle_spec.get("ridge", 1.0)))
-        elif okind == "ogd":
-            if not isinstance(env, LinearRealizableEnvironment):
-                raise ValueError("ogd oracle needs a linear environment")
-            oracle = OgdForecaster(env.dim, horizon,
-                                   radius=float(oracle_spec.get("radius", 1.0)))
-        else:
-            raise ValueError(f"unknown oracle kind {okind!r}")
-        gamma = spec.get("gamma", "auto")
-        if gamma == "auto":
-            gamma = default_gamma(env.k, horizon, oracle.regret_budget())
-        return MinMaxDb(env.k, float(gamma), oracle, solver_config)
-    raise ValueError(f"unknown algorithm kind {kind!r}")
+    # kind == "minmaxdb"
+    oracle_spec = dict(spec.get("oracle", {"kind": "finite"}))
+    okind = oracle_spec.get("kind", "finite")
+    _check_keys(oracle_spec, _ORACLE_KEYS, "oracle", okind)
+    if okind == "finite":
+        tables, _ = _finite_tables_for(env, oracle_spec)
+        oracle = FiniteClassAggregator(tables)
+    elif okind == "vaw":
+        if not isinstance(env, LinearRealizableEnvironment):
+            raise ValueError("vaw oracle needs a linear environment")
+        oracle = VawForecaster(env.dim, ridge=float(oracle_spec.get("ridge", 1.0)))
+    else:  # ogd
+        if not isinstance(env, LinearRealizableEnvironment):
+            raise ValueError("ogd oracle needs a linear environment")
+        oracle = OgdForecaster(env.dim, horizon,
+                               radius=float(oracle_spec.get("radius", 1.0)))
+    gamma = spec.get("gamma", "auto")
+    if gamma == "auto":
+        gamma = default_gamma(env.k, horizon, oracle.regret_budget())
+    return MinMaxDb(env.k, float(gamma), oracle, solver_config)
 
 
 def _truth_matrix_for_benchmark(env: Environment) -> PreferenceMatrix:

@@ -101,6 +101,25 @@ class TestCceDb:
         with pytest.raises(ValueError):
             learner.observe(None, (0, 1), 0)
 
+    def test_numpy_warm_start_mostly_needs_no_pivot(self, monkeypatch):
+        kp = games.get_kernels("python")
+        monkeypatch.setattr(games, "get_kernels", lambda name=None: kp)
+        env = build_environment({"kind": "fixed", "fixture": "condorcet",
+                                 "k": 5, "margin": 0.4})
+        learner = build_learner({"kind": "ccedb"}, env, horizon=2000)
+        root = RngHandle(1)
+        env_rng, learner_rng, outcome_rng = (
+            root.substream(name) for name in ("environment", "learner", "outcome"))
+        zero_pivot = 0
+        for t in range(2000):
+            x, realized, _truth = env.sample_round(env_rng)
+            joint, duel = learner.select(x, learner_rng)
+            assert cce_violation(learner.last_upper, joint) <= 1e-8, t
+            zero_pivot += learner.last_iterations == 0
+            learner.observe(x, duel, sample_outcome(realized.entries[duel],
+                                                    outcome_rng))
+        assert zero_pivot >= 0.75 * 2000
+
 
 class TestCceLinDb:
     def test_no_history_unit_features(self, rng):

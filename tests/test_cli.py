@@ -109,6 +109,34 @@ class TestRunCommand:
         assert err.startswith("config error:") and "non-contextual" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("algorithm, environment, key", [
+        ({"kind": "ccelindb", "ridgee": 3.0},
+         {"kind": "linear", "k": 3, "dim": 2}, "ridgee"),
+        ({"kind": "ccedb"},
+         {"kind": "fixed", "fixture": "condorcet", "k": 3, "margn": 1},
+         "margn"),
+        ({"kind": "ccelindb"},
+         {"kind": "linear", "k": 3, "dim": 2, "perturbation": 0.1},
+         "perturbation"),
+        ({"kind": "minmaxdb", "gamma": 30.0, "delta": 0.1},
+         {"kind": "finite_class", "k": 3}, "delta"),
+        ({"kind": "minmaxdb", "gamma": 30.0,
+          "oracle": {"kind": "finite", "radius": 1.0}},
+         {"kind": "finite_class", "k": 3}, "radius"),
+    ])
+    def test_run_unused_spec_key_is_config_error(self, tmp_path, capsys,
+                                                 algorithm, environment, key):
+        config = {"algorithm": algorithm, "environment": environment,
+                  "horizon": 20, "seeds": [0], "benchmark": {"q_star": None}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and repr(key) in err
+        assert not out_dir.exists()
+
     def test_aggregate_empty_dir(self, tmp_path):
         assert main(["aggregate", "--in", str(tmp_path)]) == 1
 

@@ -403,6 +403,153 @@ class TestNumpyKernelMatchesReference:
         _assert_same_solve(got, want)
 
 
+def _cold_and_warm(kp, dev, previous):
+    """One solve from a copy of `previous` and one cold; returns both
+    results and the basis each left behind."""
+    warm_basis, cold_basis = list(previous), []
+    warm = kp.epigraph_simplex(dev, 0.0, 50_000, warm_basis)
+    cold = kp.epigraph_simplex(dev, 0.0, 50_000, cold_basis)
+    return warm, cold, warm_basis, cold_basis
+
+
+class TestWarmStart:
+    """The numpy simplex takes the previous solve's basis and returns its
+    vertex with 0 pivots when that vertex is still a CCE, else the cold
+    solve exactly."""
+
+    def test_warm_returns_are_cce_points(self, learner_matrices):
+        kp = get_kernels("python")
+        basis = []
+        warm = 0
+        for dev in learner_matrices["ccedb"]:
+            x, viol, pivots, status = kp.epigraph_simplex(dev, 0.0, 50_000, basis)
+            assert status == 0
+            assert len(basis) == dev.shape[0] + 1
+            if pivots == 0 and dev.max(axis=0).min() > 0.0:
+                warm += 1  # not the pure-point exit: the basis was reused
+                assert (dev @ x).max() <= 1e-12
+                assert viol <= 1e-12
+                assert x.min() >= 0.0
+                assert abs(x.sum() - 1.0) <= 1e-12
+        assert warm >= 40
+
+    def test_stale_basis_gives_the_cold_solve(self, learner_matrices):
+        # fresh features every round: most previous bases are infeasible
+        kp = get_kernels("python")
+        mats = learner_matrices["ccelindb"]
+        previous = []
+        rejected = 0
+        for dev in mats:
+            warm, cold, warm_basis, cold_basis = _cold_and_warm(kp, dev, previous)
+            if warm[2] > 0:
+                rejected += 1
+                _assert_same_solve(warm, cold)
+                assert warm_basis == cold_basis
+            previous = cold_basis
+        assert rejected >= 25
+
+    @pytest.mark.parametrize("stale", ["repeated column", "no x column"])
+    def test_singular_basis_gives_the_cold_solve(self, stale, learner_matrices):
+        kp = get_kernels("python")
+        dev = next(d for d in learner_matrices["ccedb"] if d.max(axis=0).min() > 0)
+        m, n = dev.shape
+        if stale == "repeated column":
+            previous = [0] * (m + 1)
+        else:
+            previous = list(range(n, n + m + 1))  # s and the slacks
+        warm, cold, warm_basis, cold_basis = _cold_and_warm(kp, dev, previous)
+        assert cold[2] > 0
+        _assert_same_solve(warm, cold)
+        assert warm_basis == cold_basis
+
+    def test_zero_pivot_exit_leaves_a_basis_of_its_point(self):
+        u = np.array([[0.0, 0.3, 0.2], [-0.3, 0.0, 0.1], [-0.2, -0.1, 0.0]])
+        dev = cce_deviation_matrix(u)
+        m, n = dev.shape
+        basis = [7] * (m + 1)
+        x, viol, pivots, status = get_kernels("python").epigraph_simplex(
+            dev, 0.0, 50_000, basis)
+        assert (pivots, status) == (0, 0) and x.max() == 1.0
+        # the tableau's columns: x, then s, then the row slacks; its last
+        # row is sum x = 1
+        tableau = np.zeros((m + 1, n + 1 + m))
+        tableau[:m, :n] = dev
+        tableau[:m, n] = -1.0
+        tableau[:m, n + 1:] = np.eye(m)
+        tableau[m, :n] = 1.0
+        rhs = np.zeros(m + 1)
+        rhs[m] = 1.0
+        z = np.linalg.solve(tableau[:, basis], rhs)
+        assert z.min() >= 0.0 and n not in basis
+        point = np.zeros(n)
+        for j, value in zip(basis, z):
+            if j < n:
+                point[j] = value
+        assert np.array_equal(point, x)
+
+
+class TestKlProjectFloored:
+    """The early return for a point already on the floored simplex gives
+    the bytes the projection loop gives."""
+
+    @staticmethod
+    def _loop(w, floor):
+        k = w.shape[0]
+        if k * floor >= 1.0:
+            return np.full(k, 1.0 / k)
+        order = np.argsort(w, kind="stable")
+        ws = w[order]
+        prefix = np.concatenate(([0.0], np.cumsum(ws)))
+        res = np.empty(k)
+        for f in range(k):
+            denom = 1.0 - prefix[f]
+            if denom <= 0.0:
+                break
+            lam = (1.0 - f * floor) / denom
+            ok_low = f == 0 or lam * ws[f - 1] <= floor + 1e-15
+            ok_high = lam * ws[f] >= floor - 1e-15
+            if ok_low and ok_high:
+                res[order[:f]] = floor
+                res[order[f:]] = ws[f:] * lam
+                return res
+        return np.full(k, 1.0 / k)
+
+    def test_same_bytes_as_the_loop(self):
+        project = get_kernels("python").kl_project_floored
+        env = build_environment({"kind": "finite_class", "k": 3,
+                                 "class_size": 16, "class_seed": 11})
+        learner = build_learner({"kind": "minmaxdb"}, env, horizon=2500)
+        floor = 1.0 / (4.0 * learner.gamma)
+        root = RngHandle(5)
+        env_rng, learner_rng, outcome_rng = (
+            root.substream(name) for name in ("environment", "learner", "outcome"))
+        cases = []
+        for _ in range(300):
+            x, realized, _truth = env.sample_round(env_rng)
+            _joint, duel = learner.select(x, learner_rng)
+            cases.append((learner.last_marginal, floor))
+            learner.observe(x, duel, sample_outcome(realized.entries[duel],
+                                                    outcome_rng))
+        gen = np.random.default_rng(0)
+        for _ in range(300):
+            k = int(gen.integers(2, 9))
+            floor = float(gen.uniform(0.0, 1.0 / k))
+            w = gen.dirichlet(np.ones(k))
+            cases.append((w, floor))  # often below the floor
+            floored = floor + (1.0 - k * floor) * w
+            cases.append((floored, floor))
+            for below in (1e-16, 1e-13):  # either side of the tolerance
+                edge = floored.copy()
+                edge[edge.argmin()] = floor - below
+                cases.append((edge, floor))
+        on_floor = 0
+        for w, floor in cases:
+            want = self._loop(w, floor)
+            assert project(w, floor).tobytes() == want.tobytes()
+            on_floor += w.min() >= floor - 1e-15
+        assert 300 < on_floor < len(cases)
+
+
 class TestBackendParity:
     def test_same_verdicts_and_close_points(self, compiled_kernels, make_skew):
         kc = compiled_kernels
