@@ -13,8 +13,8 @@ Three entry points, all pure functions of (input, config):
 CCE and Nash reduce to one linear program: minimize the maximum constraint
 violation over a simplex. The inverse-gap program is convex (linear exposure
 plus 1/p_i penalty) and is solved by entropic mirror descent on a floored
-simplex. Hot kernels live in a compiled extension with a numpy fallback; see
-`backend_name()`.
+simplex. The hot loops live in the numpy kernels of `_kernels_py`; the
+solvers fetch them through `get_kernels()` at call time.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from ..core import (
     _as_square,
 )
 from ..errors import GammaTooSmall, NotConverged
-from ._backend import backend_name, get_kernels
+from . import _kernels_py
 
 __all__ = [
     "SolverConfig",
@@ -46,6 +46,16 @@ __all__ = [
 
 DEFAULT_MAX_ITERATIONS = 50_000
 DEFAULT_VIOLATION_TOLERANCE = 1e-8
+
+
+def get_kernels():
+    """The kernel module the solvers call. They look it up on every solve,
+    so tests and tracers can substitute it by patching this function."""
+    return _kernels_py
+
+
+def backend_name() -> str:
+    return _kernels_py.BACKEND_NAME
 
 
 @dataclass(frozen=True)
@@ -131,7 +141,7 @@ def solve_cce(
     for a finite matrix, so NotConverged signals solver misconfiguration.
     A matrix that is not square or has a non-finite entry raises ValueError.
 
-    `warm_start` is a list the caller keeps from solve to solve: the numpy
+    `warm_start` is a list the caller keeps from solve to solve: the
     kernel tries the simplex basis it holds first and leaves its final
     basis in it. The returned joint is then often the previous solve's
     vertex, not necessarily the one a cold solve finds.
@@ -142,13 +152,9 @@ def solve_cce(
         raise ValueError("matrix entries must be finite")
     k = ue.shape[0]
     dev = cce_deviation_matrix(ue)
-    kernels = get_kernels()
-    args = (dev, 0.0, cfg.max_iterations)
-    # Only the numpy kernel takes a basis: the compiled one cold-starts in
-    # less time than numpy takes to re-solve a basis.
-    if warm_start is not None and kernels.BACKEND_NAME == "python":
-        args += (warm_start,)
-    x, viol, iters, status = kernels.epigraph_simplex(*args)
+    x, viol, iters, status = get_kernels().epigraph_simplex(
+        dev, 0.0, cfg.max_iterations, warm_start
+    )
     if status != 0 or viol > cfg.violation_tolerance:
         raise NotConverged(
             f"CCE solve stopped at violation {viol:.3e} "

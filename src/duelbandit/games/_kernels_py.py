@@ -1,8 +1,4 @@
-"""Pure-numpy solver kernels (fallback backend).
-
-Semantics match `_speedups.pyx`, except that only this epigraph_simplex
-takes a warm-start basis; the compiled module is preferred at import time
-when available. Both implement:
+"""Pure-numpy solver kernels, the hot loops behind the solvers:
 
   * epigraph_simplex -- minimize max_i (D x)_i over the simplex, i.e. the
     linear feasibility core behind CCE and zero-sum Nash solves,

@@ -130,7 +130,7 @@ _ALGORITHM_KEYS = {
     "minmaxdb": _SOLVER_KEYS | {"gamma", "oracle"},
 }
 _ORACLE_KEYS = {
-    "finite": {"class_size", "class_seed"},  # read for a fixed environment
+    "finite": {"class_size", "class_seed"},  # fixed environments only
     "vaw": {"ridge"},
     "ogd": {"radius"},
 }
@@ -177,6 +177,11 @@ def build_environment(spec: dict) -> Environment:
 def _finite_tables_for(env: Environment, spec: dict) -> tuple[np.ndarray, int]:
     """Hypothesis tables for a finite-class oracle, honoring realizability."""
     if isinstance(env, FiniteClassEnvironment):
+        unused = sorted({"class_size", "class_seed"} & set(spec))
+        if unused:
+            raise ValueError(
+                f"oracle kind 'finite' does not use keys {unused} on a "
+                "finite_class environment, whose own class it takes")
         return env.tables, env.truth_index
     if isinstance(env, FixedMatrixEnvironment):
         class_size = int(spec.get("class_size", 16))

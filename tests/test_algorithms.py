@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import duelbandit.games as games
 from duelbandit.algorithms import CceDb, CceLinDb, MinMaxDb, default_gamma
 from duelbandit.core import SIMPLEX_TOLERANCE, PreferenceMatrix, sample_outcome
 from duelbandit.errors import GammaTooSmall, HorizonTooShort
@@ -101,9 +100,7 @@ class TestCceDb:
         with pytest.raises(ValueError):
             learner.observe(None, (0, 1), 0)
 
-    def test_numpy_warm_start_mostly_needs_no_pivot(self, monkeypatch):
-        kp = games.get_kernels("python")
-        monkeypatch.setattr(games, "get_kernels", lambda name=None: kp)
+    def test_numpy_warm_start_mostly_needs_no_pivot(self):
         env = build_environment({"kind": "fixed", "fixture": "condorcet",
                                  "k": 5, "margin": 0.4})
         learner = build_learner({"kind": "ccedb"}, env, horizon=2000)
@@ -256,8 +253,8 @@ class TestDefaultGamma:
 class TestInteriorValuesNeedNoChecks:
     """The learners' own joints and prediction matrices are built without
     the public constructors' checks, so the properties those checks enforce
-    are asserted here on what the learners actually produce, round by round,
-    with every kernel backend."""
+    are asserted here on what the learners actually produce, round by
+    round."""
 
     ROUNDS = 200
     SPECS = {
@@ -273,8 +270,7 @@ class TestInteriorValuesNeedNoChecks:
     }
 
     @pytest.mark.parametrize("kind", sorted(SPECS))
-    def test_joints_and_predictions(self, kind, kernels, monkeypatch):
-        monkeypatch.setattr(games, "get_kernels", lambda name=None: kernels)
+    def test_joints_and_predictions(self, kind):
         algorithm, environment = self.SPECS[kind]
         env = build_environment(environment)
         # a horizon long enough for gamma "auto"; only ROUNDS of it run

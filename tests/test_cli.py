@@ -123,6 +123,12 @@ class TestRunCommand:
         ({"kind": "minmaxdb", "gamma": 30.0,
           "oracle": {"kind": "finite", "radius": 1.0}},
          {"kind": "finite_class", "k": 3}, "radius"),
+        ({"kind": "minmaxdb", "gamma": 30.0,
+          "oracle": {"kind": "finite", "class_size": 1}},
+         {"kind": "finite_class", "k": 3}, "class_size"),
+        ({"kind": "minmaxdb", "gamma": 30.0,
+          "oracle": {"kind": "finite", "class_seed": 4}},
+         {"kind": "finite_class", "k": 3}, "class_seed"),
     ])
     def test_run_unused_spec_key_is_config_error(self, tmp_path, capsys,
                                                  algorithm, environment, key):

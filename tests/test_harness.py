@@ -86,7 +86,7 @@ class TestRunExperiment:
         # best-response regret is at most the program budget plus slack
         cfg = ExperimentConfig.from_dict({
             "algorithm": {"kind": "minmaxdb", "gamma": 30.0,
-                          "oracle": {"kind": "finite", "class_size": 1}},
+                          "oracle": {"kind": "finite"}},
             "environment": {"kind": "finite_class", "k": 3, "n_contexts": 1,
                             "class_size": 1, "class_seed": 2},
             "horizon": 400, "seeds": [0],
