@@ -79,7 +79,7 @@ def _cmd_solve_cce(args) -> int:
         return 2
     joint = report.point
     print(f"backend: {backend_name()}")
-    print(f"converged: {report.converged} iterations: {report.iterations}")
+    print(f"iterations: {report.iterations}")
     print(f"max violation (solver): {report.max_violation:.3e}")
     print(f"max violation (direct): {cce_violation(u, joint):.3e}")
     print("joint distribution:")
@@ -105,7 +105,7 @@ def _cmd_solve_igw(args) -> int:
         return 2
     k = y.k
     print(f"backend: {backend_name()}")
-    print(f"converged: {report.converged} iterations: {report.iterations}")
+    print(f"iterations: {report.iterations}")
     print(f"budget 5K/gamma: {5 * k / args.gamma:.6f} slack K/gamma: {k / args.gamma:.6f}")
     print(f"max violation beyond budget: {report.max_violation:.3e}")
     print("marginal:", " ".join(f"{v:.6f}" for v in report.point.weights))

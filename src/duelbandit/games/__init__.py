@@ -60,35 +60,27 @@ def backend_name() -> str:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration budget, feasibility tolerance and simplex floor.
-
-    floor_epsilon=None means "choose per solve": the inverse-gap program
-    uses 1/(4 gamma), below which no feasible point can be excluded (the
-    feasibility proof's smoothed point has every coordinate >= 1/gamma).
-    """
+    """Iteration budget and feasibility tolerance."""
 
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     violation_tolerance: float = DEFAULT_VIOLATION_TOLERANCE
-    floor_epsilon: float | None = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.violation_tolerance <= 0:
             raise ValueError("violation_tolerance must be positive")
-        if self.floor_epsilon is not None and not (0.0 < self.floor_epsilon):
-            raise ValueError("floor_epsilon must be positive")
 
 
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Solver output: the point, its worst signed constraint violation
-    (<= 0 means strictly feasible), iterations used, and convergence flag."""
+    (<= 0 means strictly feasible) and the iterations used. A solver that
+    does not converge raises NotConverged instead."""
 
     point: object
     max_violation: float
     iterations: int
-    converged: bool
 
 
 def _entries(m) -> np.ndarray:
@@ -158,12 +150,12 @@ def solve_cce(
     if status != 0 or viol > cfg.violation_tolerance:
         raise NotConverged(
             f"CCE solve stopped at violation {viol:.3e} "
-            f"(tolerance {cfg.violation_tolerance:.1e})",
+            f"(tolerance {cfg.violation_tolerance:.1e}) after {iters} pivots",
             max_violation=viol,
             iterations=iters,
         )
     joint = JointActionDistribution._unchecked(x.reshape(k, k))
-    return FeasibilityReport(joint, viol, iters, True)
+    return FeasibilityReport(joint, viol, iters)
 
 
 def solve_zero_sum_nash(p, config: SolverConfig | None = None) -> FeasibilityReport:
@@ -174,7 +166,7 @@ def solve_zero_sum_nash(p, config: SolverConfig | None = None) -> FeasibilityRep
     """
     cfg = config or SolverConfig()
     pe = _entries(p)
-    if isinstance(p, np.ndarray) or not isinstance(p, PreferenceMatrix):
+    if not isinstance(p, PreferenceMatrix):
         pe = PreferenceMatrix(pe).entries  # validates skew-symmetry
     # (q^T P)_j >= 0 for all j  <=>  (P q)_j <= 0 for all j, by skew-symmetry
     q, viol, iters, status = get_kernels().epigraph_simplex(
@@ -182,11 +174,12 @@ def solve_zero_sum_nash(p, config: SolverConfig | None = None) -> FeasibilityRep
     )
     if status != 0 or viol > cfg.violation_tolerance:
         raise NotConverged(
-            f"zero-sum Nash solve stopped at violation {viol:.3e}",
+            f"zero-sum Nash solve stopped at violation {viol:.3e} "
+            f"after {iters} pivots",
             max_violation=viol,
             iterations=iters,
         )
-    return FeasibilityReport(ActionDistribution._unchecked(q), viol, iters, True)
+    return FeasibilityReport(ActionDistribution._unchecked(q), viol, iters)
 
 
 def minmax_rhs(k: int, gamma: float) -> float:
@@ -228,9 +221,9 @@ def solve_minmax_feasibility(
     k = ye.shape[0]
     if gamma < 2.0 * k:
         raise GammaTooSmall(f"gamma={gamma} below 2K={2 * k}")
-    floor = cfg.floor_epsilon if cfg.floor_epsilon is not None else 1.0 / (4.0 * gamma)
-    if not floor < 1.0 / k:
-        raise ValueError(f"floor_epsilon {floor} must be below 1/K")
+    # the floor keeps the feasibility proof's smoothed point, every
+    # coordinate of which is >= 1/gamma; gamma >= 2K puts it below 1/K
+    floor = 1.0 / (4.0 * gamma)
     rhs = minmax_rhs(k, gamma)
     slack = minmax_slack(k, gamma)
     eta0 = 1.0 / (gamma * k)
@@ -252,4 +245,4 @@ def solve_minmax_feasibility(
             iterations=iters,
         )
     return FeasibilityReport(ActionDistribution._unchecked(p), float(viol),
-                             iters, True)
+                             iters)

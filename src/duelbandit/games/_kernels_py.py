@@ -18,20 +18,30 @@ BACKEND_NAME = "python"
 
 _RATIO_EPS = 1e-12
 _COST_TOL = 1e-11
-_STALL_LIMIT = 50
 _WARM_TOL = 1e-12  # how far a warm vertex may miss x, s >= 0, D x <= stop_at
+_PERTURBATION = 1e-10  # scale of the constraint rows' right-hand sides
 
 
 @functools.lru_cache(maxsize=64)
 def _tableau_template(m: int, n: int) -> np.ndarray:
     """The data-free part of the epigraph tableau: the -1 column of s, the
-    slack identity and the row sum x = 1. Read-only; callers copy it."""
+    slack identity, the row sum x = 1 and two right-hand sides.
+
+    In the first, which the pivots read, the constraint rows hold the
+    distinct positive constants delta_i = 1e-10 i / m rather than 0
+    (Charnes 1952, "Optimality and degeneracy in linear programming").
+    They break every ratio-test tie, so no basis repeats and Dantzig's rule
+    alone terminates. The last column is the true right-hand side, e_m:
+    the pivots carry it along, so the final basis's true vertex is read
+    off it. Read-only; callers copy it.
+    """
     ncol = n + 1 + m  # x vars, epigraph s, row slacks
-    T = np.zeros((m + 1, ncol + 1))
+    T = np.zeros((m + 1, ncol + 2))
     T[:m, n] = -1.0
     T[:m, n + 1:ncol] = np.eye(m)
     T[m, :n] = 1.0
-    T[m, ncol] = 1.0
+    T[:m, ncol] = _PERTURBATION * np.arange(1, m + 1) / m
+    T[m, ncol:] = 1.0
     T.flags.writeable = False
     return T
 
@@ -90,9 +100,11 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int,
                      basis: list | None = None):
     """Minimize s subject to D x <= s 1, sum x = 1, x >= 0, s >= 0.
 
-    Dantzig pivoting with first-index tie breaks, switching to Bland's rule
-    after a degenerate stall; stops early once the basic solution reaches
-    s <= stop_at. Returns (x, max_violation, pivots, status).
+    Dantzig pivoting with first-index tie breaks on the perturbed
+    right-hand side of `_tableau_template`; stops early once the basic
+    solution reaches s <= stop_at. The returned point is the final basis's
+    vertex for the true right-hand side. Returns
+    (x, max_violation, pivots, status).
 
     `basis`, if given, is a list of tableau columns, one per row (x vars,
     then s, then the row slacks), and holds the final basis on return. When
@@ -113,21 +125,24 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int,
         x = np.zeros(n)
         x[j0] = 1.0
         return x, float(col_max[j0]), 0, 0
-    i0 = int(D[:, j0].argmax())
 
     ncol = n + 1 + m  # x vars, epigraph s, row slacks
     rows = m + 1
-    T = _tableau_template(m, n).copy()
+    template = _tableau_template(m, n)
+    T = template.copy()
     T[:m, :n] = D
     if len(basis) == rows:
         warm = _warm_vertex(D, T, basis, stop_at)
         if warm is not None:
             return warm
+    # s enters where D x_j0 - delta is largest, so the first basis is
+    # feasible for the perturbed rows
+    i0 = int((D[:, j0] - template[:m, ncol]).argmax())
     col = np.empty(rows)
-    outer = np.empty((rows, ncol + 1))
+    outer = np.empty((rows, ncol + 2))
     ratios = np.empty(rows)
     pos = np.empty(rows, dtype=bool)
-    rhs = T[:, ncol]
+    rhs = T[:, ncol]  # perturbed
     basis[:] = range(n + 1, n + 1 + m)
     basis.append(j0)
     basis[i0] = n
@@ -137,9 +152,6 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int,
     _pivot(T, i0, n, col, outer)
 
     it = 0
-    bland = False
-    stall = 0
-    last_obj = np.inf
     status = 1
     while it < max_iter:
         it += 1
@@ -152,15 +164,12 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int,
             break
         # The objective is c = e_s, so the reduced cost of column j is
         # -T[srow, j], and 0 for s itself: the entering column is the
-        # largest (Dantzig) or first (Bland) entry of T[srow] above the
-        # tolerance, with s's own unit entry set to 0 during the search.
+        # largest entry of T[srow], if it is above the tolerance, with s's
+        # own unit entry set to 0 during the search.
         cost_row = T[srow, :ncol]
         unit = cost_row[n]
         cost_row[n] = 0.0
-        if bland:
-            e = int((cost_row > _COST_TOL).argmax())
-        else:
-            e = int(cost_row.argmax())
+        e = int(cost_row.argmax())
         improving = cost_row[e] > _COST_TOL
         cost_row[n] = unit
         if not improving:
@@ -182,15 +191,8 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int,
             srow = r
         elif r == srow:
             srow = -1
-        if sval >= last_obj - 1e-13:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-        last_obj = sval
 
-    x, _ = _basic_point(basis, rhs.tolist(), n)
+    x, _ = _basic_point(basis, T[:, -1].tolist(), n)
     return x, float((D @ x).max()), it, status
 
 

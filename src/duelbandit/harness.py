@@ -363,7 +363,7 @@ def run_single_seed(config: ExperimentConfig, seed: int):
                     str(learner.last_iterations),
                 ]))
     except (DuelBanditError, DiagnosticFailure) as exc:
-        summary.status = f"failed: {type(exc).__name__}: {exc}"
+        summary.status = f"failed: {type(exc).__name__} at round {t}: {exc}"
 
     summary.final_br = ledger.final_br
     summary.final_fb = ledger.final_fb
@@ -429,8 +429,9 @@ def run_experiment(config: ExperimentConfig, keep_ledgers: bool = False):
     Ledgers (when kept) are plain dicts of per-round arrays, merged in seed
     order regardless of worker completion order.
     """
-    workers = worker_count()
-    if workers > 1 and len(config.seeds) > 1:
+    # fork starts every worker at once: never more than there are seeds
+    workers = min(worker_count(), len(config.seeds))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
                 _worker, [(config.to_dict(), s) for s in config.seeds]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duelbandit.games as games
 from duelbandit.core import ActionDistribution, PreferenceMatrix, sample_outcome
@@ -17,7 +19,7 @@ from duelbandit.games import (
     solve_minmax_feasibility,
     solve_zero_sum_nash,
 )
-from duelbandit.games._kernels_py import _COST_TOL, _RATIO_EPS, _STALL_LIMIT
+from duelbandit.games._kernels_py import _COST_TOL, _PERTURBATION, _RATIO_EPS
 from duelbandit.games.grid_oracle import (
     cce_grid_min_violation,
     minmax_grid_min_violation,
@@ -57,11 +59,30 @@ def learner_matrices():
     return out
 
 
+def _zero_one(seed, m, n, density):
+    return (np.random.default_rng(seed).random((m, n)) < density).astype(float)
+
+
+def _drawn_zero_one():
+    """A 45x40 0/1 matrix whose shape and density are drawn too."""
+    rng = np.random.default_rng(5207)
+    m, n = rng.integers(2, 50), rng.integers(2, 50)
+    return (rng.random((m, n)) < rng.uniform(0.3, 0.95)).astype(float)
+
+
+# Degenerate 0/1 epigraph programs: ties at every column maximum and in
+# most ratio tests.
+DEGENERATE_CASES = {
+    "45x40": _drawn_zero_one,
+    "60x30": lambda: _zero_one(30, 60, 30, 0.8),
+}
+
+
 def _reference_epigraph_simplex(D, stop_at, max_iter):
-    """Dense reference for the numpy kernel: the same pivot rules, with the
+    """Dense reference for the numpy kernel: the same pivot rule on the
+    same perturbed right-hand side, carrying the true one along, with the
     reduced costs recomputed as c - c_B T and the basis searched for s at
-    every pivot. Returns the kernel's (x, max_violation, pivots, status)
-    and whether Bland's rule took over."""
+    every pivot. Returns the kernel's (x, max_violation, pivots, status)."""
     D = np.ascontiguousarray(D, dtype=np.float64)
     m, n = D.shape
     col_max = D.max(axis=0)
@@ -69,17 +90,20 @@ def _reference_epigraph_simplex(D, stop_at, max_iter):
     if col_max[j0] <= stop_at:
         x = np.zeros(n)
         x[j0] = 1.0
-        return x, float(col_max[j0]), 0, 0, False
-    i0 = int(np.argmax(D[:, j0]))
+        return x, float(col_max[j0]), 0, 0
+    delta = _PERTURBATION * np.arange(1, m + 1) / m
+    i0 = int(np.argmax(D[:, j0] - delta))
 
     ncol = n + 1 + m
     rows = m + 1
-    T = np.zeros((rows, ncol + 1))
+    true_rhs = ncol + 1
+    T = np.zeros((rows, ncol + 2))
     T[:m, :n] = D
     T[:m, n] = -1.0
     T[:m, n + 1:ncol] = np.eye(m)
     T[m, :n] = 1.0
-    T[m, ncol] = 1.0
+    T[:m, ncol] = delta
+    T[m, ncol] = T[m, true_rhs] = 1.0
     basis = np.arange(n + 1, n + 1 + m, dtype=np.int64)
     basis = np.append(basis, 0)
     basis[m] = j0
@@ -97,9 +121,6 @@ def _reference_epigraph_simplex(D, stop_at, max_iter):
     c_obj = np.zeros(ncol)
     c_obj[n] = 1.0
     it = 0
-    bland = False
-    stall = 0
-    last_obj = np.inf
     status = 1
     while it < max_iter:
         it += 1
@@ -109,17 +130,10 @@ def _reference_epigraph_simplex(D, stop_at, max_iter):
             status = 0
             break
         red = c_obj - c_obj[basis] @ T[:, :ncol]
-        if bland:
-            cand = np.nonzero(red < -_COST_TOL)[0]
-            if cand.size == 0:
-                status = 0
-                break
-            e = int(cand[0])
-        else:
-            e = int(np.argmin(red))
-            if red[e] >= -_COST_TOL:
-                status = 0
-                break
+        e = int(np.argmin(red))
+        if red[e] >= -_COST_TOL:
+            status = 0
+            break
         col = T[:, e]
         pos = col > _RATIO_EPS
         if not pos.any():
@@ -129,22 +143,41 @@ def _reference_epigraph_simplex(D, stop_at, max_iter):
         r = int(np.argmin(ratios))
         pivot(r, e)
         basis[r] = e
-        if sval >= last_obj - 1e-13:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-        last_obj = sval
 
     x = np.zeros(n)
     for r in range(rows):
         if basis[r] < n:
-            x[basis[r]] = max(T[r, ncol], 0.0)
+            x[basis[r]] = max(T[r, true_rhs], 0.0)
     total = x.sum()
     if total > 0:
         x /= total
-    return x, float((D @ x).max()), it, status, bland
+    return x, float((D @ x).max()), it, status
+
+
+def _linprog_value(D):
+    """min s subject to D x <= s 1, sum x = 1, x >= 0, s >= 0, by scipy's
+    HiGHS: the value the kernel's point must reach."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    m, n = D.shape
+    res = linprog(
+        c=np.r_[np.zeros(n), 1.0],
+        A_ub=np.c_[D, -np.ones(m)],
+        b_ub=np.zeros(m),
+        A_eq=np.r_[np.ones(n), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0, None)] * (n + 1),
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def _assert_kernel_value(D, value):
+    """The kernel solves D to `value`, the optimum of the epigraph program,
+    within 1e-9, with status 0 and its point on the simplex."""
+    x, viol, _pivots, status = get_kernels().epigraph_simplex(D, 0.0, 50_000)
+    assert status == 0
+    assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12
+    assert abs(max(viol, 0.0) - value) <= 1e-9
 
 
 def _assert_same_solve(got, want):
@@ -173,7 +206,6 @@ class TestDeviationMatrix:
 class TestSolveCce:
     def test_zero_matrix_any_joint_feasible(self):
         report = solve_cce(np.zeros((3, 3)))
-        assert report.converged
         assert cce_violation(np.zeros((3, 3)), report.point) == 0.0
 
     def test_rps_uniform_product_is_feasible_and_solver_valid(self):
@@ -224,26 +256,33 @@ class TestSolveCce:
 
 class TestSolveCceAgainstScipy:
     def test_linprog_cross_check(self):
-        linprog = pytest.importorskip("scipy.optimize").linprog
         gen = np.random.default_rng(3)
         for i in range(20):
             k = 2 + (i % 5)
             u = gen.uniform(-3, 3, (k, k))
-            dev = cce_deviation_matrix(u)
             report = solve_cce(u)
             assert cce_violation(u, report.point) <= 1e-8
             # independent LP: the min max-violation over the joint simplex is <= 0
-            n = k * k
-            res = linprog(
-                c=np.r_[np.zeros(n), 1.0],
-                A_ub=np.c_[dev, -np.ones(2 * k)],
-                b_ub=np.zeros(2 * k),
-                A_eq=np.r_[np.ones(n), 0.0][None, :],
-                b_eq=[1.0],
-                bounds=[(0, None)] * n + [(None, None)],
-            )
-            assert res.status == 0
-            assert res.fun <= 1e-9
+            assert _linprog_value(cce_deviation_matrix(u)) <= 1e-9
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
+    def test_kernel_value_on_degenerate_instances(self, case):
+        D = DEGENERATE_CASES[case]()
+        _assert_kernel_value(D, _linprog_value(D))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 60), st.integers(2, 60),
+           st.sampled_from([(0, 1), (0, 2), (-2, 2)]),
+           st.floats(0.5, 0.95), st.integers(0, 2**32 - 1))
+    def test_kernel_value_on_drawn_degenerate_matrices(self, m, n, levels,
+                                                       density, seed):
+        # integer entries, mostly the top level: ties at the column maxima
+        # and in the ratio tests
+        low, top = levels
+        gen = np.random.default_rng(seed)
+        D = np.where(gen.random((m, n)) < density, top,
+                     gen.integers(low, top, (m, n))).astype(float)
+        _assert_kernel_value(D, _linprog_value(D))
 
 
 class TestSolveZeroSumNash:
@@ -288,7 +327,6 @@ class TestSolveMinmaxFeasibility:
         # against budget 5*4/16 = 1.25
         y = PreferenceMatrix(np.zeros((4, 4)))
         report = solve_minmax_feasibility(y, 16.0)
-        assert report.converged
         uniform = ActionDistribution(np.full(4, 0.25))
         assert minmax_violation(y, 16.0, uniform) == pytest.approx(0.5 - 1.25)
         assert report.max_violation <= 4.0 / 16.0 / 2.0
@@ -346,7 +384,6 @@ class TestSolveMinmaxFeasibility:
         second = solve_minmax_feasibility(
             PreferenceMatrix(y), 30.0, warm_start=first.point.weights
         )
-        assert second.converged
         assert second.iterations <= first.iterations
 
     def test_not_converged_raises(self):
@@ -356,11 +393,6 @@ class TestSolveMinmaxFeasibility:
         cfg = SolverConfig(max_iterations=1)
         with pytest.raises(NotConverged):
             solve_minmax_feasibility(PreferenceMatrix(y), 600.0, cfg)
-
-    def test_floor_override_validated(self):
-        cfg = SolverConfig(floor_epsilon=0.6)
-        with pytest.raises(ValueError):
-            solve_minmax_feasibility(PreferenceMatrix(np.zeros((2, 2))), 8.0, cfg)
 
 
 class TestSolverConfig:
@@ -395,14 +427,13 @@ class TestNumpyKernelMatchesReference:
         assert want[2] == 0
         _assert_same_solve(kp.epigraph_simplex(dev, 0.0, 50_000), want)
 
-    def test_degenerate_instance_past_bland_switch(self):
-        # ties at every column maximum make the first pivots degenerate,
-        # long enough for the stall counter to pass _STALL_LIMIT
-        dev = (np.random.default_rng(0).random((40, 40)) < 0.7).astype(float)
+    def test_degenerate_instance(self):
+        # ties at every column maximum make the first pivots degenerate
+        dev = _zero_one(0, 40, 40, 0.7)
         want = _reference_epigraph_simplex(dev, 0.0, 50_000)
-        assert want[4] and want[3] == 0 and want[2] > _STALL_LIMIT
         got = get_kernels().epigraph_simplex(dev, 0.0, 50_000)
         _assert_same_solve(got, want)
+        _assert_kernel_value(dev, _linprog_value(dev))
 
 
 def _cold_and_warm(kp, dev, previous):

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from duelbandit import harness
 from duelbandit.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -114,6 +115,18 @@ class TestRunExperiment:
             assert s.status == "ok"
             assert s.final_br <= bound
 
+    def test_ccedb_condorcet20_runs_clean(self):
+        # every round's upper matrix at K=20 has a CCE the simplex must find
+        cfg = ExperimentConfig.from_dict({
+            "algorithm": {"kind": "ccedb"},
+            "environment": {"kind": "fixed", "fixture": "condorcet",
+                            "k": 20, "margin": 0.4},
+            "horizon": 1000, "seeds": [0, 1, 2, 3, 4],
+            "benchmark": {"q_star": "condorcet", "policy_count": 0},
+        })
+        summaries, _ = run_experiment(cfg)
+        assert [s.status for s in summaries] == ["ok"] * 5
+
     def test_csv_round_trip(self, tmp_path):
         cfg = base_config(output_dir=str(tmp_path), seeds=[3])
         run_experiment(cfg)
@@ -142,16 +155,45 @@ class TestRunExperiment:
                     assert f1.read() == f2.read(), name
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        out1, out2 = str(tmp_path / "serial"), str(tmp_path / "par")
+        serial = str(tmp_path / "serial")
         monkeypatch.delenv("DUELBANDIT_THREADS", raising=False)
-        run_experiment(base_config(output_dir=out1, seeds=[0, 1, 2]))
-        monkeypatch.setenv("DUELBANDIT_THREADS", "3")
-        run_experiment(base_config(output_dir=out2, seeds=[0, 1, 2]))
-        for name in sorted(os.listdir(out1)):
-            if name.endswith(".csv"):
-                with open(os.path.join(out1, name), "rb") as f1, \
-                        open(os.path.join(out2, name), "rb") as f2:
-                    assert f1.read() == f2.read(), name
+        run_experiment(base_config(output_dir=serial, seeds=[0, 1, 2]))
+        names = sorted(n for n in os.listdir(serial) if n.endswith(".csv"))
+        assert "summary.csv" in names and "rounds_seed2.csv" in names
+        for threads in ("2", "3"):  # fewer workers than seeds, and as many
+            par = str(tmp_path / threads)
+            monkeypatch.setenv("DUELBANDIT_THREADS", threads)
+            run_experiment(base_config(output_dir=par, seeds=[0, 1, 2]))
+            for name in names:
+                with open(os.path.join(serial, name), "rb") as f1, \
+                        open(os.path.join(par, name), "rb") as f2:
+                    assert f1.read() == f2.read(), (threads, name)
+
+    def test_pool_never_outnumbers_the_seeds(self, monkeypatch):
+        started = []
+
+        class SerialPool:
+            """Records the pool size asked for and maps in-process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("DUELBANDIT_THREADS", "64")
+        summaries, _ = run_experiment(base_config(seeds=[0, 1]))
+        assert started == [2]
+        assert [s.status for s in summaries] == ["ok", "ok"]
+        run_experiment(base_config(seeds=[0]))
+        assert started == [2]
 
     def test_diagnostic_mode_counts_coverage(self):
         cfg = base_config(diagnostic=True, horizon=200)
@@ -237,4 +279,14 @@ class TestSingleSeedFailurePath:
             "benchmark": {"q_star": None, "policy_count": 0},
         })
         summary, _, _ = run_single_seed(cfg2, 0)
-        assert summary.status.startswith("failed: NotConverged")
+        assert summary.status.startswith("failed: NotConverged at round 1: ")
+
+    def test_cce_failure_names_round_and_pivots(self, tmp_path):
+        # one pivot is not enough for every round's cold simplex
+        cfg = base_config(horizon=50, output_dir=str(tmp_path))
+        cfg.algorithm["solver_max_iterations"] = 1
+        summary, _, lines = run_single_seed(cfg, 0)
+        assert 0 < len(lines) < 50  # the rounds before the failing one
+        assert summary.status.startswith(
+            f"failed: NotConverged at round {len(lines) + 1}: CCE solve")
+        assert "after 1 pivots" in summary.status
