@@ -68,19 +68,31 @@ class CceDb:
         return self.wins + self.wins.T
 
     def _statistics(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean, width and upper confidence matrices of this round.
+
+        A pair duelled n > 0 times has mean 2 wins / n - 1 and width
+        sqrt(log_term / n); an unexplored pair has mean 0 and width
+        min(CAP, sqrt(log_term / 2)). Both come from quotients by one
+        matrix h, with the exact bits of those formulas:
+
+        - on an explored pair h = n / 2. Halving is exact, so wins / h is
+          exactly 2 (wins / n), and (log_term / 2) / h is log_term / n;
+        - on an unexplored pair wins is 0 and h = max(1, (log_term / 2) /
+          CAP^2), so (log_term / 2) / h is exactly CAP^2 or log_term / 2,
+          because CAP = 2 is a power of two.
+
+        Subtracting the boolean `explored` takes 1 off the explored means.
+        """
         k = self.k
         n = self.counts()
         explored = n > 0
-        safe_n = np.where(explored, n, 1.0)
-        mean = np.where(explored, 2.0 * (self.wins / safe_n) - 1.0, 0.0)
         log_term = np.log(k * k * self.t * self.t / self.delta)
-        width = np.where(
-            explored,
-            np.sqrt(log_term / safe_n),
-            min(UNEXPLORED_WIDTH_CAP, np.sqrt(0.5 * log_term)),
-        )
+        half_n = np.where(explored, 0.5 * n,
+                          max(1.0, 0.5 * log_term / UNEXPLORED_WIDTH_CAP ** 2))
+        mean = np.subtract(self.wins / half_n, explored)
+        width = np.sqrt(0.5 * log_term / half_n)
         upper = mean + width
-        np.fill_diagonal(upper, 0.0)
+        upper.flat[::k + 1] = 0.0  # the diagonal
         return mean, width, upper
 
     def select(self, context, rng: RngHandle):
@@ -150,7 +162,7 @@ class CceLinDb:
         width = np.sqrt(np.maximum(np.sum(flat.T * solved, axis=0), 0.0))
         width = width.reshape(k, k)
         upper = mean + self.width_multiplier * width
-        np.fill_diagonal(upper, 0.0)
+        upper.flat[::k + 1] = 0.0  # the diagonal
         report = solve_cce(upper, self.solver_config)
         joint = report.point
         self.last_mean = mean

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -209,29 +211,29 @@ def skew_complete(upper_values, k: int | None = None) -> PreferenceMatrix:
 
 def sample_outcome(p_value: float, rng: RngHandle) -> int:
     """Draw +1 with probability (p_value + 1) / 2, else -1."""
-    if not np.isfinite(p_value) or abs(p_value) > 1.0:
+    if not math.isfinite(p_value) or abs(p_value) > 1.0:
         raise RangeViolation(f"win-signal {p_value!r} outside [-1, 1]")
     return 1 if rng.random() < (p_value + 1.0) / 2.0 else -1
 
 
 def _draw_categorical(cumulative: np.ndarray, rng: RngHandle) -> int:
-    # inverse-CDF draw; independent of numpy's choice() internals
+    # inverse-CDF draw; independent of numpy's choice() internals. The
+    # cumulative sums never decrease, so bisect_right finds the index
+    # np.searchsorted(side="right") would, without a numpy call.
     u = rng.random() * cumulative[-1]
-    return min(int(np.searchsorted(cumulative, u, side="right")), cumulative.size - 1)
+    return min(bisect_right(cumulative, u), cumulative.size - 1)
 
 
 def sample_pair(dist: ActionDistribution, rng: RngHandle) -> tuple[int, int]:
     """Two iid draws from the same marginal (product measure p x p)."""
-    cum = np.cumsum(dist.weights)
+    cum = dist.weights.cumsum()
     return _draw_categorical(cum, rng), _draw_categorical(cum, rng)
 
 
 def sample_joint(joint: JointActionDistribution, rng: RngHandle) -> tuple[int, int]:
     """One draw of an ordered pair from the joint."""
-    k = joint.k
-    cum = np.cumsum(joint.weights.ravel())
-    idx = _draw_categorical(cum, rng)
-    return idx // k, idx % k
+    idx = _draw_categorical(joint.weights.cumsum(), rng)  # row-major
+    return divmod(idx, joint.weights.shape[0])
 
 
 def product_joint(dist: ActionDistribution) -> JointActionDistribution:

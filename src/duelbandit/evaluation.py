@@ -25,6 +25,11 @@ def _check_k(f_star: PreferenceMatrix, joint: JointActionDistribution):
         )
 
 
+def _check_q_star(f_star: PreferenceMatrix, q_star: ActionDistribution):
+    if q_star.k != f_star.k:
+        raise DimensionMismatch(f"q_star k={q_star.k} vs matrix k={f_star.k}")
+
+
 def exposure(joint: JointActionDistribution) -> np.ndarray:
     """Sum of the two duel marginals (each arm's chance of appearing)."""
     w = joint.weights
@@ -44,8 +49,7 @@ def fb_regret_step(
 ) -> float:
     """Fixed-benchmark value of q_star against the learner's distribution."""
     _check_k(f_star, joint)
-    if q_star.k != f_star.k:
-        raise DimensionMismatch(f"q_star k={q_star.k} vs matrix k={f_star.k}")
+    _check_q_star(f_star, q_star)
     return float(0.5 * q_star.weights @ (f_star.entries @ exposure(joint)))
 
 
@@ -92,12 +96,20 @@ class RegretLedger:
 
     def record(self, f_star: PreferenceMatrix, context,
                joint: JointActionDistribution, duel: tuple[int, int]) -> None:
-        """One round: closed-form BR/FB steps plus realized-duel policy steps."""
-        br = br_regret_step(f_star, joint)
+        """One round: closed-form BR/FB steps plus realized-duel policy steps.
+
+        The steps are `br_regret_step` and `fb_regret_step`, sharing one
+        product `F @ exposure(joint)`.
+        """
+        _check_k(f_star, joint)
+        values = f_star.entries @ exposure(joint)
+        br = float(0.5 * values.max())
         self.br_steps.append(br)
         self.br_cum.append(self._br_acc.add(br))
-        if self.q_star is not None:
-            fb = fb_regret_step(f_star, joint, self.q_star)
+        q_star = self.q_star
+        if q_star is not None:
+            _check_q_star(f_star, q_star)
+            fb = float(0.5 * q_star.weights @ values)
         else:
             fb = 0.0
         self.fb_steps.append(fb)
@@ -135,7 +147,7 @@ def policy_regret_accumulate(
         raise DimensionMismatch(f"duel {duel} out of range for k={k}")
     for acc, policy in zip(ledger._policy_accs, ledger.policies):
         arm = policy(context)
-        acc.add(0.5 * (f[arm, a] + f[arm, b]))
+        acc.add(0.5 * (f.item(arm, a) + f.item(arm, b)))
     return ledger
 
 

@@ -19,6 +19,7 @@ solvers fetch them through `get_kernels()` at call time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,19 +90,30 @@ def _entries(m) -> np.ndarray:
     return np.asarray(m, dtype=np.float64)
 
 
+@functools.lru_cache(maxsize=32)
+def _deviation_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat cell indices (gain, base), each (2K, K^2), such that
+    `cce_deviation_matrix(u) == u.ravel()[gain] - u.ravel()[base]`.
+    Read-only."""
+    dev, a, b = np.indices((k, k, k))
+    gain = np.concatenate([dev * k + b, dev * k + a]).reshape(2 * k, k * k)
+    base = np.concatenate([a * k + b, b * k + a]).reshape(2 * k, k * k)
+    gain.flags.writeable = False
+    base.flags.writeable = False
+    return gain, base
+
+
 def cce_deviation_matrix(u: np.ndarray) -> np.ndarray:
     """Deviation-gain rows for both CCE inequality families.
 
-    Row a* (first K rows) holds, per joint cell (a, b), the gain of the row
-    player deviating to pure a* against the right marginal; row K + b* the
-    mirrored gain for the other player. A joint p is a CCE iff D p <= 0.
+    Row a* (first K rows) holds, per joint cell (a, b), the gain
+    u[a*, b] - u[a, b] of the row player deviating to pure a* against the
+    right marginal; row K + b* the mirrored gain u[b*, a] - u[b, a] for the
+    other player. A joint p is a CCE iff D p <= 0.
     """
-    k = u.shape[0]
-    d1 = u[:, None, :] - u[None, :, :]            # [a*, a, b]
-    d2 = u[:, :, None] - u.T[None, :, :]          # [b*, a, b]
-    return np.concatenate(
-        [d1.reshape(k, k * k), d2.reshape(k, k * k)], axis=0
-    )
+    gain, base = _deviation_indices(u.shape[0])
+    flat = u.ravel()
+    return flat.take(gain) - flat.take(base)
 
 
 def cce_violation(u, joint) -> float:

@@ -65,10 +65,11 @@ def _pivot(T: np.ndarray, r: int, c: int, col: np.ndarray,
 def _basic_point(basis: list, values: list, n: int):
     """The x part of a basic solution, clipped at 0 and renormalized, and
     its sum before renormalizing."""
-    x = np.zeros(n)
+    point = [0.0] * n
     for j, value in zip(basis, values):
         if j < n:
-            x[j] = max(value, 0.0)
+            point[j] = 0.0 if value < 0.0 else value  # max(value, 0.0)
+    x = np.array(point)
     total = x.sum()
     if total > 0:
         x /= total
@@ -81,7 +82,7 @@ def _warm_vertex(D: np.ndarray, T: np.ndarray, basis: list, stop_at: float):
     max(D x) <= stop_at; otherwise None."""
     n = D.shape[1]
     try:
-        values = np.linalg.solve(T[:, basis], T[:, -1]).tolist()
+        values = np.linalg.solve(T.take(basis, axis=1), T[:, -1]).tolist()
     except np.linalg.LinAlgError:
         return None
     if min(values) < -_WARM_TOL:

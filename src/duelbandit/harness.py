@@ -275,7 +275,9 @@ def resolve_q_star(benchmark: dict, env: Environment):
 def check_config(config: ExperimentConfig) -> None:
     """Build what every seed run builds first, so that a config no seed can
     run fails once, before any seed does: the environment, the learner and
-    the benchmark's q_star. Raises what those builders raise."""
+    the benchmark's q_star. Raises what those builders raise, and what
+    `worker_count` raises on a malformed DUELBANDIT_THREADS."""
+    worker_count()
     env = build_environment(config.environment)
     build_learner(config.algorithm, env, config.horizon)
     if config.benchmark.get("q_star") is not None:
@@ -342,7 +344,7 @@ def run_single_seed(config: ExperimentConfig, seed: int):
             x, realized, truth = env.sample_round(env_rng)
             joint, duel = learner.select(x, learner_rng)
             a, b = duel
-            outcome = sample_outcome(realized.entries[a, b], outcome_rng)
+            outcome = sample_outcome(realized.entries.item(a, b), outcome_rng)
             if config.diagnostic:
                 if isinstance(learner, CceDb):
                     if not _diag_check_ccedb(learner, truth, joint):
@@ -416,11 +418,21 @@ def _write_rounds(config: ExperimentConfig, seed: int, lines: list[str]) -> None
 
 
 def worker_count() -> int:
-    raw = os.environ.get("DUELBANDIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """Worker processes for the seeds: DUELBANDIT_THREADS, or 1 when unset.
+
+    A value that is not a positive integer raises ValueError.
+    """
+    raw = os.environ.get("DUELBANDIT_THREADS")
+    if raw is None:
         return 1
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"DUELBANDIT_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 def run_experiment(config: ExperimentConfig, keep_ledgers: bool = False):

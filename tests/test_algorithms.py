@@ -41,6 +41,34 @@ class TestCceDb:
         assert learner.last_confidence[0, 1] == pytest.approx(expected_c)
         assert learner.last_upper[0, 1] == pytest.approx(0.5 + expected_c)
 
+    @pytest.mark.parametrize("k, delta, t", [
+        (2, 0.999, 1),      # log term below 8: the unexplored width is
+        (3, 0.1, 10),       # sqrt(log_term / 2), under the cap
+        (5, 1 / 2000, 1),
+        (5, 1 / 2000, 300),
+        (20, 1e-3, 5000),
+    ])
+    def test_statistics_same_bits_as_the_formulas(self, k, delta, t, rng):
+        learner = CceDb(k, delta)
+        gen = np.random.default_rng(k)
+        learner.wins = (gen.integers(0, 5, (k, k))
+                        * (gen.random((k, k)) < 0.6)).astype(float)
+        learner.t = t
+        learner.select(None, rng)
+        n = learner.wins + learner.wins.T
+        explored = n > 0
+        safe_n = np.where(explored, n, 1.0)
+        log_term = np.log(k * k * t * t / delta)
+        mean = np.where(explored, 2.0 * (learner.wins / safe_n) - 1.0, 0.0)
+        width = np.where(explored, np.sqrt(log_term / safe_n),
+                         min(2.0, np.sqrt(0.5 * log_term)))
+        upper = mean + width
+        np.fill_diagonal(upper, 0.0)
+        assert (~explored).any()
+        assert learner.last_mean.tobytes() == mean.tobytes()
+        assert learner.last_confidence.tobytes() == width.tobytes()
+        assert learner.last_upper.tobytes() == upper.tobytes()
+
     def test_resolved_matrix_concentrates_on_winner(self, rng):
         # huge counts, clear gap: the CCE must put almost all duel mass on
         # arm 0; cross-checked against a brute-force grid on the limit matrix

@@ -143,6 +143,22 @@ class TestRunCommand:
         assert err.startswith("config error:") and repr(key) in err
         assert not out_dir.exists()
 
+    def test_run_malformed_thread_count_is_config_error(self, tmp_path,
+                                                        capsys, monkeypatch):
+        config = {"algorithm": {"kind": "ccedb"},
+                  "environment": {"kind": "fixed", "fixture": "rps3"},
+                  "horizon": 20, "seeds": [0]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        monkeypatch.setenv("DUELBANDIT_THREADS", "abc")
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "DUELBANDIT_THREADS" in err and "'abc'" in err
+        assert not out_dir.exists()
+
     def test_aggregate_empty_dir(self, tmp_path):
         assert main(["aggregate", "--in", str(tmp_path)]) == 1
 

@@ -182,6 +182,60 @@ class TestSampling:
         assert all(sample_joint(j, rng) == (0, 1) for _ in range(50))
 
 
+def _searchsorted_draw(weights, rng):
+    """The inverse-CDF draw by np.cumsum and np.searchsorted."""
+    cum = np.cumsum(weights)
+    u = rng.random() * cum[-1]
+    return min(int(np.searchsorted(cum, u, side="right")), cum.size - 1)
+
+
+class _Fixed:
+    """Stands in for a random stream: returns the given uniforms in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+class TestSamplingSameDraws:
+    """`sample_joint` and `sample_pair` must draw the indices of the
+    searchsorted formula from the same uniforms."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 20])
+    def test_twin_streams(self, k):
+        gen = np.random.default_rng(k)
+        ours, twin = RngHandle(k), RngHandle(k)
+        for trial in range(200):
+            w = gen.uniform(0, 1, (k, k)) * (gen.random((k, k)) < 0.5)
+            if trial % 3 == 0:
+                w[k // 2:] = 0.0  # a zero-weight tail
+            w[0, gen.integers(k)] += 0.1
+            joint = JointActionDistribution(w / w.sum())
+            idx = _searchsorted_draw(joint.weights.ravel(), twin)
+            assert sample_joint(joint, ours) == divmod(idx, k)
+            p = ActionDistribution(joint.weights.sum(axis=0))
+            want = (_searchsorted_draw(p.weights, twin),
+                    _searchsorted_draw(p.weights, twin))
+            assert sample_pair(p, ours) == want
+
+    @pytest.mark.parametrize("weights, uniforms", [
+        ([0.25, 0.0, 0.25, 0.5], [0.0, 0.25, 0.5, 0.999999]),
+        ([0.0, 0.5, 0.5, 0.0], [0.0, 0.5, 1 - 2 ** -53]),
+        ([0.5, 0.5, 0.0, 0.0], [0.5, 1 - 2 ** -53]),
+    ])
+    def test_draws_on_cumulative_boundaries(self, weights, uniforms):
+        # a uniform landing on a cumulative sum skips the zero-weight cells
+        # after it, as side="right" does
+        p = ActionDistribution(weights)
+        for u in uniforms:
+            want = _searchsorted_draw(p.weights, _Fixed([u]))
+            assert sample_pair(p, _Fixed([u, u])) == (want, want)
+            joint = JointActionDistribution(np.reshape(weights, (2, 2)))
+            assert sample_joint(joint, _Fixed([u])) == divmod(want, 2)
+
+
 class TestDeterminism:
     def test_same_seed_same_draws(self):
         a = RngHandle(7)

@@ -162,3 +162,36 @@ class TestLedgerAndDominance:
             f = PreferenceMatrix(make_skew(k, gen))
             q = solve_zero_sum_nash(f).point
             assert br_regret_step(f, product_joint(q)) <= 1e-6
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestLedgerSteps:
+    """`RegretLedger.record` computes both steps from one product
+    `F @ exposure(joint)`; they must be the step functions' bits."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 20])
+    def test_same_bits_as_the_step_functions(self, k, make_skew):
+        gen = np.random.default_rng(k)
+        f = PreferenceMatrix(make_skew(k, gen))
+        q = ActionDistribution(gen.dirichlet(np.ones(k)))
+        ledger, plain = RegretLedger(q_star=q), RegretLedger()
+        for _ in range(100):
+            w = gen.uniform(0, 1, (k, k)) * (gen.random((k, k)) < 0.4)
+            w[gen.integers(k), gen.integers(k)] += 0.1
+            joint = JointActionDistribution(w / w.sum())
+            ledger.record(f, 0, joint, (0, 1))
+            plain.record(f, 0, joint, (0, 1))
+            assert same_bits(ledger.br_steps[-1], br_regret_step(f, joint))
+            assert same_bits(ledger.fb_steps[-1], fb_regret_step(f, joint, q))
+            assert same_bits(plain.br_steps[-1], ledger.br_steps[-1])
+            assert plain.fb_steps[-1] == 0.0
+
+    def test_dimension_checks_kept(self):
+        ledger = RegretLedger(q_star=ActionDistribution([0.5, 0.5]))
+        with pytest.raises(DimensionMismatch):
+            ledger.record(rps3(), 0, uniform_joint(4), (0, 1))
+        with pytest.raises(DimensionMismatch, match="q_star"):
+            ledger.record(rps3(), 0, uniform_joint(3), (0, 1))

@@ -37,26 +37,33 @@ LEARNER_SPECS = {
 }
 
 
+def _learner_uppers(algorithm, environment, seed, rounds, horizon):
+    """The upper confidence matrices a CCE learner solves in the first
+    `rounds` rounds of a run seeded as the harness seeds it."""
+    env = build_environment(environment)
+    learner = build_learner(algorithm, env, horizon=horizon)
+    root = RngHandle(seed)
+    env_rng, learner_rng, outcome_rng = (
+        root.substream(name) for name in ("environment", "learner", "outcome"))
+    uppers = []
+    for _ in range(rounds):
+        x, realized, _truth = env.sample_round(env_rng)
+        _joint, duel = learner.select(x, learner_rng)
+        uppers.append(learner.last_upper)
+        learner.observe(x, duel, sample_outcome(realized.entries[duel],
+                                                outcome_rng))
+    return uppers
+
+
 @pytest.fixture(scope="module")
 def learner_matrices():
     """The deviation matrices a short seeded run of each CCE learner hands
     to the simplex kernel, one per round."""
-    out = {}
-    for kind, (algorithm, environment) in LEARNER_SPECS.items():
-        env = build_environment(environment)
-        learner = build_learner(algorithm, env, horizon=2000)
-        root = RngHandle(3)
-        env_rng, learner_rng, outcome_rng = (
-            root.substream(name) for name in ("environment", "learner", "outcome"))
-        mats = []
-        for _ in range(150):
-            x, realized, _truth = env.sample_round(env_rng)
-            _joint, duel = learner.select(x, learner_rng)
-            mats.append(cce_deviation_matrix(learner.last_upper))
-            learner.observe(x, duel, sample_outcome(realized.entries[duel],
-                                                    outcome_rng))
-        out[kind] = mats
-    return out
+    return {
+        kind: [cce_deviation_matrix(u) for u in
+               _learner_uppers(algorithm, environment, 3, 150, 2000)]
+        for kind, (algorithm, environment) in LEARNER_SPECS.items()
+    }
 
 
 def _zero_one(seed, m, n, density):
@@ -188,6 +195,16 @@ def _assert_same_solve(got, want):
 
 
 class TestDeviationMatrix:
+    @pytest.mark.parametrize("k", [2, 3, 5, 20])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_same_bits_as_the_broadcast_formula(self, k, order):
+        u = np.asarray(np.random.default_rng(k).uniform(-3, 3, (k, k)),
+                       order=order)
+        d1 = u[:, None, :] - u[None, :, :]            # [a*, a, b]
+        d2 = u[:, :, None] - u.T[None, :, :]          # [b*, a, b]
+        want = np.concatenate([d1.reshape(k, k * k), d2.reshape(k, k * k)])
+        assert np.array_equal(cce_deviation_matrix(u), want)
+
     def test_matches_loop_construction(self, make_skew):
         gen = np.random.default_rng(0)
         u = gen.uniform(-3, 3, (4, 4))
@@ -264,6 +281,30 @@ class TestSolveCceAgainstScipy:
             assert cce_violation(u, report.point) <= 1e-8
             # independent LP: the min max-violation over the joint simplex is <= 0
             assert _linprog_value(cce_deviation_matrix(u)) <= 1e-9
+
+    def test_ccedb_condorcet20_matrices_warm_and_cold(self):
+        # CceDb's own K=20 matrices, one by one: the solve it makes with
+        # the carried basis and a cold solve both reach a CCE, and the LP
+        # optimum they must reach is 0
+        kp = get_kernels()
+        algorithm, environment = LEARNER_SPECS["ccedb"]
+        uppers = _learner_uppers(algorithm, {**environment, "k": 20}, 0,
+                                 150, 1000)
+        basis = []
+        warm_hits = pivoted = 0
+        for u in uppers:
+            dev = cce_deviation_matrix(u)
+            warm = kp.epigraph_simplex(dev, 0.0, 50_000, basis)
+            cold = kp.epigraph_simplex(dev, 0.0, 50_000)
+            # a reused basis, not the pure-point exit
+            warm_hits += warm[2] == 0 and dev.max(axis=0).min() > 0.0
+            pivoted += cold[2] > 0
+            for x, _viol, _pivots, status in (warm, cold):
+                assert status == 0
+                assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12
+                assert (dev @ x).max() <= 1e-8
+            assert _linprog_value(dev) <= 1e-9
+        assert warm_hits >= 10 and pivoted >= 30
 
     @pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
     def test_kernel_value_on_degenerate_instances(self, case):

@@ -195,6 +195,19 @@ class TestRunExperiment:
         run_experiment(base_config(seeds=[0]))
         assert started == [2]
 
+    def test_worker_count_defaults_to_one(self, monkeypatch):
+        monkeypatch.delenv("DUELBANDIT_THREADS", raising=False)
+        assert harness.worker_count() == 1
+        monkeypatch.setenv("DUELBANDIT_THREADS", "2")
+        assert harness.worker_count() == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", ""])
+    def test_malformed_worker_count_raises(self, monkeypatch, raw):
+        monkeypatch.setenv("DUELBANDIT_THREADS", raw)
+        with pytest.raises(ValueError, match="DUELBANDIT_THREADS") as info:
+            harness.worker_count()
+        assert repr(raw) in str(info.value)
+
     def test_diagnostic_mode_counts_coverage(self):
         cfg = base_config(diagnostic=True, horizon=200)
         summaries, _ = run_experiment(cfg)

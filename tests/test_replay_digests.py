@@ -1,0 +1,81 @@
+"""Replay bytes pinned across versions.
+
+Each config below runs two seeds into a fresh output directory, and every
+`rounds_seed*.csv` and `summary.csv` it writes must hash to the SHA-256
+held here. `test_replay_identical` checks that one version replays itself;
+this test checks that a change to the code did not move any output. A
+change that means to move outputs (a different CCE vertex, another duel,
+a reordered sum) updates these digests and says in CHANGES.md which
+outputs moved and why.
+
+The digests were taken with numpy 2.4 on x86-64. numpy picks SIMD loops
+and BLAS kernels by CPU, so another numpy build or CPU family may move
+low bits without any change to this code.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from duelbandit.harness import ExperimentConfig, run_experiment
+
+CONFIGS = {
+    "ccedb-condorcet5-diagnostic": {
+        "algorithm": {"kind": "ccedb"},
+        "environment": {"kind": "fixed", "fixture": "condorcet",
+                        "k": 5, "margin": 0.4},
+        "horizon": 300, "seeds": [0, 1], "diagnostic": True,
+        "benchmark": {"q_star": "condorcet", "policy_count": 2},
+    },
+    "minmaxdb-finite3-nash": {
+        "algorithm": {"kind": "minmaxdb", "gamma": "auto",
+                      "oracle": {"kind": "finite"}},
+        "environment": {"kind": "finite_class", "k": 3, "n_contexts": 1,
+                        "class_size": 16, "class_seed": 11},
+        "horizon": 300, "seeds": [0, 1],
+        "benchmark": {"q_star": "nash", "policy_count": 3},
+    },
+    "ccelindb-linear5": {
+        "algorithm": {"kind": "ccelindb"},
+        "environment": {"kind": "linear", "k": 5, "dim": 4,
+                        "weight_seed": 5},
+        "horizon": 300, "seeds": [0, 1],
+        "benchmark": {"q_star": None, "policy_count": 0},
+    },
+}
+
+DIGESTS = {
+    "ccedb-condorcet5-diagnostic": {
+        "rounds_seed0.csv": "bf49f739ab4cf141bd6d58304b5cef291f93bcf151e98a7cf9a28cfc664e7d4b",
+        "rounds_seed1.csv": "b5f933cd4c5946b7b06d479faad093fde962c3f49353a4598f98d042490badf7",
+        "summary.csv": "4b810124c603b99684067a2b9e601e38c9398431dd67fd7158937a99236395cd",
+    },
+    "ccelindb-linear5": {
+        "rounds_seed0.csv": "b33c855a79910d4ab3d5dc9a112a93bbcd15eedc8a5787cb8cdf1240168ac445",
+        "rounds_seed1.csv": "8d45203cfcef6ac9bc079feae39cd44e60b24b5d47dce35e5f0f7a895a4f3e84",
+        "summary.csv": "34c98f3674a6d42f199e3179c021af267762d02775402ecf69d712dc96002acc",
+    },
+    "minmaxdb-finite3-nash": {
+        "rounds_seed0.csv": "5c8f04292ebd2659cd8406caa6779edf93779f968d6a7326522c740c0d83d619",
+        "rounds_seed1.csv": "219e831eaa4feac01826a69da8b0fd83a1b14304d73fb2a22e56fd600535a2ef",
+        "summary.csv": "e0d4868a5dae143c89cbfa6df330d96deef9a8d8dc077ba7a700ca12b3ae4bad",
+    },
+}
+
+
+def csv_digests(raw: dict, out_dir: str) -> dict[str, str]:
+    """Run `raw` into `out_dir`; SHA-256 of each CSV file it wrote."""
+    run_experiment(ExperimentConfig.from_dict({**raw, "output_dir": out_dir}))
+    digests = {}
+    for name in sorted(os.listdir(out_dir)):
+        if name.endswith(".csv"):
+            with open(os.path.join(out_dir, name), "rb") as fh:
+                digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_outputs_match_pinned_digests(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("DUELBANDIT_THREADS", raising=False)
+    assert csv_digests(CONFIGS[name], str(tmp_path)) == DIGESTS[name]
