@@ -155,13 +155,14 @@ class CceLinDb:
         k = x.shape[0]
         if x.ndim != 3 or x.shape[2] != self.dim:
             raise ValueError(f"context must be (K, K, {self.dim}) features")
-        w_hat = self.weight_estimate()
-        mean = x @ w_hat
+        mean = x @ self.weight_estimate()
         flat = x.reshape(k * k, self.dim)
         solved = np.linalg.solve(self.gram, flat.T)          # (d, K^2)
-        width = np.sqrt(np.maximum(np.sum(flat.T * solved, axis=0), 0.0))
-        width = width.reshape(k, k)
-        upper = mean + self.width_multiplier * width
+        width = np.einsum("ij,ji->i", flat, solved)
+        np.maximum(width, 0.0, out=width)
+        width = np.sqrt(width, out=width).reshape(k, k)
+        upper = self.width_multiplier * width
+        upper += mean
         upper.flat[::k + 1] = 0.0  # the diagonal
         report = solve_cce(upper, self.solver_config)
         joint = report.point
@@ -175,7 +176,7 @@ class CceLinDb:
         if outcome not in (-1, 1):
             raise ValueError(f"outcome must be -1 or +1, got {outcome}")
         x = np.asarray(context, dtype=np.float64)[duel[0], duel[1]]
-        self.gram += np.outer(x, x)
+        self.gram += x[:, None] * x  # the outer product
         self.moment += float(outcome) * x
         self.t += 1
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PreferenceMatrix
-from .errors import UnknownContext
+from .errors import RangeViolation, UnknownContext
 from .rng import RngHandle
 
 FINITE_CLASS_MARGIN_CAP = 0.8   # keeps win probabilities away from {0, 1}
@@ -164,14 +164,20 @@ class LinearRealizableEnvironment(Environment):
     kind = "linear"
 
     def __init__(self, k: int, weight: np.ndarray):
+        k = int(k)
+        if k < 2:
+            raise ValueError(f"linear environment needs k >= 2 arms, got {k}")
         weight = np.asarray(weight, dtype=np.float64)
         if weight.ndim != 1:
             raise ValueError("weight must be a vector")
+        if weight.shape[0] < 1:
+            raise ValueError("linear environment needs dim >= 1, got 0")
         if np.abs(weight).max() > 1.0:
             raise ValueError("weight entries must lie in [-1, 1]")
-        self._k = int(k)
+        self._k = k
         self.weight = weight
         self.dim = weight.shape[0]
+        self._upper = np.triu(np.ones((k, k), dtype=bool), 1)
 
     @property
     def k(self) -> int:
@@ -183,10 +189,15 @@ class LinearRealizableEnvironment(Environment):
         feats = (raw - raw.transpose(1, 0, 2)) / 2.0
         vals = feats @ self.weight
         peak = np.abs(vals).max()
-        if peak > 1.0 - 1e-9:
+        if not peak <= 1.0 - 1e-9:
+            if not np.isfinite(peak):
+                raise RangeViolation("non-finite entry in linear truth")
             # headroom absorbs re-summation error when truth is recomputed
             feats *= (1.0 - 1e-9) / peak
-        truth = self.ground_truth(feats)
+            vals = feats @ self.weight
+        # the bits PreferenceMatrix stores; skew, zero diagonal, in [-1, 1]
+        upper = np.where(self._upper, vals, 0.0)
+        truth = PreferenceMatrix._unchecked(upper - upper.T)
         return feats, truth, truth
 
     def ground_truth(self, x) -> PreferenceMatrix:

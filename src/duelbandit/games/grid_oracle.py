@@ -12,6 +12,8 @@ import numpy as np
 
 from . import cce_deviation_matrix, minmax_rhs
 
+_I_BLOCK = 32  # values of the first coordinate enumerated per numpy pass
+
 
 def cce_grid_min_violation(u: np.ndarray, resolution: float = 1e-3) -> float:
     """Minimum over the Delta_{2x2} grid of the worst CCE deviation gain.
@@ -24,17 +26,19 @@ def cce_grid_min_violation(u: np.ndarray, resolution: float = 1e-3) -> float:
         raise ValueError("grid oracle supports K = 2 only")
     n = int(round(1.0 / resolution))
     dev = cce_deviation_matrix(u)          # (4, 4): rows = constraints
+    slope = (dev[:, 2] - dev[:, 3])[:, None] / n
+    steps = np.arange(n + 1)
     best = np.inf
-    # p = (i, j, k, n-i-j-k) / n over nonnegative integer compositions;
+    # p = (i, j, k, n-i-j-k) / n over nonnegative integer compositions, a
+    # block of i at a time (small enough to stay in cache) with every j;
     # for fixed (i, j) each constraint is affine in k.
-    for i in range(n + 1):
-        rem_i = n - i
-        j = np.arange(rem_i + 1)
-        m = rem_i - j                                     # mass left for k and n-i-j-k
+    for i0 in range(0, n + 1, _I_BLOCK):
+        i, j = np.nonzero(steps[i0:i0 + _I_BLOCK, None] + steps <= n)
+        i += i0
+        m = n - i - j                                     # mass left for k and n-i-j-k
         base = (i * dev[:, 0][:, None]
                 + j[None, :] * dev[:, 1][:, None]
-                + m[None, :] * dev[:, 3][:, None]) / n    # (4, len(j)) at k=0
-        slope = (dev[:, 2] - dev[:, 3])[:, None] / n
+                + m[None, :] * dev[:, 3][:, None]) / n    # (4, pairs) at k=0
         # minimize over integer k in [0, m] of max_c (base_c + k * slope_c):
         # the max of affine functions is piecewise linear; its minimizer lies
         # at k=0, k=m, or adjacent to a pairwise crossing.

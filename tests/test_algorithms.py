@@ -182,6 +182,28 @@ class TestCceLinDb:
         learner.select(x, rng)
         assert learner.last_confidence[0, 1] <= np.sqrt(1.0 / (1.0 + 10**4)) + 1e-12
 
+    @pytest.mark.parametrize("k, dim", [(2, 1), (5, 4), (4, 8), (3, 12)])
+    def test_statistics_same_bits_as_the_formulas(self, k, dim, rng):
+        learner = CceLinDb(dim, horizon=1000, delta=0.01)
+        gen = np.random.default_rng(dim)
+        for _ in range(40):
+            raw = gen.uniform(-1, 1, (k, k, dim))
+            x = (raw - raw.transpose(1, 0, 2)) / 2
+            learner.select(x, rng)
+            w_hat = np.linalg.solve(learner.gram, learner.moment)
+            mean = x @ w_hat
+            flat = x.reshape(k * k, dim)
+            solved = np.linalg.solve(learner.gram, flat.T)
+            width = np.sqrt(np.maximum(np.sum(flat.T * solved, axis=0), 0.0))
+            width = width.reshape(k, k)
+            upper = mean + learner.width_multiplier * width
+            upper.flat[::k + 1] = 0.0
+            assert learner.last_mean.tobytes() == mean.tobytes()
+            assert learner.last_confidence.tobytes() == width.tobytes()
+            assert learner.last_upper.tobytes() == upper.tobytes()
+            a, b = gen.integers(0, k, 2)
+            learner.observe(x, (int(a), int(b)), int(gen.choice([-1, 1])))
+
     def test_gram_identity(self):
         gen = np.random.default_rng(2)
         learner = CceLinDb(3, horizon=100, delta=0.1)

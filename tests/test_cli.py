@@ -143,6 +143,23 @@ class TestRunCommand:
         assert err.startswith("config error:") and repr(key) in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("environment, message", [
+        ({"kind": "linear", "k": 1, "dim": 2}, "k >= 2"),
+        ({"kind": "linear", "k": 3, "dim": 0}, "dim >= 1"),
+    ])
+    def test_run_degenerate_linear_environment_is_config_error(
+            self, tmp_path, capsys, environment, message):
+        config = {"algorithm": {"kind": "ccelindb"}, "environment": environment,
+                  "horizon": 20, "seeds": [0], "benchmark": {"q_star": None}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out_dir.exists()
+
     def test_run_malformed_thread_count_is_config_error(self, tmp_path,
                                                         capsys, monkeypatch):
         config = {"algorithm": {"kind": "ccedb"},

@@ -13,7 +13,8 @@ from duelbandit.environments import (
     named_fixture,
     rps3,
 )
-from duelbandit.errors import UnknownContext
+from duelbandit.errors import RangeViolation, UnknownContext
+from duelbandit.harness import build_environment
 from duelbandit.rng import RngHandle
 
 
@@ -125,6 +126,40 @@ class TestLinearRealizableEnvironment:
     def test_weight_range_validated(self):
         with pytest.raises(ValueError):
             LinearRealizableEnvironment(3, np.array([1.5, 0.0]))
+
+    def test_fewer_than_two_arms_rejected(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            LinearRealizableEnvironment(1, np.array([0.5, 0.0]))
+
+    def test_empty_weight_rejected(self):
+        with pytest.raises(ValueError, match="dim >= 1"):
+            LinearRealizableEnvironment(3, np.zeros(0))
+
+    def test_non_finite_truth_raises(self, rng):
+        env = LinearRealizableEnvironment(3, np.array([np.nan, 0.5]))
+        with pytest.raises(RangeViolation):
+            env.sample_round(rng)
+
+    @pytest.mark.parametrize("k, dim, weight_seed, draws, min_rescaled", [
+        (5, 4, 5, 300, 0),     # the ccelindb-linear5 benchmark's weight
+        (4, 8, 3, 300, 150),   # most draws take the rescaling branch
+    ])
+    def test_sampled_truth_is_the_validated_truth(self, k, dim, weight_seed,
+                                                  draws, min_rescaled):
+        env = build_environment({"kind": "linear", "k": k, "dim": dim,
+                                 "weight_seed": weight_seed})
+        rng = RngHandle(0)
+        rescaled = 0
+        for _ in range(draws):
+            x, realized, truth = env.sample_round(rng)
+            f = truth.entries
+            assert realized is truth
+            assert f.tobytes() == env.ground_truth(x).entries.tobytes()
+            assert np.array_equal(f, -f.T)
+            assert (np.diagonal(f) == 0.0).all()
+            assert np.abs(f).max() <= 1.0
+            rescaled += bool(np.abs(x @ env.weight).max() > 1.0 - 1e-8)
+        assert rescaled >= min_rescaled
 
 
 class TestExplicitTournamentClass:

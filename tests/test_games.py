@@ -241,6 +241,20 @@ class TestSolveCce:
         # existence verdict at resolution 1e-3 agrees
         assert cce_grid_min_violation(u, 1e-3) <= 2 * 0.5 * 6e-3
 
+    def test_grid_oracle_is_the_grid_minimum(self):
+        # every point of the grid with n = 70, which spans several blocks
+        # of the oracle's first coordinate, the last one partial
+        n = 70
+        i, j, k = np.nonzero(np.add.outer(np.add.outer(np.arange(n + 1),
+                                                       np.arange(n + 1)),
+                                          np.arange(n + 1)) <= n)
+        points = np.stack([i, j, k, n - i - j - k]) / n
+        gen = np.random.default_rng(70)
+        for _ in range(50):
+            u = gen.uniform(-3, 3, (2, 2))
+            brute = float((cce_deviation_matrix(u) @ points).max(axis=0).min())
+            assert cce_grid_min_violation(u, 1 / n) == pytest.approx(brute, abs=1e-12)
+
     def test_batch_validity(self):
         gen = np.random.default_rng(42)
         worst = -np.inf

@@ -43,6 +43,22 @@ CONFIGS = {
         "horizon": 300, "seeds": [0, 1],
         "benchmark": {"q_star": None, "policy_count": 0},
     },
+    # most of this environment's draws are rescaled into [-1, 1]
+    "ccelindb-linear4-rescale": {
+        "algorithm": {"kind": "ccelindb"},
+        "environment": {"kind": "linear", "k": 4, "dim": 8,
+                        "weight_seed": 3},
+        "horizon": 300, "seeds": [0, 1],
+        "benchmark": {"q_star": None, "policy_count": 0},
+    },
+    "minmaxdb-vaw-linear3": {
+        "algorithm": {"kind": "minmaxdb", "gamma": "auto",
+                      "oracle": {"kind": "vaw"}},
+        "environment": {"kind": "linear", "k": 3, "dim": 2,
+                        "weight_seed": 1},
+        "horizon": 1500, "seeds": [0, 1],
+        "benchmark": {"q_star": None, "policy_count": 2},
+    },
 }
 
 DIGESTS = {
@@ -56,10 +72,20 @@ DIGESTS = {
         "rounds_seed1.csv": "8d45203cfcef6ac9bc079feae39cd44e60b24b5d47dce35e5f0f7a895a4f3e84",
         "summary.csv": "34c98f3674a6d42f199e3179c021af267762d02775402ecf69d712dc96002acc",
     },
+    "ccelindb-linear4-rescale": {
+        "rounds_seed0.csv": "3d6d91649e68be7314386c1898ca49a9a67679d899ecc0cf5d680368d6d086d3",
+        "rounds_seed1.csv": "ca84b3e797f9821ebee589be91c28a44530e08a7ef3b7b1d016dc00f0725a86a",
+        "summary.csv": "9ef1b94675814e0f93e4e1df0bb22d0dee7b913fba40ec2375eb5622e110eb22",
+    },
     "minmaxdb-finite3-nash": {
         "rounds_seed0.csv": "5c8f04292ebd2659cd8406caa6779edf93779f968d6a7326522c740c0d83d619",
         "rounds_seed1.csv": "219e831eaa4feac01826a69da8b0fd83a1b14304d73fb2a22e56fd600535a2ef",
         "summary.csv": "e0d4868a5dae143c89cbfa6df330d96deef9a8d8dc077ba7a700ca12b3ae4bad",
+    },
+    "minmaxdb-vaw-linear3": {
+        "rounds_seed0.csv": "f44a07cc0178a36872138702a6a7db99c4a01748bb4621390d429357abf90636",
+        "rounds_seed1.csv": "d963e1a26e005a1fef8bd93dbe7cd938debcb77ecff67e7e5b16f8e48fa79baa",
+        "summary.csv": "15669478fb94a0d3edfc935799ba76705486bd0890aad385073a19e848b0b31a",
     },
 }
 
