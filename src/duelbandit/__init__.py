@@ -32,7 +32,6 @@ from .evaluation import (
     br_regret_step,
     dominance_report,
     fb_regret_step,
-    policy_regret_accumulate,
 )
 from .games import (
     FeasibilityReport,
@@ -84,7 +83,6 @@ __all__ = [
     "hardness",
     "make_finite_class",
     "named_fixture",
-    "policy_regret_accumulate",
     "product_joint",
     "regret_budget",
     "rps3",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PreferenceMatrix
-from .errors import RangeViolation, UnknownContext
+from .errors import UnknownContext
 from .rng import RngHandle
 
 FINITE_CLASS_MARGIN_CAP = 0.8   # keeps win probabilities away from {0, 1}
@@ -167,13 +167,17 @@ class LinearRealizableEnvironment(Environment):
         k = int(k)
         if k < 2:
             raise ValueError(f"linear environment needs k >= 2 arms, got {k}")
-        weight = np.asarray(weight, dtype=np.float64)
+        weight = np.array(weight, dtype=np.float64)
         if weight.ndim != 1:
             raise ValueError("weight must be a vector")
         if weight.shape[0] < 1:
             raise ValueError("linear environment needs dim >= 1, got 0")
+        if not np.isfinite(weight).all():
+            raise ValueError("weight entries must be finite")
         if np.abs(weight).max() > 1.0:
             raise ValueError("weight entries must lie in [-1, 1]")
+        # a private copy, frozen: every draw's truth is then finite
+        weight.setflags(write=False)
         self._k = k
         self.weight = weight
         self.dim = weight.shape[0]
@@ -189,9 +193,7 @@ class LinearRealizableEnvironment(Environment):
         feats = (raw - raw.transpose(1, 0, 2)) / 2.0
         vals = feats @ self.weight
         peak = np.abs(vals).max()
-        if not peak <= 1.0 - 1e-9:
-            if not np.isfinite(peak):
-                raise RangeViolation("non-finite entry in linear truth")
+        if peak > 1.0 - 1e-9:
             # headroom absorbs re-summation error when truth is recomputed
             feats *= (1.0 - 1e-9) / peak
             vals = feats @ self.weight

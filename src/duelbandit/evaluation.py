@@ -69,6 +69,25 @@ class _KahanSum:
         self.total = t
         return self.total
 
+    def extend(self, values: list[float]) -> list[float]:
+        """`add` each value in turn; returns the running totals."""
+        total, c = self.total, self._c
+        totals = []
+        for value in values:
+            y = value - c
+            t = total + y
+            c = (t - total) - y
+            total = t
+            totals.append(t)
+        self.total, self._c = total, c
+        return totals
+
+
+# rounds queued between flushes
+_FLUSH_ROUNDS = 256
+# rows of RegretLedger._table
+_BR, _BR_CUM, _FB, _FB_CUM, _POLICY_CUM = range(5)
+
 
 class RegretLedger:
     """Per-round regret arrays for one run.
@@ -76,79 +95,141 @@ class RegretLedger:
     Tracks best-response and fixed-benchmark steps plus one column per
     policy (policy regret is the max column sum). Step arrays and exact
     prefix sums are exposed for the dominance checks.
+
+    `record` checks a round and queues it: its truth and joint arrays (both
+    frozen), its duel and, with policies, each policy's arm for the
+    round's context. Every 256 rounds, and before any result is read, the
+    queue is flushed: a few stacked numpy calls give the chunk's steps with
+    the bits of `br_regret_step`, `fb_regret_step` and the scalar policy
+    step, and one scalar `_KahanSum` pass per column adds them up in round
+    order. Results are held in float64 arrays; those the properties return
+    are read-only views.
     """
 
     def __init__(self, q_star: ActionDistribution | None = None,
                  policies: list | None = None):
         self.q_star = q_star
         self.policies = list(policies) if policies else []
-        self.br_steps: list[float] = []
-        self.fb_steps: list[float] = []
-        self.br_cum: list[float] = []
-        self.fb_cum: list[float] = []
+        # the fixed-benchmark dot is (0.5 * q) @ values, as in fb_regret_step
+        self._half_q = None if q_star is None else 0.5 * q_star.weights
+        self._truths: list[np.ndarray] = []
+        self._joints: list[np.ndarray] = []
+        # with policies, per round: arm a, arm b, then each policy's arm
+        self._picks: list[int] = []
+        self._table = np.empty((5, _FLUSH_ROUNDS))
+        self._done = 0
         self._br_acc = _KahanSum()
         self._fb_acc = _KahanSum()
         self._policy_accs = [_KahanSum() for _ in self.policies]
 
     @property
     def rounds(self) -> int:
-        return len(self.br_steps)
+        return self._done + len(self._joints)
 
     def record(self, f_star: PreferenceMatrix, context,
                joint: JointActionDistribution, duel: tuple[int, int]) -> None:
-        """One round: closed-form BR/FB steps plus realized-duel policy steps.
-
-        The steps are `br_regret_step` and `fb_regret_step`, sharing one
-        product `F @ exposure(joint)`.
-        """
+        """Check one round and queue it; a round that fails a check is not
+        booked. Calls every policy on `context` now."""
         _check_k(f_star, joint)
-        values = f_star.entries @ exposure(joint)
-        br = float(0.5 * values.max())
-        self.br_steps.append(br)
-        self.br_cum.append(self._br_acc.add(br))
-        q_star = self.q_star
-        if q_star is not None:
-            _check_q_star(f_star, q_star)
-            fb = float(0.5 * q_star.weights @ values)
-        else:
-            fb = 0.0
-        self.fb_steps.append(fb)
-        self.fb_cum.append(self._fb_acc.add(fb))
+        if self.q_star is not None:
+            _check_q_star(f_star, self.q_star)
         if self.policies:
-            policy_regret_accumulate(self, f_star, context, duel)
+            a, b = duel
+            k = f_star.k
+            if not (0 <= a < k and 0 <= b < k):
+                raise DimensionMismatch(f"duel {duel} out of range for k={k}")
+            self._picks += [a, b] + [policy(context) for policy in self.policies]
+        self._truths.append(f_star.entries)
+        self._joints.append(joint.weights)
+        if len(self._joints) == _FLUSH_ROUNDS:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Book the queued rounds."""
+        n = len(self._joints)
+        if not n:
+            return
+        f = np.array(self._truths)
+        w = np.array(self._joints)
+        # stacked forms that give exposure(joint)'s and F @ e's bits per round
+        expo = w.sum(axis=2) + w.sum(axis=1)
+        values = np.matmul(f, expo[:, :, None])[:, :, 0]
+        start, end = self._done, self._done + n
+        if end > self._table.shape[1]:
+            grown = np.empty((5, max(2 * self._table.shape[1], end)))
+            grown[:, :start] = self._table[:, :start]
+            self._table = grown
+        table = self._table[:, start:end]
+        table[_BR] = 0.5 * values.max(axis=1)
+        table[_BR_CUM] = self._br_acc.extend(table[_BR].tolist())
+        if self._half_q is None:
+            table[_FB] = 0.0
+            table[_FB_CUM] = 0.0
+        else:
+            # one (1, K) @ (K, 1) product per round: the bits of the 1-D dot
+            table[_FB] = np.matmul(values[:, None, :],
+                                   self._half_q[:, None])[:, 0, 0]
+            table[_FB_CUM] = self._fb_acc.extend(table[_FB].tolist())
+        if self.policies:
+            picks = np.array(self._picks).reshape(n, -1)
+            rows, arms = np.arange(n)[:, None], picks[:, 2:]
+            steps = 0.5 * (f[rows, arms, picks[:, :1]]
+                           + f[rows, arms, picks[:, 1:2]])
+            totals = [acc.extend(column)
+                      for acc, column in zip(self._policy_accs, steps.T.tolist())]
+            table[_POLICY_CUM] = np.max(totals, axis=0)
+        else:
+            table[_POLICY_CUM] = 0.0
+        self._done = end
+        self._truths, self._joints, self._picks = [], [], []
+
+    def _column(self, row: int) -> np.ndarray:
+        self._flush()
+        view = self._table[row, :self._done]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def br_steps(self) -> np.ndarray:
+        return self._column(_BR)
+
+    @property
+    def br_cum(self) -> np.ndarray:
+        return self._column(_BR_CUM)
+
+    @property
+    def fb_steps(self) -> np.ndarray:
+        return self._column(_FB)
+
+    @property
+    def fb_cum(self) -> np.ndarray:
+        return self._column(_FB_CUM)
+
+    @property
+    def policy_cum(self) -> np.ndarray:
+        """The running policy regret: the max of the policies' running sums
+        after each round, 0.0 without policies."""
+        return self._column(_POLICY_CUM)
 
     @property
     def final_br(self) -> float:
-        return self.br_cum[-1] if self.br_cum else 0.0
+        self._flush()
+        return self._br_acc.total
 
     @property
     def final_fb(self) -> float:
-        return self.fb_cum[-1] if self.fb_cum else 0.0
+        self._flush()
+        return self._fb_acc.total
 
     @property
     def policy_totals(self) -> np.ndarray:
+        self._flush()
         return np.array([acc.total for acc in self._policy_accs])
 
     @property
     def final_policy(self) -> float:
         totals = self.policy_totals
         return float(totals.max()) if totals.size else 0.0
-
-
-def policy_regret_accumulate(
-    ledger: RegretLedger, f_star: PreferenceMatrix, context,
-    duel: tuple[int, int],
-) -> RegretLedger:
-    """Add one realized-duel step to every policy column of the ledger."""
-    a, b = duel
-    f = f_star.entries
-    k = f_star.k
-    if not (0 <= a < k and 0 <= b < k):
-        raise DimensionMismatch(f"duel {duel} out of range for k={k}")
-    for acc, policy in zip(ledger._policy_accs, ledger.policies):
-        arm = policy(context)
-        acc.add(0.5 * (f.item(arm, a) + f.item(arm, b)))
-    return ledger
 
 
 @dataclass(frozen=True)

@@ -169,8 +169,11 @@ def build_environment(spec: dict) -> Environment:
         )
         return env
     # kind == "linear"
+    dim = int(spec["dim"])
+    if dim < 1:  # before the draw, which would reject it in numpy's words
+        raise ValueError(f"linear environment needs dim >= 1, got {dim}")
     weight_rng = RngHandle(int(spec.get("weight_seed", 0))).substream("weight")
-    w = weight_rng.generator.uniform(-1.0, 1.0, int(spec["dim"]))
+    w = weight_rng.generator.uniform(-1.0, 1.0, dim)
     return LinearRealizableEnvironment(int(spec["k"]), w)
 
 
@@ -336,7 +339,8 @@ def run_single_seed(config: ExperimentConfig, seed: int):
 
     summary = RunSummary(seed=seed, horizon=config.horizon,
                          gamma=getattr(learner, "gamma", None))
-    lines = []
+    keep_rows = config.output_dir is not None
+    rows = []  # (arm_a, arm_b, outcome, solver_iters) per booked round
     violations = 0
     solver_iters = 0
     try:
@@ -353,20 +357,14 @@ def run_single_seed(config: ExperimentConfig, seed: int):
                     _diag_check_minmaxdb(learner, truth)
             learner.observe(x, duel, outcome)
             ledger.record(truth, x, joint, duel)
-            solver_iters += learner.last_iterations
-            if config.output_dir is not None:
-                gamma = learner.gamma if learner.gamma is not None else 0.0
-                lines.append(",".join([
-                    str(seed), str(t), str(a), str(b),
-                    str(outcome),
-                    _fmt(ledger.br_steps[-1]), _fmt(ledger.br_cum[-1]),
-                    _fmt(ledger.fb_steps[-1]), _fmt(ledger.fb_cum[-1]),
-                    _fmt(ledger.final_policy), _fmt(gamma),
-                    str(learner.last_iterations),
-                ]))
+            iters = learner.last_iterations
+            solver_iters += iters
+            if keep_rows:
+                rows.append((a, b, outcome, iters))
     except (DuelBanditError, DiagnosticFailure) as exc:
         summary.status = f"failed: {type(exc).__name__} at round {t}: {exc}"
 
+    lines = _round_lines(seed, learner.gamma, rows, ledger) if keep_rows else []
     summary.final_br = ledger.final_br
     summary.final_fb = ledger.final_fb
     summary.final_policy = ledger.final_policy
@@ -375,6 +373,25 @@ def run_single_seed(config: ExperimentConfig, seed: int):
     summary.normalized_br = _normalized_br(config, env, learner, ledger)
     summary.wall_clock_s = time.perf_counter() - t_start
     return summary, ledger, lines
+
+
+def _round_lines(seed: int, gamma: float | None, rows: list,
+                 ledger: RegretLedger) -> list[str]:
+    """The round CSV's rows, one per booked round, formatted after the run.
+
+    Each float goes through "%.17g", the format `_fmt` applies; integers
+    through str.
+    """
+    template = (f"{seed},%s,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,"
+                f"{_fmt(0.0 if gamma is None else gamma)},%s")
+    columns = zip(range(1, len(rows) + 1), rows,
+                  ledger.br_steps.tolist(), ledger.br_cum.tolist(),
+                  ledger.fb_steps.tolist(), ledger.fb_cum.tolist(),
+                  ledger.policy_cum.tolist())
+    return [template % (t, a, b, outcome, br, br_cum, fb, fb_cum, policy,
+                        iters)
+            for t, (a, b, outcome, iters), br, br_cum, fb, fb_cum, policy
+            in columns]
 
 
 def _normalized_br(config, env, learner, ledger) -> float:

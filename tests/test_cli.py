@@ -86,6 +86,35 @@ class TestRunCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["n_runs"] == 2
 
+    def test_failed_seed_keeps_the_rows_before_it(self, tmp_path, capsys):
+        # one pivot is not enough for seed 0's cold simplex at round 15
+        config = {
+            "algorithm": {"kind": "ccedb"},
+            "environment": {"kind": "fixed", "fixture": "condorcet",
+                            "k": 5, "margin": 0.4},
+            "horizon": 40,
+            "seeds": [0],
+            "benchmark": {"q_star": "condorcet", "policy_count": 2},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        full_dir = tmp_path / "full"
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(full_dir)]) == 0
+        config["algorithm"]["solver_max_iterations"] = 1
+        cfg_path.write_text(json.dumps(config))
+        cut_dir = tmp_path / "cut"
+        assert main(["run", "--config", str(cfg_path),
+                     "--out", str(cut_dir)]) == 2
+        assert "failed: NotConverged at round 15: " in capsys.readouterr().out
+        cut = (cut_dir / "rounds_seed0.csv").read_bytes()
+        full = (full_dir / "rounds_seed0.csv").read_bytes()
+        assert full.startswith(cut)
+        lines = cut.decode().splitlines()
+        assert len(lines) == 1 + 14
+        assert [line.split(",")[1] for line in lines[1:]] == [
+            str(t) for t in range(1, 15)]
+
     def test_run_bad_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"horizon": 5}))
@@ -146,6 +175,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("environment, message", [
         ({"kind": "linear", "k": 1, "dim": 2}, "k >= 2"),
         ({"kind": "linear", "k": 3, "dim": 0}, "dim >= 1"),
+        ({"kind": "linear", "k": 3, "dim": -2}, "dim >= 1, got -2"),
     ])
     def test_run_degenerate_linear_environment_is_config_error(
             self, tmp_path, capsys, environment, message):

@@ -13,7 +13,7 @@ from duelbandit.environments import (
     named_fixture,
     rps3,
 )
-from duelbandit.errors import RangeViolation, UnknownContext
+from duelbandit.errors import UnknownContext
 from duelbandit.harness import build_environment
 from duelbandit.rng import RngHandle
 
@@ -135,10 +135,19 @@ class TestLinearRealizableEnvironment:
         with pytest.raises(ValueError, match="dim >= 1"):
             LinearRealizableEnvironment(3, np.zeros(0))
 
-    def test_non_finite_truth_raises(self, rng):
-        env = LinearRealizableEnvironment(3, np.array([np.nan, 0.5]))
-        with pytest.raises(RangeViolation):
-            env.sample_round(rng)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LinearRealizableEnvironment(3, np.array([bad, 0.5]))
+
+    def test_weight_is_a_frozen_copy(self, rng):
+        weight = np.array([0.5, -0.25])
+        env = LinearRealizableEnvironment(3, weight)
+        weight[0] = np.nan
+        assert env.weight.tolist() == [0.5, -0.25]
+        assert not env.weight.flags.writeable
+        env.sample_round(rng)
 
     @pytest.mark.parametrize("k, dim, weight_seed, draws, min_rescaled", [
         (5, 4, 5, 300, 0),     # the ccelindb-linear5 benchmark's weight

@@ -13,8 +13,8 @@ from duelbandit.evaluation import (
     RegretLedger,
     br_regret_step,
     dominance_report,
+    _KahanSum,
     fb_regret_step,
-    policy_regret_accumulate,
 )
 from duelbandit.games import solve_zero_sum_nash
 
@@ -100,27 +100,28 @@ class TestPolicyRegret:
     def test_diagonal_duel_with_played_arm_is_zero(self):
         f = condorcet(3, 0.4)
         led = RegretLedger(policies=[lambda x: 0])
-        policy_regret_accumulate(led, f, 0, (0, 0))
+        led.record(f, 0, uniform_joint(3), (0, 0))
         assert led.final_policy == 0.0
 
     def test_condorcet_loser_duel(self):
         f = condorcet(3, 0.4)
         led = RegretLedger(policies=[lambda x: 0])
-        policy_regret_accumulate(led, f, 0, (1, 2))
+        led.record(f, 0, uniform_joint(3), (1, 2))
         assert led.final_policy == pytest.approx(0.4)
 
     def test_left_arm_policy_halves_entry(self, make_skew):
         gen = np.random.default_rng(3)
         f = PreferenceMatrix(make_skew(4, gen))
         led = RegretLedger(policies=[lambda x: 1])
-        policy_regret_accumulate(led, f, 0, (1, 3))
+        led.record(f, 0, uniform_joint(4), (1, 3))
         assert led.policy_totals[0] == pytest.approx(f.entries[1, 3] / 2)
 
     def test_out_of_range_duel(self):
         f = condorcet(3, 0.4)
         led = RegretLedger(policies=[lambda x: 0])
         with pytest.raises(DimensionMismatch):
-            policy_regret_accumulate(led, f, 0, (0, 5))
+            led.record(f, 0, uniform_joint(3), (0, 5))
+        assert led.rounds == 0
 
 
 class TestLedgerAndDominance:
@@ -195,3 +196,74 @@ class TestLedgerSteps:
             ledger.record(rps3(), 0, uniform_joint(4), (0, 1))
         with pytest.raises(DimensionMismatch, match="q_star"):
             ledger.record(rps3(), 0, uniform_joint(3), (0, 1))
+        # a round that fails a check is not booked
+        assert ledger.rounds == 0
+        assert ledger.br_steps.size == ledger.fb_steps.size == 0
+
+    @pytest.mark.parametrize("truth_moves", [False, True],
+                             ids=["fixed-truth", "moving-truth"])
+    @pytest.mark.parametrize("k", [2, 3, 5, 20])
+    def test_flushed_chunks_match_a_scalar_replay(self, k, truth_moves,
+                                                   make_skew):
+        """Rounds are queued and booked in chunks of 256, and on a read.
+        Whether read at random rounds and around 256 and 512, or read
+        rarely so that whole chunks fill, the ledger must show the step
+        functions' bits and a scalar `_KahanSum` replay's sums."""
+        gen = np.random.default_rng(100 + k)
+        rounds = 700
+        q = ActionDistribution(gen.dirichlet(np.ones(k)))
+        policies = [lambda x: x % k, lambda x: (3 * x + 1) % k]
+        dense_reads = {1, 255, 256, 257, 511, 512, 513, rounds}
+        dense_reads |= set(gen.integers(2, rounds, 6).tolist())
+        ledgers = [  # (ledger, rounds it is read at, has q_star and policies)
+            (RegretLedger(q_star=q, policies=policies), dense_reads, True),
+            (RegretLedger(q_star=q, policies=policies), {300, rounds}, True),
+            (RegretLedger(), {rounds}, False),
+        ]
+        f = PreferenceMatrix(make_skew(k, gen))
+        br, fb, policy_steps = [], [], []
+        for t in range(1, rounds + 1):
+            if truth_moves:
+                f = PreferenceMatrix(make_skew(k, gen))
+            w = gen.uniform(0, 1, (k, k)) * (gen.random((k, k)) < 0.4)
+            w[gen.integers(k), gen.integers(k)] += 0.1
+            joint = JointActionDistribution(w / w.sum())
+            a, b = int(gen.integers(k)), int(gen.integers(k))
+            br.append(br_regret_step(f, joint))
+            fb.append(fb_regret_step(f, joint, q))
+            arms = [policy(t) for policy in policies]
+            policy_steps.append([0.5 * (f.entries.item(arm, a)
+                                        + f.entries.item(arm, b))
+                                 for arm in arms])
+            for ledger, reads, benchmarked in ledgers:
+                ledger.record(f, t, joint, (a, b))
+                assert ledger.rounds == t
+                if t not in reads:
+                    continue
+                if benchmarked:
+                    self._check_against_replay(ledger, br, fb, policy_steps)
+                else:
+                    self._check_against_replay(ledger, br, [0.0] * t,
+                                               [[]] * t)
+
+    @staticmethod
+    def _check_against_replay(ledger, br, fb, policy_steps):
+        def running(steps):
+            acc = _KahanSum()
+            return [acc.add(step) for step in steps]
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).tobytes()
+
+        policy_sums = [running(column) for column in zip(*policy_steps)]
+        policy_cum = ([max(sums) for sums in zip(*policy_sums)]
+                      if policy_sums else [0.0] * len(br))
+        assert bits(ledger.br_steps) == bits(br)
+        assert bits(ledger.br_cum) == bits(running(br))
+        assert bits(ledger.fb_steps) == bits(fb)
+        assert bits(ledger.fb_cum) == bits(running(fb))
+        assert bits(ledger.policy_cum) == bits(policy_cum)
+        assert bits(ledger.policy_totals) == bits([s[-1] for s in policy_sums])
+        assert same_bits(ledger.final_br, running(br)[-1])
+        assert same_bits(ledger.final_fb, running(fb)[-1])
+        assert same_bits(ledger.final_policy, policy_cum[-1])
