@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import JointActionDistribution, PreferenceMatrix, product_joint
-from .environments import hardness
+from .environments import hardness, make_finite_class
 from .evaluation import br_regret_step
 from .games import (
     cce_violation,
@@ -283,11 +283,8 @@ def criterion_7() -> tuple[bool, str]:
     pairs = [(0, 1), (0, 2), (1, 2)]
     for seed in range(20):
         rng = RngHandle(1000 + seed).substream("finite-stream")
-        gen = rng.generator
-        raw = gen.uniform(-0.8, 0.8, (class_size, 1, k, k))
-        upper = np.triu(raw, 1)
-        tables = upper - upper.transpose(0, 1, 3, 2)
-        truth = int(gen.integers(0, class_size))
+        env, tables = make_finite_class(1, k, class_size, rng)
+        truth, gen = env.truth_index, rng.generator
         oracle = FiniteClassAggregator(tables)
         err = 0.0
         for _ in range(horizon):

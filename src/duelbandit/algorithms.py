@@ -19,7 +19,7 @@ from .core import (
 )
 from .errors import GammaTooSmall, HorizonTooShort
 from .games import SolverConfig, solve_cce, solve_minmax_feasibility
-from .oracles import OracleInput, RegretBudget
+from .oracles import OracleInput, RegretBudget, _RidgeState
 from .rng import RngHandle
 
 UNEXPLORED_WIDTH_CAP = 2.0  # diameter of the payoff range [-1, 1]
@@ -120,7 +120,8 @@ class CceDb:
 
 class CceLinDb:
     """Ridge-regression learner for feature-tensor contexts: linear point
-    estimates, ellipsoidal confidence widths, CCE of the upper matrix."""
+    estimates and ellipsoidal confidence widths from one product with the
+    ridge state's held inverse, CCE of the upper matrix."""
 
     kind = "ccelindb"
     gamma = None
@@ -139,30 +140,23 @@ class CceLinDb:
             )
         self.width_multiplier = float(width_multiplier)
         self.solver_config = solver_config or SolverConfig()
-        self.gram = np.eye(dim) * ridge
-        self.moment = np.zeros(dim)
+        self.state = _RidgeState(self.dim, self.ridge)
         self.t = 1
         self.last_mean: np.ndarray | None = None
         self.last_confidence: np.ndarray | None = None
         self.last_upper: np.ndarray | None = None
         self.last_iterations = 0
 
-    def weight_estimate(self) -> np.ndarray:
-        return np.linalg.solve(self.gram, self.moment)
-
     def select(self, context, rng: RngHandle):
         x = np.asarray(context, dtype=np.float64)
         k = x.shape[0]
         if x.ndim != 3 or x.shape[2] != self.dim:
             raise ValueError(f"context must be (K, K, {self.dim}) features")
-        mean = x @ self.weight_estimate()
-        flat = x.reshape(k * k, self.dim)
-        solved = np.linalg.solve(self.gram, flat.T)          # (d, K^2)
-        width = np.einsum("ij,ji->i", flat, solved)
-        np.maximum(width, 0.0, out=width)
-        width = np.sqrt(width, out=width).reshape(k, k)
-        upper = self.width_multiplier * width
-        upper += mean
+        mean, quad = self.state.predict(x.reshape(k * k, self.dim))
+        mean = mean.reshape(k, k)
+        width = np.sqrt(np.maximum(quad, 0.0, out=quad), out=quad).reshape(k, k)
+        width *= self.width_multiplier  # the width the upper matrix adds
+        upper = mean + width
         upper.flat[::k + 1] = 0.0  # the diagonal
         report = solve_cce(upper, self.solver_config)
         joint = report.point
@@ -176,8 +170,7 @@ class CceLinDb:
         if outcome not in (-1, 1):
             raise ValueError(f"outcome must be -1 or +1, got {outcome}")
         x = np.asarray(context, dtype=np.float64)[duel[0], duel[1]]
-        self.gram += x[:, None] * x  # the outer product
-        self.moment += float(outcome) * x
+        self.state.add(x, float(outcome))
         self.t += 1
 
 

@@ -24,6 +24,7 @@ from .environments import (
     FixedMatrixEnvironment,
     LinearRealizableEnvironment,
     make_finite_class,
+    make_linear_environment,
     named_fixture,
 )
 from .errors import DuelBanditError
@@ -127,7 +128,8 @@ _SOLVER_KEYS = {"solver_max_iterations", "solver_tolerance"}
 _ALGORITHM_KEYS = {
     "ccedb": _SOLVER_KEYS | {"delta"},
     "ccelindb": _SOLVER_KEYS | {"delta", "ridge", "width_multiplier"},
-    "minmaxdb": _SOLVER_KEYS | {"gamma", "oracle"},
+    # its acceptance test is the fixed slack K/gamma: no solver_tolerance
+    "minmaxdb": {"solver_max_iterations", "gamma", "oracle"},
 }
 _ORACLE_KEYS = {
     "finite": {"class_size", "class_seed"},  # fixed environments only
@@ -173,8 +175,7 @@ def build_environment(spec: dict) -> Environment:
     if dim < 1:  # before the draw, which would reject it in numpy's words
         raise ValueError(f"linear environment needs dim >= 1, got {dim}")
     weight_rng = RngHandle(int(spec.get("weight_seed", 0))).substream("weight")
-    w = weight_rng.generator.uniform(-1.0, 1.0, dim)
-    return LinearRealizableEnvironment(int(spec["k"]), w)
+    return make_linear_environment(int(spec["k"]), dim, weight_rng)
 
 
 def _finite_tables_for(env: Environment, spec: dict) -> tuple[np.ndarray, int]:
@@ -187,16 +188,11 @@ def _finite_tables_for(env: Environment, spec: dict) -> tuple[np.ndarray, int]:
                 "finite_class environment, whose own class it takes")
         return env.tables, env.truth_index
     if isinstance(env, FixedMatrixEnvironment):
-        class_size = int(spec.get("class_size", 16))
         rng = RngHandle(int(spec.get("class_seed", 0))).substream("oracle-class")
-        gen = rng.generator
-        k = env.k
-        raw = gen.uniform(-0.8, 0.8, (class_size, 1, k, k))
-        upper = np.triu(raw, 1)
-        tables = upper - upper.transpose(0, 1, 3, 2)
-        truth_index = int(gen.integers(0, class_size))
-        tables[truth_index, 0] = env.matrix.entries
-        return tables, truth_index
+        drawn, tables = make_finite_class(
+            1, env.k, int(spec.get("class_size", 16)), rng)
+        tables[drawn.truth_index, 0] = env.matrix.entries
+        return tables, drawn.truth_index
     raise ValueError("finite oracle needs a finite-class or fixed environment")
 
 
@@ -258,7 +254,10 @@ def resolve_q_star(benchmark: dict, env: Environment):
 
     rule = benchmark.get("q_star", "nash")
     if isinstance(rule, (list, tuple, np.ndarray)):
-        return ActionDistribution(np.asarray(rule, dtype=np.float64))
+        q = ActionDistribution(np.asarray(rule, dtype=np.float64))
+        if q.k != env.k:
+            raise ValueError(f"q_star has {q.k} entries, expected k={env.k}")
+        return q
     if rule == "nash":
         truth = _truth_matrix_for_benchmark(env)
         return solve_zero_sum_nash(truth).point
@@ -291,8 +290,9 @@ def _make_policies(count: int, k: int) -> list:
     return [(lambda x, arm=j % k: arm) for j in range(count)]
 
 
-def _diag_check_ccedb(learner: CceDb, truth: PreferenceMatrix, joint) -> bool:
-    """Coverage event + the instantaneous-regret inequality when covered."""
+def _diag_check_cce(learner, truth: PreferenceMatrix, joint) -> bool:
+    """Coverage event + the instantaneous-regret inequality when covered; the
+    upper matrix is a skew `last_mean` plus a symmetric `last_confidence`."""
     mean, width = learner.last_mean, learner.last_confidence
     covered = bool((np.abs(truth.entries - mean) <= width + 1e-12).all())
     if covered:
@@ -350,8 +350,8 @@ def run_single_seed(config: ExperimentConfig, seed: int):
             a, b = duel
             outcome = sample_outcome(realized.entries.item(a, b), outcome_rng)
             if config.diagnostic:
-                if isinstance(learner, CceDb):
-                    if not _diag_check_ccedb(learner, truth, joint):
+                if isinstance(learner, (CceDb, CceLinDb)):
+                    if not _diag_check_cce(learner, truth, joint):
                         violations += 1
                 elif isinstance(learner, MinMaxDb):
                     _diag_check_minmaxdb(learner, truth)

@@ -138,19 +138,50 @@ class FiniteClassAggregator:
         return regret_budget("finite", class_size=self.class_size)
 
 
-def _pair_feature(z: OracleInput) -> np.ndarray:
+def _pair_feature(z: OracleInput, dim: int) -> np.ndarray:
     """Feature vector for a pair: either z.context is it, or a (K,K,d) tensor."""
     x = np.asarray(z.context, dtype=np.float64)
     if x.ndim == 3:
         x = x[z.a, z.b]
+    if x.shape != (dim,):
+        raise DimensionMismatch(f"feature shape {x.shape}, expected ({dim},)")
     return x
+
+
+class _RidgeState:
+    """Regularized least squares: the gram matrix A = ridge*I + sum x x^T,
+    the moment vector b = sum y x, and A^{-1}, held by Sherman-Morrison and
+    recomputed from A every `RESYNC_EVERY` updates to shed rank-one drift."""
+
+    RESYNC_EVERY = 1024
+
+    def __init__(self, dim: int, ridge: float):
+        self.gram = np.eye(dim) * ridge
+        self.moment = np.zeros(dim)
+        self._inv = np.eye(dim) / ridge
+        self._updates = 0
+
+    def add(self, x: np.ndarray, y: float) -> None:
+        self.gram += x[:, None] * x  # the outer product
+        self.moment += y * x
+        v = self._inv @ x
+        self._inv -= v[:, None] * v / (1.0 + x @ v)
+        self._updates += 1
+        if self._updates % self.RESYNC_EVERY == 0:
+            self._inv = np.linalg.inv(self.gram)
+
+    def predict(self, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each row x of `feats`: the ridge mean b^T A^{-1} x and the
+        quadratic form x^T A^{-1} x."""
+        v = self._inv @ feats.T                      # (d, n)
+        return self.moment @ v, np.sum(feats.T * v, axis=0)
 
 
 class VawForecaster:
     """Ridge forecaster whose design includes the input being predicted.
 
-    State is the regularized gram matrix A = ridge*I + sum x x^T and the
-    moment vector b = sum y x; the forecast at x is b^T (A + x x^T)^{-1} x.
+    State is the ridge state (A, b); the forecast at x is
+    b^T (A + x x^T)^{-1} x = b^T A^{-1} x / (1 + x^T A^{-1} x).
     """
 
     kind = "vaw"
@@ -160,38 +191,21 @@ class VawForecaster:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
         self.ridge = float(ridge)
-        self.gram = np.eye(dim) * ridge
-        self.moment = np.zeros(dim)
-        self._inv = np.eye(dim) / ridge
-        self._updates_since_sync = 0
-
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"feature shape {x.shape}, expected ({self.dim},)")
-        return x
+        self.state = _RidgeState(self.dim, self.ridge)
 
     def predict(self, z: OracleInput) -> float:
-        return float(self.predict_features(self._check(_pair_feature(z))[None, :])[0])
+        return float(self.predict_features(_pair_feature(z, self.dim)[None, :])[0])
 
     def predict_features(self, feats: np.ndarray) -> np.ndarray:
         """Batched forecasts; rank-one identity avoids per-row solves."""
         feats = np.asarray(feats, dtype=np.float64)
         if feats.shape[1] != self.dim:
             raise DimensionMismatch(f"features have dim {feats.shape[1]}")
-        v = self._inv @ feats.T                      # (d, n)
-        denom = 1.0 + np.sum(feats.T * v, axis=0)
-        return (self.moment @ v) / denom
+        mean, quad = self.state.predict(feats)
+        return mean / (1.0 + quad)
 
     def update(self, z: OracleInput, y: float) -> None:
-        x = self._check(_pair_feature(z))
-        self.gram += np.outer(x, x)
-        self.moment += y * x
-        v = self._inv @ x
-        self._inv -= np.outer(v, v) / (1.0 + x @ v)
-        self._updates_since_sync += 1
-        if self._updates_since_sync >= 1024:
-            self._inv = np.linalg.inv(self.gram)  # shed rank-one drift
-            self._updates_since_sync = 0
+        self.state.add(_pair_feature(z, self.dim), y)
 
     def regret_budget(self) -> RegretBudget:
         return regret_budget("vaw", dim=self.dim, ridge=self.ridge)
@@ -218,13 +232,8 @@ class OgdForecaster:
         self.step = radius / (lip * np.sqrt(horizon))
         self.theta = np.zeros(dim)
 
-    def _check(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"feature shape {x.shape}, expected ({self.dim},)")
-        return x
-
     def predict(self, z: OracleInput) -> float:
-        return float(self.theta @ self._check(_pair_feature(z)))
+        return float(self.theta @ _pair_feature(z, self.dim))
 
     def predict_features(self, feats: np.ndarray) -> np.ndarray:
         feats = np.asarray(feats, dtype=np.float64)
@@ -233,7 +242,7 @@ class OgdForecaster:
         return feats @ self.theta
 
     def update(self, z: OracleInput, y: float) -> None:
-        x = self._check(_pair_feature(z))
+        x = _pair_feature(z, self.dim)
         grad = 2.0 * (self.theta @ x - y) * x
         theta = self.theta - self.step * grad
         norm = np.linalg.norm(theta)

@@ -166,10 +166,10 @@ class TestCceLinDb:
         x[0, 1, 0] = 1.0
         x[1, 0, 0] = -1.0
         learner.observe(x, (0, 1), +1)
-        assert learner.weight_estimate()[0] == pytest.approx(0.5)
         learner.select(x, rng)
         assert learner.last_mean[0, 1] == pytest.approx(0.5)
-        assert learner.last_confidence[0, 1] == pytest.approx(np.sqrt(0.5))
+        # the confidence is the width the upper matrix adds
+        assert learner.last_confidence[0, 1] == pytest.approx(2 * np.sqrt(0.5))
         assert learner.last_upper[0, 1] == pytest.approx(0.5 + 2 * np.sqrt(0.5))
 
     def test_width_shrinks_along_observed_direction(self, rng):
@@ -177,34 +177,44 @@ class TestCceLinDb:
         x = np.zeros((2, 2, 2))
         x[0, 1] = [1.0, 0.0]
         x[1, 0] = [-1.0, 0.0]
-        for _ in range(10**4):
-            learner.gram += np.outer(x[0, 1], x[0, 1])
+        y = np.zeros((2, 2, 2))
+        y[0, 1] = [0.0, 1.0]
+        y[1, 0] = [0.0, -1.0]
+        for i in range(10**4):
+            learner.observe(x, (0, 1), 1 if i % 2 else -1)
         learner.select(x, rng)
         assert learner.last_confidence[0, 1] <= np.sqrt(1.0 / (1.0 + 10**4)) + 1e-12
+        learner.select(y, rng)  # the unobserved direction keeps the prior width
+        assert learner.last_confidence[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("k, dim", [(2, 1), (5, 4), (4, 8), (3, 12)])
     def test_statistics_same_bits_as_the_formulas(self, k, dim, rng):
+        # mean b^T A^-1 x and confidence c sqrt(x^T A^-1 x) from the held
+        # inverse; the upper matrix is their sum, which the diagnostic
+        # coverage check needs as a skew mean plus a symmetric confidence
         learner = CceLinDb(dim, horizon=1000, delta=0.01)
         gen = np.random.default_rng(dim)
+        off = ~np.eye(k, dtype=bool)
         for _ in range(40):
             raw = gen.uniform(-1, 1, (k, k, dim))
             x = (raw - raw.transpose(1, 0, 2)) / 2
             learner.select(x, rng)
-            w_hat = np.linalg.solve(learner.gram, learner.moment)
-            mean = x @ w_hat
             flat = x.reshape(k * k, dim)
-            solved = np.linalg.solve(learner.gram, flat.T)
-            width = np.sqrt(np.maximum(np.sum(flat.T * solved, axis=0), 0.0))
-            width = width.reshape(k, k)
-            upper = mean + learner.width_multiplier * width
-            upper.flat[::k + 1] = 0.0
+            v = learner.state._inv @ flat.T
+            mean = (learner.state.moment @ v).reshape(k, k)
+            quad = np.sum(flat.T * v, axis=0).reshape(k, k)
+            conf = learner.width_multiplier * np.sqrt(np.maximum(quad, 0.0))
             assert learner.last_mean.tobytes() == mean.tobytes()
-            assert learner.last_confidence.tobytes() == width.tobytes()
-            assert learner.last_upper.tobytes() == upper.tobytes()
+            assert learner.last_confidence.tobytes() == conf.tobytes()
+            assert np.array_equal(mean, -mean.T)
+            assert np.array_equal(conf, conf.T)
+            assert np.array_equal(learner.last_upper[off], (mean + conf)[off])
+            assert (np.diagonal(learner.last_upper) == 0).all()
             a, b = gen.integers(0, k, 2)
             learner.observe(x, (int(a), int(b)), int(gen.choice([-1, 1])))
 
     def test_gram_identity(self):
+        # the ridge state's gram is the running sum of outer products
         gen = np.random.default_rng(2)
         learner = CceLinDb(3, horizon=100, delta=0.1)
         expected = np.eye(3)
@@ -213,7 +223,7 @@ class TestCceLinDb:
             x = (x - x.transpose(1, 0, 2)) / 2
             learner.observe(x, (0, 1), int(gen.choice([-1, 1])))
             expected += np.outer(x[0, 1], x[0, 1])
-        assert np.array_equal(learner.gram, expected)
+        assert np.array_equal(learner.state.gram, expected)
 
 
 class TestMinMaxDb:

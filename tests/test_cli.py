@@ -138,6 +138,27 @@ class TestRunCommand:
         assert err.startswith("config error:") and "non-contextual" in err
         assert not out_dir.exists()
 
+    def test_run_q_star_of_wrong_length_is_config_error(self, tmp_path,
+                                                        capsys):
+        config = {
+            "algorithm": {"kind": "ccedb"},
+            "environment": {"kind": "fixed", "fixture": "condorcet",
+                            "k": 3, "margin": 0.4},
+            "horizon": 20,
+            "seeds": [0, 1],
+            "benchmark": {"q_star": [0.5, 0.5]},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "q_star" in captured.err and "k=3" in captured.err
+        assert "seed" not in captured.out
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("algorithm, environment, key", [
         ({"kind": "ccelindb", "ridgee": 3.0},
          {"kind": "linear", "k": 3, "dim": 2}, "ridgee"),
@@ -158,6 +179,8 @@ class TestRunCommand:
         ({"kind": "minmaxdb", "gamma": 30.0,
           "oracle": {"kind": "finite", "class_seed": 4}},
          {"kind": "finite_class", "k": 3}, "class_seed"),
+        ({"kind": "minmaxdb", "gamma": 30.0, "solver_tolerance": 1e-3},
+         {"kind": "finite_class", "k": 3}, "solver_tolerance"),
     ])
     def test_run_unused_spec_key_is_config_error(self, tmp_path, capsys,
                                                  algorithm, environment, key):

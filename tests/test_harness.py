@@ -226,6 +226,26 @@ class TestRunExperiment:
         summaries, _ = run_experiment(cfg)
         assert summaries[0].status == "ok"
 
+    @pytest.mark.parametrize("width_multiplier", [None, 1e-3])
+    def test_diagnostic_mode_ccelindb(self, width_multiplier):
+        algorithm = {"kind": "ccelindb"}
+        if width_multiplier is not None:
+            algorithm["width_multiplier"] = width_multiplier
+        cfg = ExperimentConfig.from_dict({
+            "algorithm": algorithm,
+            "environment": {"kind": "linear", "k": 5, "dim": 4,
+                            "weight_seed": 5},
+            "horizon": 300, "seeds": [0, 1], "diagnostic": True,
+            "benchmark": {"q_star": None, "policy_count": 0},
+        })
+        summaries, _ = run_experiment(cfg)
+        violations = [s.confidence_violations for s in summaries]
+        assert [s.status for s in summaries] == ["ok", "ok"]
+        if width_multiplier is None:
+            assert violations == [0, 0]
+        else:  # widths this narrow miss the truth: the check must see it
+            assert min(violations) > 0
+
     def test_normalized_statistic_finite(self):
         summaries, _ = run_experiment(base_config())
         assert np.isfinite(summaries[0].normalized_br)

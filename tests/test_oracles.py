@@ -7,6 +7,7 @@ from duelbandit.oracles import (
     OgdForecaster,
     OracleInput,
     VawForecaster,
+    _RidgeState,
     regret_budget,
 )
 from duelbandit.rng import RngHandle
@@ -99,7 +100,7 @@ class TestVawForecaster:
         for _ in range(200):
             z = OracleInput(gen.uniform(-1, 1, 3), 0, 1)
             oracle.update(z, float(gen.choice([-1.0, 1.0])))
-        eigs = np.linalg.eigvalsh(oracle.gram)
+        eigs = np.linalg.eigvalsh(oracle.state.gram)
         assert eigs.min() >= 0.5 - 1e-9
 
     def test_matches_direct_solve_oracle(self):
@@ -130,6 +131,38 @@ class TestVawForecaster:
         oracle = VawForecaster(2)
         with pytest.raises(DimensionMismatch):
             oracle.predict(OracleInput(np.array([1.0, 2.0, 3.0]), 0, 1))
+
+
+class TestRidgeState:
+    @pytest.mark.parametrize("dim", [1, 4, 8, 16])
+    def test_held_inverse_matches_a_solve_across_resyncs(self, dim):
+        # the Sherman-Morrison inverse against a fresh factorization of the
+        # gram, checked around each re-sync and through T=10000 updates
+        gen = np.random.default_rng(dim)
+        state = _RidgeState(dim, 1.0)
+        every = _RidgeState.RESYNC_EVERY
+        checks = {1, 2, 9999, 10000} | {
+            m * every + off for m in range(1, 10) for off in (-1, 0, 1)}
+        worst_mean = worst_quad = 0.0
+        for t in range(1, 10001):
+            state.add(gen.uniform(-1, 1, dim), float(gen.choice([-1.0, 1.0])))
+            if t in checks or t % 250 == 0:
+                feats = gen.uniform(-1, 1, (25, dim))
+                mean, quad = state.predict(feats)
+                solved = np.linalg.solve(state.gram, feats.T)
+                worst_mean = max(worst_mean,
+                                 np.abs(mean - state.moment @ solved).max())
+                worst_quad = max(worst_quad, np.abs(
+                    quad - np.sum(feats.T * solved, axis=0)).max())
+        assert worst_mean <= 1e-12
+        assert worst_quad <= 1e-12
+
+    def test_inverse_recomputed_from_the_gram_at_each_resync(self):
+        gen = np.random.default_rng(3)
+        state = _RidgeState(4, 0.5)
+        for _ in range(2 * _RidgeState.RESYNC_EVERY):
+            state.add(gen.uniform(-1, 1, 4), 1.0)
+        assert np.array_equal(state._inv, np.linalg.inv(state.gram))
 
 
 class TestOgdForecaster:

@@ -68,13 +68,13 @@ DIGESTS = {
         "summary.csv": "4b810124c603b99684067a2b9e601e38c9398431dd67fd7158937a99236395cd",
     },
     "ccelindb-linear5": {
-        "rounds_seed0.csv": "b33c855a79910d4ab3d5dc9a112a93bbcd15eedc8a5787cb8cdf1240168ac445",
-        "rounds_seed1.csv": "8d45203cfcef6ac9bc079feae39cd44e60b24b5d47dce35e5f0f7a895a4f3e84",
+        "rounds_seed0.csv": "a3a314106baf2e89474b34b11ca8ce16c4253ffe9d64a186445a8a05ef9ab0a3",
+        "rounds_seed1.csv": "c7979e07a69095270014e3e9dc9abbbde082fee44a453986d7b71c837a8ee63c",
         "summary.csv": "34c98f3674a6d42f199e3179c021af267762d02775402ecf69d712dc96002acc",
     },
     "ccelindb-linear4-rescale": {
-        "rounds_seed0.csv": "3d6d91649e68be7314386c1898ca49a9a67679d899ecc0cf5d680368d6d086d3",
-        "rounds_seed1.csv": "ca84b3e797f9821ebee589be91c28a44530e08a7ef3b7b1d016dc00f0725a86a",
+        "rounds_seed0.csv": "1ddee7efeb64649837310de906d38599e898a51b5adc8f6e7c5150cd872204a9",
+        "rounds_seed1.csv": "f5ef1d166754ea6bbeacb3124f61620c6fe2d0b90ee7217d06d3d5fdca8805eb",
         "summary.csv": "9ef1b94675814e0f93e4e1df0bb22d0dee7b913fba40ec2375eb5622e110eb22",
     },
     "minmaxdb-finite3-nash": {
