@@ -44,7 +44,6 @@ from .harness import ExperimentConfig, RunSummary, aggregate, run_experiment
 from .oracles import (
     FiniteClassAggregator,
     OgdForecaster,
-    OracleInput,
     RegretBudget,
     VawForecaster,
     regret_budget,
@@ -66,7 +65,6 @@ __all__ = [
     "LinearRealizableEnvironment",
     "MinMaxDb",
     "OgdForecaster",
-    "OracleInput",
     "PreferenceMatrix",
     "RegretBudget",
     "RegretLedger",

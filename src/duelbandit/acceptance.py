@@ -39,7 +39,7 @@ from .games import (
 )
 from .games.grid_oracle import cce_grid_min_violation
 from .harness import ExperimentConfig, run_experiment
-from .oracles import FiniteClassAggregator, OracleInput, VawForecaster, regret_budget
+from .oracles import FiniteClassAggregator, VawForecaster, regret_budget
 from .rng import RngHandle
 
 
@@ -265,15 +265,16 @@ def criterion_7() -> tuple[bool, str]:
         w = gen.uniform(-1.0, 1.0, d)
         w /= max(1.0, float(np.linalg.norm(w)))
         oracle = VawForecaster(d)
+        pair = np.zeros((2, 2, d))  # the features of the pair (0, 1)
         err = 0.0
         for _ in range(horizon):
             x = gen.uniform(-1.0, 1.0, d)
             x /= max(1.0, abs(float(w @ x)))
             target = float(w @ x)
-            z = OracleInput(x, 0, 1)
-            err += (oracle.predict(z) - target) ** 2
+            pair[0, 1], pair[1, 0] = x, -x
+            err += (oracle.predict_matrix(pair)[0, 1] - target) ** 2
             label = 1.0 if gen.random() < (target + 1.0) / 2.0 else -1.0
-            oracle.update(z, label)
+            oracle.update(pair, 0, 1, label)
         worst_vaw = max(worst_vaw, err)
     vaw_ok = worst_vaw <= vaw_budget
 
@@ -289,11 +290,10 @@ def criterion_7() -> tuple[bool, str]:
         err = 0.0
         for _ in range(horizon):
             a, b = pairs[int(gen.integers(0, 3))]
-            z = OracleInput(0, a, b)
             target = tables[truth, 0, a, b]
-            err += (oracle.predict(z) - target) ** 2
+            err += (oracle.predict_matrix(0)[a, b] - target) ** 2
             label = 1.0 if gen.random() < (target + 1.0) / 2.0 else -1.0
-            oracle.update(z, label)
+            oracle.update(0, a, b, label)
         worst_fin = max(worst_fin, err)
     fin_ok = worst_fin <= fin_budget
     return vaw_ok and fin_ok, (

@@ -19,7 +19,7 @@ from .core import (
 )
 from .errors import GammaTooSmall, HorizonTooShort
 from .games import SolverConfig, solve_cce, solve_minmax_feasibility
-from .oracles import OracleInput, RegretBudget, _RidgeState
+from .oracles import RegretBudget, _RidgeState
 from .rng import RngHandle
 
 UNEXPLORED_WIDTH_CAP = 2.0  # diameter of the payoff range [-1, 1]
@@ -39,6 +39,25 @@ def default_gamma(k: int, horizon: int, budget: RegretBudget) -> float:
             f"T={horizon} below 4K*RegSq(T)={4.0 * k * reg:.1f}"
         )
     return float(np.sqrt(20.0 * k * horizon / reg))
+
+
+def _cce_round(learner, mean: np.ndarray, width: np.ndarray, rng: RngHandle,
+               basis: list | None = None):
+    """The CCE learners' common round tail.
+
+    Zeroes the diagonal of the upper matrix mean + width, solves its CCE
+    (from the caller's simplex `basis`, if it keeps one), publishes the
+    round's snapshot on `learner` and samples a duel from the joint.
+    """
+    upper = mean + width
+    upper.flat[::upper.shape[0] + 1] = 0.0  # the diagonal
+    report = solve_cce(upper, learner.solver_config, warm_start=basis)
+    joint = report.point
+    learner.last_mean = mean
+    learner.last_confidence = width
+    learner.last_upper = upper
+    learner.last_iterations = report.iterations
+    return joint, sample_joint(joint, rng)
 
 
 class CceDb:
@@ -67,8 +86,8 @@ class CceDb:
     def counts(self) -> np.ndarray:
         return self.wins + self.wins.T
 
-    def _statistics(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mean, width and upper confidence matrices of this round.
+    def _statistics(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and width matrices of this round.
 
         A pair duelled n > 0 times has mean 2 wins / n - 1 and width
         sqrt(log_term / n); an unexplored pair has mean 0 and width
@@ -91,22 +110,14 @@ class CceDb:
                           max(1.0, 0.5 * log_term / UNEXPLORED_WIDTH_CAP ** 2))
         mean = np.subtract(self.wins / half_n, explored)
         width = np.sqrt(0.5 * log_term / half_n)
-        upper = mean + width
-        upper.flat[::k + 1] = 0.0  # the diagonal
-        return mean, width, upper
+        return mean, width
 
     def select(self, context, rng: RngHandle):
         """Solve the CCE of the current upper matrix and sample a duel."""
-        mean, width, upper = self._statistics()
+        mean, width = self._statistics()
         # the upper matrix moves little between rounds, so the previous
         # round's basis usually still gives a CCE
-        report = solve_cce(upper, self.solver_config, warm_start=self._basis)
-        joint = report.point
-        self.last_mean = mean
-        self.last_confidence = width
-        self.last_upper = upper
-        self.last_iterations = report.iterations
-        return joint, sample_joint(joint, rng)
+        return _cce_round(self, mean, width, rng, self._basis)
 
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:
         if outcome not in (-1, 1):
@@ -156,15 +167,7 @@ class CceLinDb:
         mean = mean.reshape(k, k)
         width = np.sqrt(np.maximum(quad, 0.0, out=quad), out=quad).reshape(k, k)
         width *= self.width_multiplier  # the width the upper matrix adds
-        upper = mean + width
-        upper.flat[::k + 1] = 0.0  # the diagonal
-        report = solve_cce(upper, self.solver_config)
-        joint = report.point
-        self.last_mean = mean
-        self.last_confidence = width
-        self.last_upper = upper
-        self.last_iterations = report.iterations
-        return joint, sample_joint(joint, rng)
+        return _cce_round(self, mean, width, rng)
 
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:
         if outcome not in (-1, 1):
@@ -196,18 +199,9 @@ class MinMaxDb:
         self.last_violation = 0.0
         self.last_iterations = 0
 
-    def _predict_pairs(self, context) -> np.ndarray:
-        """One batched oracle call: a context-indexed table
-        (`predict_matrix`) or per-pair feature vectors (`predict_features`)."""
-        oracle = self.oracle
-        if hasattr(oracle, "predict_matrix"):
-            return oracle.predict_matrix(context)[self._triu]
-        x = np.asarray(context, dtype=np.float64)
-        return oracle.predict_features(x[self._triu])
-
     def select(self, context, rng: RngHandle):
-        predictions = self._predict_pairs(context)
-        y_hat = skew_complete(predictions, self.k)
+        y_hat = skew_complete(
+            self.oracle.predict_matrix(context)[self._triu], self.k)
         report = solve_minmax_feasibility(
             y_hat, self.gamma, self.solver_config,
             warm_start=self.last_marginal,
@@ -228,5 +222,5 @@ class MinMaxDb:
             # canonical pair order; the target is skew, so flip the label
             if a > b:
                 a, b, outcome = b, a, -outcome
-            self.oracle.update(OracleInput(context, a, b), float(outcome))
+            self.oracle.update(context, a, b, float(outcome))
         self.t += 1

@@ -181,7 +181,7 @@ def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def skew_complete(upper_values, k: int | None = None) -> PreferenceMatrix:
+def skew_complete(upper_values, k: int) -> PreferenceMatrix:
     """Build a preference matrix from one value per pair a < b.
 
     Values are taken row by row over the upper triangle: (0, 1), (0, 2),
@@ -191,9 +191,6 @@ def skew_complete(upper_values, k: int | None = None) -> PreferenceMatrix:
     without `PreferenceMatrix`'s checks.
     """
     vals = np.asarray(upper_values, dtype=np.float64).ravel()
-    if k is None:
-        # n = k(k-1)/2  =>  k = (1 + sqrt(1 + 8n)) / 2
-        k = int(round((1.0 + np.sqrt(1.0 + 8.0 * vals.size)) / 2.0))
     if vals.size != k * (k - 1) // 2:
         raise ValueError(
             f"need {k * (k - 1) // 2} pair values for k={k}, got {vals.size}"

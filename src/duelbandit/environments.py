@@ -72,8 +72,6 @@ class Environment:
     truth is the context's conditional-mean matrix, so the round loop needs
     no second call; ground_truth maps a context back to that same matrix."""
 
-    kind = "abstract"
-
     @property
     def k(self) -> int:
         raise NotImplementedError
@@ -87,8 +85,6 @@ class Environment:
 
 class FixedMatrixEnvironment(Environment):
     """Singleton context; every round realizes the same matrix."""
-
-    kind = "fixed"
 
     def __init__(self, matrix: PreferenceMatrix, perturbation: float = 0.0):
         self.matrix = matrix
@@ -113,8 +109,6 @@ class FixedMatrixEnvironment(Environment):
 
 class FiniteClassEnvironment(Environment):
     """Uniform contexts over a finite grid; truth is one table of a known class."""
-
-    kind = "finite_class"
 
     def __init__(self, tables: np.ndarray, truth_index: int,
                  perturbation: float = 0.0):
@@ -160,8 +154,6 @@ class LinearRealizableEnvironment(Environment):
     any linear model are skew by linearity; each draw is rescaled so the
     ground-truth entries land in [-1, 1].
     """
-
-    kind = "linear"
 
     def __init__(self, k: int, weight: np.ndarray):
         k = int(k)

@@ -103,7 +103,6 @@ class RunSummary:
     wall_clock_s: float = 0.0
     solver_iterations: int = 0
     confidence_violations: int | None = None
-    gamma: float | None = None
     status: str = "ok"
 
     def csv_row(self) -> str:
@@ -337,8 +336,7 @@ def run_single_seed(config: ExperimentConfig, seed: int):
     learner_rng = root.substream("learner")
     outcome_rng = root.substream("outcome")
 
-    summary = RunSummary(seed=seed, horizon=config.horizon,
-                         gamma=getattr(learner, "gamma", None))
+    summary = RunSummary(seed=seed, horizon=config.horizon)
     keep_rows = config.output_dir is not None
     rows = []  # (arm_a, arm_b, outcome, solver_iters) per booked round
     violations = 0
@@ -397,7 +395,7 @@ def _round_lines(seed: int, gamma: float | None, rows: list,
 def _normalized_br(config, env, learner, ledger) -> float:
     t = max(ledger.rounds, 1)
     k = env.k
-    if isinstance(learner, MinMaxDb) and hasattr(learner.oracle, "regret_budget"):
+    if isinstance(learner, MinMaxDb):
         reg = learner.oracle.regret_budget()(t)
         return float(ledger.final_br / np.sqrt(k * t * max(reg, 1e-12)))
     return float(ledger.final_br / (k * np.log(k * t) * np.sqrt(t)))

@@ -1,9 +1,12 @@
 """Online square-loss regression oracles with predict-then-update semantics.
 
-Inputs are (context, a, b) triples; labels are the raw duel outcomes in
-{-1, +1}, whose conditional mean is exactly the ground-truth preference
-entry, so no recentering is applied. `predict` is pure (no state change);
-`update` mutates the single-owner state.
+Every oracle answers two calls. `predict_matrix(context)` returns the K x K
+skew matrix of its forecasts for every pair of the context and changes no
+state. `update(context, a, b, y)` folds in the label y of the pair (a, b).
+Labels are the raw duel outcomes in {-1, +1}, whose conditional mean is
+exactly the ground-truth preference entry, so no recentering is applied.
+A finite-class context is an integer id; a linear context is the
+(K, K, d) tensor of pair features.
 
 Implemented: weighted-average exponential aggregation over a finite class,
 the ridge forecaster that folds the current input into its design before
@@ -18,20 +21,12 @@ from typing import Callable
 
 import numpy as np
 
+from .core import pair_indices
 from .errors import DimensionMismatch, UnsupportedOracle
 
 EXP_WEIGHTS_ETA = 0.125  # square loss on [-1,1] predictions is 1/8-exp-concave
 
 _UNSUPPORTED_KINDS = ("glm", "glmtron", "rkhs", "kernel", "banach")
-
-
-@dataclass(frozen=True)
-class OracleInput:
-    """One regression input: a context (id or feature tensor) and an arm pair."""
-
-    context: object
-    a: int
-    b: int
 
 
 @dataclass(frozen=True)
@@ -93,8 +88,6 @@ class FiniteClassAggregator:
     weight-weighted mean of hypothesis predictions.
     """
 
-    kind = "finite"
-
     def __init__(self, tables: np.ndarray, eta: float = EXP_WEIGHTS_ETA):
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 4:
@@ -113,22 +106,18 @@ class FiniteClassAggregator:
         w = np.exp(self.log_weights - self.log_weights.max())
         return w / w.sum()
 
-    def _cell(self, z: OracleInput) -> np.ndarray:
-        x = int(z.context)
+    def _context(self, context) -> int:
+        x = int(context)
         if not 0 <= x < self.tables.shape[1]:
             raise DimensionMismatch(f"context id {x} outside table")
-        return self.tables[:, x, z.a, z.b]
-
-    def predict(self, z: OracleInput) -> float:
-        return float(self.weights @ self._cell(z))
+        return x
 
     def predict_matrix(self, context) -> np.ndarray:
-        """All-pairs forecast for one context (used by the pair-querying loop)."""
-        x = int(context)
-        return np.einsum("f,fij->ij", self.weights, self.tables[:, x])
+        return np.einsum("f,fij->ij", self.weights,
+                         self.tables[:, self._context(context)])
 
-    def update(self, z: OracleInput, y: float) -> None:
-        preds = self._cell(z)
+    def update(self, context, a: int, b: int, y: float) -> None:
+        preds = self.tables[:, self._context(context), a, b]
         self.log_weights = self.log_weights - self.eta * (preds - y) ** 2
         self._n_updates += 1
         if self._n_updates % 512 == 0:
@@ -138,14 +127,29 @@ class FiniteClassAggregator:
         return regret_budget("finite", class_size=self.class_size)
 
 
-def _pair_feature(z: OracleInput, dim: int) -> np.ndarray:
-    """Feature vector for a pair: either z.context is it, or a (K,K,d) tensor."""
-    x = np.asarray(z.context, dtype=np.float64)
-    if x.ndim == 3:
-        x = x[z.a, z.b]
-    if x.shape != (dim,):
-        raise DimensionMismatch(f"feature shape {x.shape}, expected ({dim},)")
+def _features(context, dim: int) -> np.ndarray:
+    """A linear context: the (K, K, dim) tensor of pair features."""
+    x = np.asarray(context, dtype=np.float64)
+    if x.ndim != 3 or x.shape[2] != dim:
+        raise DimensionMismatch(
+            f"context has shape {x.shape}, expected (K, K, {dim})")
     return x
+
+
+def _skew_forecasts(context, dim: int, forecast) -> np.ndarray:
+    """The K x K skew matrix of `forecast` over a linear context's pairs.
+
+    `forecast` runs on the pair rows x[a, b], a < b, only; its values are
+    copied into the upper triangle and negated into the lower one, so each
+    entry has the bits of its pair row's forecast.
+    """
+    x = _features(context, dim)
+    k = x.shape[0]
+    triu = pair_indices(k)
+    m = np.zeros((k, k))
+    m[triu] = forecast(x[triu])
+    m -= m.T
+    return m
 
 
 class _RidgeState:
@@ -184,8 +188,6 @@ class VawForecaster:
     b^T (A + x x^T)^{-1} x = b^T A^{-1} x / (1 + x^T A^{-1} x).
     """
 
-    kind = "vaw"
-
     def __init__(self, dim: int, ridge: float = 1.0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
@@ -193,19 +195,16 @@ class VawForecaster:
         self.ridge = float(ridge)
         self.state = _RidgeState(self.dim, self.ridge)
 
-    def predict(self, z: OracleInput) -> float:
-        return float(self.predict_features(_pair_feature(z, self.dim)[None, :])[0])
-
-    def predict_features(self, feats: np.ndarray) -> np.ndarray:
+    def _forecast(self, feats: np.ndarray) -> np.ndarray:
         """Batched forecasts; rank-one identity avoids per-row solves."""
-        feats = np.asarray(feats, dtype=np.float64)
-        if feats.shape[1] != self.dim:
-            raise DimensionMismatch(f"features have dim {feats.shape[1]}")
         mean, quad = self.state.predict(feats)
         return mean / (1.0 + quad)
 
-    def update(self, z: OracleInput, y: float) -> None:
-        self.state.add(_pair_feature(z, self.dim), y)
+    def predict_matrix(self, context) -> np.ndarray:
+        return _skew_forecasts(context, self.dim, self._forecast)
+
+    def update(self, context, a: int, b: int, y: float) -> None:
+        self.state.add(_features(context, self.dim)[a, b], y)
 
     def regret_budget(self) -> RegretBudget:
         return regret_budget("vaw", dim=self.dim, ridge=self.ridge)
@@ -219,8 +218,6 @@ class OgdForecaster:
     onto the L2 ball of the given radius.
     """
 
-    kind = "ogd"
-
     def __init__(self, dim: int, horizon: int, radius: float = 1.0,
                  feature_bound: float = 1.0):
         if dim < 1 or horizon < 1:
@@ -232,17 +229,11 @@ class OgdForecaster:
         self.step = radius / (lip * np.sqrt(horizon))
         self.theta = np.zeros(dim)
 
-    def predict(self, z: OracleInput) -> float:
-        return float(self.theta @ _pair_feature(z, self.dim))
+    def predict_matrix(self, context) -> np.ndarray:
+        return _skew_forecasts(context, self.dim, lambda feats: feats @ self.theta)
 
-    def predict_features(self, feats: np.ndarray) -> np.ndarray:
-        feats = np.asarray(feats, dtype=np.float64)
-        if feats.shape[1] != self.dim:
-            raise DimensionMismatch(f"features have dim {feats.shape[1]}")
-        return feats @ self.theta
-
-    def update(self, z: OracleInput, y: float) -> None:
-        x = _pair_feature(z, self.dim)
+    def update(self, context, a: int, b: int, y: float) -> None:
+        x = _features(context, self.dim)[a, b]
         grad = 2.0 * (self.theta @ x - y) * x
         theta = self.theta - self.step * grad
         norm = np.linalg.norm(theta)

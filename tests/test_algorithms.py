@@ -8,7 +8,6 @@ from duelbandit.games import cce_deviation_matrix, cce_violation, minmax_violati
 from duelbandit.harness import build_environment, build_learner
 from duelbandit.oracles import (
     FiniteClassAggregator,
-    OracleInput,
     RegretBudget,
     VawForecaster,
 )
@@ -261,11 +260,11 @@ class TestMinMaxDb:
             def __init__(self):
                 self.calls = []
 
-            def update(self, z, y):
-                self.calls.append((z.a, z.b, y))
+            def update(self, context, a, b, y):
+                self.calls.append((a, b, y))
 
-            def predict(self, z):
-                return 0.0
+            def predict_matrix(self, context):
+                return np.zeros((3, 3))
 
         rec = Recorder()
         learner = MinMaxDb(3, 10.0, rec)

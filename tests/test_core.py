@@ -70,7 +70,7 @@ class TestValidatePreferenceMatrix:
 
 class TestSkewComplete:
     def test_two_arm_direct(self):
-        m = skew_complete([0.3])
+        m = skew_complete([0.3], k=2)
         assert np.array_equal(m.entries, [[0, 0.3], [-0.3, 0]])
 
     def test_zero_values_give_zero_matrix(self):
@@ -79,7 +79,7 @@ class TestSkewComplete:
 
     def test_out_of_range_clamped_and_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="duelbandit.core"):
-            m = skew_complete([1.7])
+            m = skew_complete([1.7], k=2)
         assert np.array_equal(m.entries, [[0, 1], [-1, 0]])
         assert any("clamped" in r.message for r in caplog.records)
 

@@ -5,7 +5,6 @@ from duelbandit.errors import DimensionMismatch, UnsupportedOracle
 from duelbandit.oracles import (
     FiniteClassAggregator,
     OgdForecaster,
-    OracleInput,
     VawForecaster,
     _RidgeState,
     regret_budget,
@@ -22,51 +21,72 @@ def constant_tables(values, k=2):
     return tabs
 
 
+def pair_context(x):
+    """The (2, 2, d) feature tensor of two arms whose pair (0, 1) has
+    features x."""
+    x = np.asarray(x, dtype=np.float64)
+    tensor = np.zeros((2, 2, x.size))
+    tensor[0, 1], tensor[1, 0] = x, -x
+    return tensor
+
+
+def antisymmetric_features(gen, k, d):
+    x = gen.uniform(-1, 1, (k, k, d))
+    return (x - x.transpose(1, 0, 2)) / 2
+
+
 class TestFiniteClassAggregator:
     def test_single_hypothesis_is_constant(self):
         oracle = FiniteClassAggregator(constant_tables([0.4]))
-        z = OracleInput(0, 0, 1)
-        assert oracle.predict(z) == pytest.approx(0.4)
-        oracle.update(z, -1.0)
-        assert oracle.predict(z) == pytest.approx(0.4)
+        assert oracle.predict_matrix(0)[0, 1] == pytest.approx(0.4)
+        oracle.update(0, 0, 1, -1.0)
+        assert oracle.predict_matrix(0)[0, 1] == pytest.approx(0.4)
 
     def test_update_shifts_weight_toward_better_hypothesis(self):
         oracle = FiniteClassAggregator(constant_tables([-1.0, 1.0]))
-        z = OracleInput(0, 0, 1)
         before = oracle.weights.copy()
-        oracle.update(z, 1.0)  # losses: 4 vs 0
+        oracle.update(0, 0, 1, 1.0)  # losses: 4 vs 0
         after = oracle.weights
         assert before[1] == pytest.approx(0.5)
         assert after[1] > after[0]
 
     def test_prediction_is_pure(self):
         oracle = FiniteClassAggregator(constant_tables([-0.5, 0.5, 0.1]))
-        z = OracleInput(0, 0, 1)
-        assert oracle.predict(z) == oracle.predict(z)
+        assert np.array_equal(oracle.predict_matrix(0), oracle.predict_matrix(0))
 
-    def test_predict_matrix_matches_scalar_path(self):
+    def test_predict_matrix_is_the_weighted_mean_of_the_tables(self):
+        # sum_f w_f tables[f, x], written out hypothesis by hypothesis, on
+        # the context asked for and after updates that make w non-uniform
         gen = np.random.default_rng(0)
         raw = gen.uniform(-0.8, 0.8, (5, 2, 3, 3))
         tabs = np.triu(raw, 1) - np.triu(raw, 1).transpose(0, 1, 3, 2)
         oracle = FiniteClassAggregator(tabs)
-        oracle.update(OracleInput(1, 0, 2), 1.0)
-        m = oracle.predict_matrix(1)
-        for a in range(3):
-            for b in range(3):
-                assert m[a, b] == pytest.approx(
-                    oracle.predict(OracleInput(1, a, b)), abs=1e-12
-                )
+        for a, b, y in [(0, 2, 1.0), (1, 2, -1.0), (0, 1, 1.0)]:
+            oracle.update(1, a, b, y)
+        w = oracle.weights
+        assert np.ptp(w) > 0.01
+        for x in (0, 1):
+            expected = sum(w[f] * tabs[f, x] for f in range(5))
+            assert np.abs(oracle.predict_matrix(x) - expected).max() <= 1e-12
 
     def test_context_out_of_range(self):
         oracle = FiniteClassAggregator(constant_tables([0.0]))
         with pytest.raises(DimensionMismatch):
-            oracle.predict(OracleInput(3, 0, 1))
+            oracle.predict_matrix(3)
+
+    @pytest.mark.parametrize("context", [-1, 2])
+    def test_predict_and_update_check_the_context_id(self, context):
+        tabs = np.zeros((3, 2, 2, 2))
+        oracle = FiniteClassAggregator(tabs)
+        with pytest.raises(DimensionMismatch):
+            oracle.predict_matrix(context)
+        with pytest.raises(DimensionMismatch):
+            oracle.update(context, 0, 1, 1.0)
 
     def test_weights_stay_normalized_over_long_streams(self):
         oracle = FiniteClassAggregator(constant_tables([-0.9, 0.0, 0.9]))
-        z = OracleInput(0, 0, 1)
         for _ in range(2000):
-            oracle.update(z, 1.0)
+            oracle.update(0, 0, 1, 1.0)
         assert np.isfinite(oracle.log_weights).all()
         assert oracle.weights.sum() == pytest.approx(1.0)
 
@@ -74,22 +94,22 @@ class TestFiniteClassAggregator:
 class TestVawForecaster:
     def test_zero_prior_predicts_zero(self):
         oracle = VawForecaster(1)
-        assert oracle.predict(OracleInput(np.array([1.0]), 0, 1)) == 0.0
+        assert oracle.predict_matrix(pair_context([1.0]))[0, 1] == 0.0
 
     def test_one_observation_closed_form(self):
         # d=1, ridge=1, history {(x=1, y=1)}: (1 + 1 + 1)^-1 * 1 = 1/3
         oracle = VawForecaster(1)
-        z = OracleInput(np.array([1.0]), 0, 1)
-        oracle.update(z, 1.0)
-        assert oracle.predict(z) == pytest.approx(1.0 / 3.0)
+        z = pair_context([1.0])
+        oracle.update(z, 0, 1, 1.0)
+        assert oracle.predict_matrix(z)[0, 1] == pytest.approx(1.0 / 3.0)
 
     def test_repeated_observations_approach_one(self):
         oracle = VawForecaster(1)
-        z = OracleInput(np.array([1.0]), 0, 1)
+        z = pair_context([1.0])
         prev = 0.0
         for n in range(1, 30):
-            oracle.update(z, 1.0)
-            pred = oracle.predict(z)
+            oracle.update(z, 0, 1, 1.0)
+            pred = oracle.predict_matrix(z)[0, 1]
             assert pred == pytest.approx(n / (n + 2.0))
             assert pred > prev
             prev = pred
@@ -98,8 +118,8 @@ class TestVawForecaster:
         gen = np.random.default_rng(1)
         oracle = VawForecaster(3, ridge=0.5)
         for _ in range(200):
-            z = OracleInput(gen.uniform(-1, 1, 3), 0, 1)
-            oracle.update(z, float(gen.choice([-1.0, 1.0])))
+            z = pair_context(gen.uniform(-1, 1, 3))
+            oracle.update(z, 0, 1, float(gen.choice([-1.0, 1.0])))
         eigs = np.linalg.eigvalsh(oracle.state.gram)
         assert eigs.min() >= 0.5 - 1e-9
 
@@ -113,24 +133,42 @@ class TestVawForecaster:
         for _ in range(300):
             x = gen.uniform(-1, 1, d)
             expected = moment @ np.linalg.solve(gram + np.outer(x, x), x)
-            got = oracle.predict(OracleInput(x, 0, 1))
+            got = oracle.predict_matrix(pair_context(x))[0, 1]
             assert got == pytest.approx(expected, abs=1e-9)
             y = float(gen.choice([-1.0, 1.0]))
-            oracle.update(OracleInput(x, 0, 1), y)
+            oracle.update(pair_context(x), 0, 1, y)
             gram += np.outer(x, x)
             moment += y * x
 
     def test_prediction_is_pure(self):
         gen = np.random.default_rng(9)
         oracle = VawForecaster(2)
-        oracle.update(OracleInput(gen.uniform(-1, 1, 2), 0, 1), 1.0)
-        z = OracleInput(gen.uniform(-1, 1, 2), 0, 1)
-        assert oracle.predict(z) == oracle.predict(z)
+        oracle.update(pair_context(gen.uniform(-1, 1, 2)), 0, 1, 1.0)
+        z = antisymmetric_features(gen, 4, 2)
+        assert np.array_equal(oracle.predict_matrix(z), oracle.predict_matrix(z))
 
     def test_dimension_mismatch(self):
         oracle = VawForecaster(2)
         with pytest.raises(DimensionMismatch):
-            oracle.predict(OracleInput(np.array([1.0, 2.0, 3.0]), 0, 1))
+            oracle.predict_matrix(pair_context([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionMismatch):
+            oracle.update(pair_context([1.0, 2.0, 3.0]), 0, 1, 1.0)
+
+    def test_predict_matrix_is_skew_with_the_pair_row_bits(self):
+        # the upper triangle is mean / (1 + quad) computed on the pair rows
+        # x[triu] alone, the lower one its exact negation
+        gen = np.random.default_rng(4)
+        k, d = 5, 3
+        oracle = VawForecaster(d)
+        triu = np.triu_indices(k, 1)
+        for _ in range(20):
+            x = antisymmetric_features(gen, k, d)
+            m = oracle.predict_matrix(x)
+            mean, quad = oracle.state.predict(x[triu])
+            assert m[triu].tobytes() == (mean / (1.0 + quad)).tobytes()
+            assert np.array_equal(m, -m.T)
+            assert (np.diagonal(m) == 0.0).all()
+            oracle.update(x, 0, 2, float(gen.choice([-1.0, 1.0])))
 
 
 class TestRidgeState:
@@ -169,15 +207,37 @@ class TestOgdForecaster:
     def test_single_step_arithmetic(self):
         oracle = OgdForecaster(2, horizon=16)
         oracle.step = 0.25
-        oracle.update(OracleInput(np.array([1.0, 0.0]), 0, 1), 1.0)
+        oracle.update(pair_context([1.0, 0.0]), 0, 1, 1.0)
         assert np.allclose(oracle.theta, [0.5, 0.0])
+
+    def test_predict_matrix_is_skew_with_the_pair_row_bits(self):
+        # at d=8 numpy's matmul bits depend on the row count, so forecasts
+        # over all K^2 rows would differ from these
+        gen = np.random.default_rng(6)
+        k, d = 5, 8
+        oracle = OgdForecaster(d, horizon=100)
+        triu = np.triu_indices(k, 1)
+        for _ in range(20):
+            oracle.theta = gen.uniform(-0.5, 0.5, d)
+            x = antisymmetric_features(gen, k, d)
+            m = oracle.predict_matrix(x)
+            assert m[triu].tobytes() == (x[triu] @ oracle.theta).tobytes()
+            assert np.array_equal(m, -m.T)
+            assert (np.diagonal(m) == 0.0).all()
+
+    def test_dimension_mismatch(self):
+        oracle = OgdForecaster(2, horizon=16)
+        with pytest.raises(DimensionMismatch):
+            oracle.predict_matrix(pair_context([1.0, 2.0, 3.0]))
+        with pytest.raises(DimensionMismatch):
+            oracle.update(pair_context([1.0, 2.0, 3.0]), 0, 1, 1.0)
 
     def test_iterates_stay_in_ball(self):
         gen = np.random.default_rng(3)
         oracle = OgdForecaster(3, horizon=100, radius=0.7)
         for _ in range(500):
             x = gen.uniform(-1, 1, 3)
-            oracle.update(OracleInput(x, 0, 1), float(gen.choice([-1.0, 1.0])))
+            oracle.update(pair_context(x), 0, 1, float(gen.choice([-1.0, 1.0])))
             assert np.linalg.norm(oracle.theta) <= 0.7 + 1e-12
 
 
@@ -218,10 +278,10 @@ def _realizable_linear_stream(oracle_factory, seed, d=3, horizon=2000):
         x = gen.uniform(-1, 1, d)
         x /= max(1.0, abs(float(w @ x)))
         target = float(w @ x)
-        z = OracleInput(x, 0, 1)
-        err += (oracle.predict(z) - target) ** 2
+        z = pair_context(x)
+        err += (oracle.predict_matrix(z)[0, 1] - target) ** 2
         y = 1.0 if gen.random() < (target + 1) / 2 else -1.0
-        oracle.update(z, y)
+        oracle.update(z, 0, 1, y)
     return err, oracle
 
 
@@ -259,10 +319,9 @@ class TestRealizableStreams:
         for _ in range(2000):
             a, b = pairs[int(gen.integers(0, 3))]
             target = tabs[truth, 0, a, b]
-            z = OracleInput(0, a, b)
-            err += (oracle.predict(z) - target) ** 2
+            err += (oracle.predict_matrix(0)[a, b] - target) ** 2
             y = 1.0 if gen.random() < (target + 1) / 2 else -1.0
-            oracle.update(z, y)
+            oracle.update(0, a, b, y)
         literal = oracle.regret_budget()(2000)
         print(f"finite seed={seed}: err={err:.2f} literal={literal:.2f}")
         assert err <= 4 * literal
@@ -273,13 +332,12 @@ class TestRegretVersusOfflineBest:
         # alternating labels; compare to the best single hypothesis in hindsight
         tabs = constant_tables([-0.5, 0.0, 0.5, 0.9])
         oracle = FiniteClassAggregator(tabs)
-        z = OracleInput(0, 0, 1)
         horizon = 1000
         labels = [1.0 if t % 3 else -1.0 for t in range(horizon)]
         online = 0.0
         for y in labels:
-            online += (oracle.predict(z) - y) ** 2
-            oracle.update(z, y)
+            online += (oracle.predict_matrix(0)[0, 1] - y) ** 2
+            oracle.update(0, 0, 1, y)
         values = tabs[:, 0, 0, 1]
         offline = min(((v - np.array(labels)) ** 2).sum() for v in values)
         assert online - offline <= oracle.regret_budget()(horizon) + 1.0
@@ -293,9 +351,9 @@ class TestRegretVersusOfflineBest:
         for t in range(horizon):
             x = gen.uniform(-1, 1, d)
             y = 1.0 if (t // 7) % 2 else -1.0
-            z = OracleInput(x, 0, 1)
-            online += (oracle.predict(z) - y) ** 2
-            oracle.update(z, y)
+            z = pair_context(x)
+            online += (oracle.predict_matrix(z)[0, 1] - y) ** 2
+            oracle.update(z, 0, 1, y)
             xs.append(x)
             ys.append(y)
         xs = np.array(xs)
