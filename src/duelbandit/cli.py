@@ -28,6 +28,9 @@ from .harness import (
     run_experiment,
 )
 
+# what bad input raises; json.JSONDecodeError is a ValueError
+_INPUT_ERRORS = (OSError, ValueError, KeyError, DuelBanditError)
+
 
 def load_matrix(path: str) -> np.ndarray:
     """Matrix from a JSON file ({"entries": [[...]]}) or whitespace text."""
@@ -51,8 +54,7 @@ def _cmd_run(args) -> int:
             raw["diagnostic"] = True
         config = ExperimentConfig.from_dict(raw)
         check_config(config)
-    except (OSError, ValueError, KeyError, DuelBanditError,
-            json.JSONDecodeError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     summaries, _ = run_experiment(config)
@@ -71,12 +73,12 @@ def _cmd_solve_cce(args) -> int:
         u = load_matrix(args.matrix)
         # solve_cce rejects a non-square or non-finite matrix with ValueError
         report = solve_cce(u, SolverConfig())
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except DuelBanditError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
+    except _INPUT_ERRORS as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     joint = report.point
     print(f"backend: {backend_name()}")
     print(f"iterations: {report.iterations}")
@@ -94,8 +96,7 @@ def _cmd_solve_cce(args) -> int:
 def _cmd_solve_igw(args) -> int:
     try:
         y = PreferenceMatrix(load_matrix(args.matrix))
-    except (OSError, ValueError, KeyError, DuelBanditError,
-            json.JSONDecodeError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -152,7 +153,12 @@ def _cmd_aggregate(args) -> int:
     for root, _dirs, files in os.walk(args.input):
         for name in sorted(files):
             if name == "summary.csv":
-                summaries.extend(_parse_summary_csv(os.path.join(root, name)))
+                path = os.path.join(root, name)
+                try:
+                    summaries.extend(_parse_summary_csv(path))
+                except _INPUT_ERRORS as exc:
+                    print(f"config error: {path}: {exc}", file=sys.stderr)
+                    return 1
     if not summaries:
         print(f"config error: no summary.csv under {args.input}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ generating function is a member of the hypothesis class handed to the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
 
 import numpy as np
 
@@ -41,17 +41,24 @@ def hardness(eps: float) -> PreferenceMatrix:
     return PreferenceMatrix([[0, 1, 0], [-1, 0, eps], [0, -eps, 0]])
 
 
-@dataclass(frozen=True)
-class NamedFixture:
-    name: str
-    matrix: PreferenceMatrix
+_FIXTURES = {"rps3": rps3, "condorcet": condorcet, "hardness": hardness}
 
 
-def named_fixture(name: str, **params) -> NamedFixture:
-    builders = {"rps3": rps3, "condorcet": condorcet, "hardness": hardness}
-    if name not in builders:
-        raise ValueError(f"unknown fixture {name!r}; have {sorted(builders)}")
-    return NamedFixture(name, builders[name](**params))
+def named_fixture(name: str, **params) -> PreferenceMatrix:
+    """The matrix of the fixture `name`, built from exactly the parameters
+    its function takes: a parameter it does not take, then one it needs and
+    lacks, raises ValueError."""
+    if not isinstance(name, str) or name not in _FIXTURES:
+        raise ValueError(f"unknown fixture {name!r}; have {sorted(_FIXTURES)}")
+    build = _FIXTURES[name]
+    takes = inspect.signature(build).parameters
+    unused = sorted(set(params) - set(takes))
+    if unused:
+        raise ValueError(f"fixture {name!r} does not take keys {unused}")
+    missing = [key for key in takes if key not in params]
+    if missing:
+        raise ValueError(f"fixture {name!r} needs keys {missing}")
+    return build(**params)
 
 
 def _skew_perturbation(k: int, amplitude: float, base: np.ndarray,

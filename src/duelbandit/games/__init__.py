@@ -157,7 +157,7 @@ def solve_cce(
     k = ue.shape[0]
     dev = cce_deviation_matrix(ue)
     x, viol, iters, status = get_kernels().epigraph_simplex(
-        dev, 0.0, cfg.max_iterations, warm_start
+        dev, cfg.max_iterations, warm_start
     )
     if status != 0 or viol > cfg.violation_tolerance:
         raise NotConverged(
@@ -182,7 +182,7 @@ def solve_zero_sum_nash(p, config: SolverConfig | None = None) -> FeasibilityRep
         pe = PreferenceMatrix(pe).entries  # validates skew-symmetry
     # (q^T P)_j >= 0 for all j  <=>  (P q)_j <= 0 for all j, by skew-symmetry
     q, viol, iters, status = get_kernels().epigraph_simplex(
-        pe.copy(), 0.0, cfg.max_iterations
+        pe.copy(), cfg.max_iterations
     )
     if status != 0 or viol > cfg.violation_tolerance:
         raise NotConverged(

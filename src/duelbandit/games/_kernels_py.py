@@ -18,7 +18,7 @@ BACKEND_NAME = "python"
 
 _RATIO_EPS = 1e-12
 _COST_TOL = 1e-11
-_WARM_TOL = 1e-12  # how far a warm vertex may miss x, s >= 0, D x <= stop_at
+_WARM_TOL = 1e-12  # how far a warm vertex may miss x, s >= 0, D x <= 0
 _PERTURBATION = 1e-10  # scale of the constraint rows' right-hand sides
 
 
@@ -76,10 +76,10 @@ def _basic_point(basis: list, values: list, n: int):
     return x, total
 
 
-def _warm_vertex(D: np.ndarray, T: np.ndarray, basis: list, stop_at: float):
+def _warm_vertex(D: np.ndarray, T: np.ndarray, basis: list):
     """The vertex of `basis` in the unpivoted tableau `T`, as a finished
-    solve, if it is primal feasible with s <= stop_at and its point meets
-    max(D x) <= stop_at; otherwise None."""
+    solve, if it is primal feasible with s <= 1e-15 and its point meets
+    max(D x) <= 0; otherwise None."""
     n = D.shape[1]
     try:
         values = np.linalg.solve(T.take(basis, axis=1), T[:, -1]).tolist()
@@ -87,31 +87,30 @@ def _warm_vertex(D: np.ndarray, T: np.ndarray, basis: list, stop_at: float):
         return None
     if min(values) < -_WARM_TOL:
         return None
-    if n in basis and values[basis.index(n)] > stop_at + 1e-15:
+    if n in basis and values[basis.index(n)] > 1e-15:
         return None
     x, total = _basic_point(basis, values, n)
     viol = float((D @ x).max())
     # the point itself is checked: a NaN that reaches x fails here
-    if not (total > 0 and viol <= stop_at + _WARM_TOL):
+    if not (total > 0 and viol <= _WARM_TOL):
         return None
     return x, viol, 0, 0
 
 
-def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int,
-                     basis: list | None = None):
+def epigraph_simplex(D: np.ndarray, max_iter: int, basis: list | None = None):
     """Minimize s subject to D x <= s 1, sum x = 1, x >= 0, s >= 0.
 
     Dantzig pivoting with first-index tie breaks on the perturbed
-    right-hand side of `_tableau_template`; stops early once the basic
-    solution reaches s <= stop_at. The returned point is the final basis's
+    right-hand side of `_tableau_template`; stops once the basic solution
+    reaches s <= 1e-15. The returned point is the final basis's
     vertex for the true right-hand side. Returns
     (x, max_violation, pivots, status).
 
     `basis`, if given, is a list of tableau columns, one per row (x vars,
     then s, then the row slacks), and holds the final basis on return. When
     it holds a full basis on entry, for instance the previous solve's on a
-    nearby D, and that basis's vertex already has s <= stop_at and
-    max(D x) <= stop_at, that vertex is returned with 0 pivots. Otherwise
+    nearby D, and that basis's vertex already has s <= 1e-15 and
+    max(D x) <= 0, that vertex is returned with 0 pivots. Otherwise
     the solve starts cold, exactly as without a basis.
     """
     D = np.ascontiguousarray(D, dtype=np.float64)
@@ -120,7 +119,7 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int,
         basis = []
     col_max = D.max(axis=0)
     j0 = int(col_max.argmin())
-    if col_max[j0] <= stop_at:
+    if col_max[j0] <= 0.0:
         basis[:] = range(n + 1, n + 1 + m)
         basis.append(j0)
         x = np.zeros(n)
@@ -133,7 +132,7 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int,
     T = template.copy()
     T[:m, :n] = D
     if len(basis) == rows:
-        warm = _warm_vertex(D, T, basis, stop_at)
+        warm = _warm_vertex(D, T, basis)
         if warm is not None:
             return warm
     # s enters where D x_j0 - delta is largest, so the first basis is
@@ -160,7 +159,7 @@ def epigraph_simplex(D: np.ndarray, stop_at: float, max_iter: int,
             status = 0  # s = 0 is optimal
             break
         sval = T.item(srow, ncol)
-        if sval <= stop_at + 1e-15:
+        if sval <= 1e-15:
             status = 0
             break
         # The objective is c = e_s, so the reduced cost of column j is

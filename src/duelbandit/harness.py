@@ -12,13 +12,14 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .algorithms import CceDb, CceLinDb, MinMaxDb, default_gamma
 from .core import PreferenceMatrix, sample_outcome
 from .environments import (
+    FINITE_CLASS_MARGIN_CAP,
     Environment,
     FiniteClassEnvironment,
     FixedMatrixEnvironment,
@@ -66,14 +67,19 @@ class ExperimentConfig:
             raise ValueError("at least one seed is required")
         self.algorithm = dict(self.algorithm)
         self.environment = dict(self.environment)
-        self.benchmark = {"q_star": "nash", "policy_count": 0,
-                          **dict(self.benchmark)}
+        benchmark = dict(self.benchmark)
+        self.benchmark = {"q_star": benchmark.pop("q_star", "nash"),
+                          "policy_count": benchmark.pop("policy_count", 0)}
+        if benchmark:
+            raise ValueError(f"benchmark does not use keys {sorted(benchmark)}")
+        count = self.benchmark["policy_count"]
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ValueError("benchmark policy_count must be an integer >= 0, "
+                             f"got {count!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {"algorithm", "environment", "horizon", "seeds",
-                 "output_dir", "diagnostic", "benchmark"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "algorithm" not in raw or "environment" not in raw:
@@ -116,125 +122,111 @@ class RunSummary:
         ])
 
 
-# The keys each kind of spec reads; any other key is a config error.
-_ENVIRONMENT_KEYS = {
-    "fixed": {"matrix", "fixture", "k", "margin", "eps", "perturbation"},
-    "finite_class": {"k", "n_contexts", "class_size", "class_seed",
-                     "margin_cap", "perturbation"},
-    "linear": {"k", "dim", "weight_seed"},
-}
-_SOLVER_KEYS = {"solver_max_iterations", "solver_tolerance"}
-_ALGORITHM_KEYS = {
-    "ccedb": _SOLVER_KEYS | {"delta"},
-    "ccelindb": _SOLVER_KEYS | {"delta", "ridge", "width_multiplier"},
-    # its acceptance test is the fixed slack K/gamma: no solver_tolerance
-    "minmaxdb": {"solver_max_iterations", "gamma", "oracle"},
-}
-_ORACLE_KEYS = {
-    "finite": {"class_size", "class_seed"},  # fixed environments only
-    "vaw": {"ridge"},
-    "ogd": {"radius"},
-}
-
-
-def _check_keys(spec: dict, known: dict, what: str, kind) -> None:
-    """Reject an unknown kind, or a key that this kind of spec never reads."""
-    if not isinstance(kind, str) or kind not in known:
-        raise ValueError(f"unknown {what} kind {kind!r}")
-    unused = sorted(set(spec) - known[kind] - {"kind"})
-    if unused:
-        raise ValueError(f"{what} kind {kind!r} does not use keys {unused}")
+def _reject_unused(spec: dict, what: str, kind) -> None:
+    """Reject the keys left in a spec after its builder popped those it reads."""
+    if spec:
+        raise ValueError(f"{what} kind {kind!r} does not use keys {sorted(spec)}")
 
 
 def build_environment(spec: dict) -> Environment:
-    kind = spec.get("kind", "fixed")
-    _check_keys(spec, _ENVIRONMENT_KEYS, "environment", kind)
-    perturbation = float(spec.get("perturbation", 0.0))
+    spec = dict(spec)
+    kind = spec.pop("kind", "fixed")
+    perturbation = 0.0 if kind == "linear" else spec.pop("perturbation", 0.0)
     if kind == "fixed":
         if "matrix" in spec:
-            matrix = PreferenceMatrix(np.asarray(spec["matrix"], dtype=np.float64))
+            entries = spec.pop("matrix")
+            _reject_unused(spec, "environment", kind)
+            matrix = PreferenceMatrix(np.asarray(entries, dtype=np.float64))
         else:
-            params = {key: spec[key] for key in ("k", "margin", "eps")
-                      if key in spec}
-            matrix = named_fixture(spec["fixture"], **params).matrix
-        return FixedMatrixEnvironment(matrix, perturbation=perturbation)
+            name = spec.pop("fixture")
+            # the rest of the spec is the fixture's parameters
+            matrix = named_fixture(name, **spec)
+        return FixedMatrixEnvironment(matrix, perturbation=float(perturbation))
     if kind == "finite_class":
-        class_rng = RngHandle(int(spec.get("class_seed", 0))).substream("class")
-        env, _ = make_finite_class(
-            n_contexts=int(spec.get("n_contexts", 1)),
-            k=int(spec["k"]),
-            class_size=int(spec.get("class_size", 16)),
-            rng=class_rng,
-            margin_cap=float(spec.get("margin_cap", 0.8)),
-            perturbation=perturbation,
-        )
+        class_seed, n_contexts = spec.pop("class_seed", 0), spec.pop("n_contexts", 1)
+        k, class_size = spec.pop("k"), spec.pop("class_size", 16)
+        margin_cap = spec.pop("margin_cap", FINITE_CLASS_MARGIN_CAP)
+        _reject_unused(spec, "environment", kind)
+        class_rng = RngHandle(int(class_seed)).substream("class")
+        env, _ = make_finite_class(int(n_contexts), int(k), int(class_size),
+                                   class_rng, float(margin_cap),
+                                   float(perturbation))
         return env
-    # kind == "linear"
-    dim = int(spec["dim"])
-    if dim < 1:  # before the draw, which would reject it in numpy's words
-        raise ValueError(f"linear environment needs dim >= 1, got {dim}")
-    weight_rng = RngHandle(int(spec.get("weight_seed", 0))).substream("weight")
-    return make_linear_environment(int(spec["k"]), dim, weight_rng)
+    if kind == "linear":
+        k, dim = spec.pop("k"), spec.pop("dim")
+        weight_seed = spec.pop("weight_seed", 0)
+        _reject_unused(spec, "environment", kind)
+        dim = int(dim)
+        if dim < 1:  # before the draw, which would reject it in numpy's words
+            raise ValueError(f"linear environment needs dim >= 1, got {dim}")
+        weight_rng = RngHandle(int(weight_seed)).substream("weight")
+        return make_linear_environment(int(k), dim, weight_rng)
+    raise ValueError(f"unknown environment kind {kind!r}")
 
 
-def _finite_tables_for(env: Environment, spec: dict) -> tuple[np.ndarray, int]:
-    """Hypothesis tables for a finite-class oracle, honoring realizability."""
-    if isinstance(env, FiniteClassEnvironment):
-        unused = sorted({"class_size", "class_seed"} & set(spec))
-        if unused:
+def _build_oracle(spec: dict, env: Environment, horizon: int):
+    spec = dict(spec)
+    kind = spec.pop("kind", "finite")
+    if kind == "finite":
+        # a fixed environment's class is drawn here; a finite_class
+        # environment hands over its own
+        if isinstance(env, FixedMatrixEnvironment):
+            class_seed = spec.pop("class_seed", 0)
+            class_size = spec.pop("class_size", 16)
+        _reject_unused(spec, "oracle", kind)
+        if isinstance(env, FiniteClassEnvironment):
+            return FiniteClassAggregator(env.tables)
+        if not isinstance(env, FixedMatrixEnvironment):
             raise ValueError(
-                f"oracle kind 'finite' does not use keys {unused} on a "
-                "finite_class environment, whose own class it takes")
-        return env.tables, env.truth_index
-    if isinstance(env, FixedMatrixEnvironment):
-        rng = RngHandle(int(spec.get("class_seed", 0))).substream("oracle-class")
-        drawn, tables = make_finite_class(
-            1, env.k, int(spec.get("class_size", 16)), rng)
+                "finite oracle needs a finite-class or fixed environment")
+        rng = RngHandle(int(class_seed)).substream("oracle-class")
+        drawn, tables = make_finite_class(1, env.k, int(class_size), rng)
         tables[drawn.truth_index, 0] = env.matrix.entries
-        return tables, drawn.truth_index
-    raise ValueError("finite oracle needs a finite-class or fixed environment")
+        return FiniteClassAggregator(tables)
+    if kind not in ("vaw", "ogd"):
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    value = spec.pop("ridge" if kind == "vaw" else "radius", 1.0)
+    _reject_unused(spec, "oracle", kind)
+    if not isinstance(env, LinearRealizableEnvironment):
+        raise ValueError(f"{kind} oracle needs a linear environment")
+    if kind == "vaw":
+        return VawForecaster(env.dim, ridge=float(value))
+    return OgdForecaster(env.dim, horizon, radius=float(value))
 
 
 def build_learner(spec: dict, env: Environment, horizon: int):
-    kind = spec.get("kind")
-    _check_keys(spec, _ALGORITHM_KEYS, "algorithm", kind)
-    solver_config = SolverConfig(
-        max_iterations=int(spec.get("solver_max_iterations", 50_000)),
-        violation_tolerance=float(spec.get("solver_tolerance", 1e-8)),
-    )
-    delta = spec.get("delta")
+    spec = dict(spec)
+    kind = spec.pop("kind", None)
+    if kind not in ("ccedb", "ccelindb", "minmaxdb"):
+        raise ValueError(f"unknown algorithm kind {kind!r}")
+    max_iterations = spec.pop("solver_max_iterations",
+                              SolverConfig.max_iterations)
+    if kind == "minmaxdb":
+        # its acceptance test is the fixed slack K/gamma: no solver_tolerance
+        oracle_spec = spec.pop("oracle", {"kind": "finite"})
+        gamma = spec.pop("gamma", "auto")
+        _reject_unused(spec, "algorithm", kind)
+        solver_config = SolverConfig(max_iterations=int(max_iterations))
+        oracle = _build_oracle(oracle_spec, env, horizon)
+        if gamma == "auto":
+            gamma = default_gamma(env.k, horizon, oracle.regret_budget())
+        return MinMaxDb(env.k, float(gamma), oracle, solver_config)
+    tolerance = spec.pop("solver_tolerance", SolverConfig.violation_tolerance)
+    delta = spec.pop("delta", None)
+    if kind == "ccelindb":
+        ridge = spec.pop("ridge", 1.0)
+        width_multiplier = spec.pop("width_multiplier", None)
+    _reject_unused(spec, "algorithm", kind)
+    solver_config = SolverConfig(max_iterations=int(max_iterations),
+                                 violation_tolerance=float(tolerance))
     delta = 1.0 / horizon if delta is None else float(delta)
     if kind == "ccedb":
         return CceDb(env.k, delta, solver_config)
-    if kind == "ccelindb":
-        if not isinstance(env, LinearRealizableEnvironment):
-            raise ValueError("ccelindb needs a linear environment")
-        return CceLinDb(
-            env.dim, horizon, delta,
-            ridge=float(spec.get("ridge", 1.0)),
-            width_multiplier=spec.get("width_multiplier"),
-            solver_config=solver_config,
-        )
-    # kind == "minmaxdb"
-    oracle_spec = dict(spec.get("oracle", {"kind": "finite"}))
-    okind = oracle_spec.get("kind", "finite")
-    _check_keys(oracle_spec, _ORACLE_KEYS, "oracle", okind)
-    if okind == "finite":
-        tables, _ = _finite_tables_for(env, oracle_spec)
-        oracle = FiniteClassAggregator(tables)
-    elif okind == "vaw":
-        if not isinstance(env, LinearRealizableEnvironment):
-            raise ValueError("vaw oracle needs a linear environment")
-        oracle = VawForecaster(env.dim, ridge=float(oracle_spec.get("ridge", 1.0)))
-    else:  # ogd
-        if not isinstance(env, LinearRealizableEnvironment):
-            raise ValueError("ogd oracle needs a linear environment")
-        oracle = OgdForecaster(env.dim, horizon,
-                               radius=float(oracle_spec.get("radius", 1.0)))
-    gamma = spec.get("gamma", "auto")
-    if gamma == "auto":
-        gamma = default_gamma(env.k, horizon, oracle.regret_budget())
-    return MinMaxDb(env.k, float(gamma), oracle, solver_config)
+    if not isinstance(env, LinearRealizableEnvironment):
+        raise ValueError("ccelindb needs a linear environment")
+    return CceLinDb(env.dim, horizon, delta, ridge=float(ridge),
+                    width_multiplier=width_multiplier,
+                    solver_config=solver_config)
 
 
 def _truth_matrix_for_benchmark(env: Environment) -> PreferenceMatrix:
@@ -281,7 +273,7 @@ def check_config(config: ExperimentConfig) -> None:
     worker_count()
     env = build_environment(config.environment)
     build_learner(config.algorithm, env, config.horizon)
-    if config.benchmark.get("q_star") is not None:
+    if config.benchmark["q_star"] is not None:
         resolve_q_star(config.benchmark, env)
 
 
@@ -327,8 +319,8 @@ def run_single_seed(config: ExperimentConfig, seed: int):
     env = build_environment(config.environment)
     learner = build_learner(config.algorithm, env, config.horizon)
     q_star = resolve_q_star(config.benchmark, env) \
-        if config.benchmark.get("q_star") is not None else None
-    policies = _make_policies(int(config.benchmark.get("policy_count", 0)), env.k)
+        if config.benchmark["q_star"] is not None else None
+    policies = _make_policies(config.benchmark["policy_count"], env.k)
     ledger = RegretLedger(q_star=q_star, policies=policies)
 
     root = RngHandle(seed)
@@ -368,7 +360,7 @@ def run_single_seed(config: ExperimentConfig, seed: int):
     summary.final_policy = ledger.final_policy
     summary.solver_iterations = solver_iters
     summary.confidence_violations = violations if config.diagnostic else None
-    summary.normalized_br = _normalized_br(config, env, learner, ledger)
+    summary.normalized_br = _normalized_br(env, learner, ledger)
     summary.wall_clock_s = time.perf_counter() - t_start
     return summary, ledger, lines
 
@@ -392,7 +384,7 @@ def _round_lines(seed: int, gamma: float | None, rows: list,
             in columns]
 
 
-def _normalized_br(config, env, learner, ledger) -> float:
+def _normalized_br(env, learner, ledger) -> float:
     t = max(ledger.rounds, 1)
     k = env.k
     if isinstance(learner, MinMaxDb):

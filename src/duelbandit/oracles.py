@@ -34,7 +34,6 @@ class RegretBudget:
     """Known upper bound T -> RegSq(T) on an oracle's square-loss regret."""
 
     bound_fn: Callable[[float], float]
-    description: str = ""
 
     def __call__(self, horizon: float) -> float:
         return float(self.bound_fn(horizon))
@@ -47,7 +46,6 @@ def regret_budget(
     dim: int | None = None,
     ridge: float = 1.0,
     radius: float = 1.0,
-    feature_bound: float = 1.0,
 ) -> RegretBudget:
     """The regret bound the harness uses to tune the exploration rate.
 
@@ -62,21 +60,17 @@ def regret_budget(
         if not class_size or class_size < 1:
             raise ValueError("finite-class budget needs class_size >= 1")
         const = 8.0 * np.log(max(class_size, 2))
-        return RegretBudget(lambda t: const, f"8 ln|F|, |F|={class_size}")
+        return RegretBudget(lambda t: const)
     if kind == "vaw":
         if not dim or dim < 1:
             raise ValueError("vaw budget needs dim >= 1")
         c0 = ridge * radius * radius
-        return RegretBudget(
-            lambda t: dim * np.log(1.0 + t / dim) + c0,
-            f"d ln(1+T/d) + {c0:g}, d={dim}",
-        )
+        return RegretBudget(lambda t: dim * np.log(1.0 + t / dim) + c0)
     if kind == "ogd":
         if not dim or dim < 1:
             raise ValueError("ogd budget needs dim >= 1")
-        lip = 2.0 * (radius * feature_bound + 1.0) * feature_bound
-        scale = radius * lip
-        return RegretBudget(lambda t: scale * np.sqrt(t), f"{scale:g} sqrt(T)")
+        scale = radius * (2.0 * (radius + 1.0))
+        return RegretBudget(lambda t: scale * np.sqrt(t))
     raise UnsupportedOracle(f"unknown oracle kind {oracle_kind!r}")
 
 
@@ -88,12 +82,11 @@ class FiniteClassAggregator:
     weight-weighted mean of hypothesis predictions.
     """
 
-    def __init__(self, tables: np.ndarray, eta: float = EXP_WEIGHTS_ETA):
+    def __init__(self, tables: np.ndarray):
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 4:
             raise ValueError("tables must have shape (|F|, n_contexts, K, K)")
         self.tables = tables
-        self.eta = float(eta)
         self.log_weights = np.zeros(tables.shape[0])
         self._n_updates = 0
 
@@ -118,7 +111,7 @@ class FiniteClassAggregator:
 
     def update(self, context, a: int, b: int, y: float) -> None:
         preds = self.tables[:, self._context(context), a, b]
-        self.log_weights = self.log_weights - self.eta * (preds - y) ** 2
+        self.log_weights = self.log_weights - EXP_WEIGHTS_ETA * (preds - y) ** 2
         self._n_updates += 1
         if self._n_updates % 512 == 0:
             self.log_weights -= self.log_weights.max()  # drift guard
@@ -214,18 +207,16 @@ class OgdForecaster:
     """Projected online gradient descent on the square loss.
 
     Step size radius / (L sqrt(T)) with gradient bound
-    L = 2 (radius * feature_bound + 1) * feature_bound; iterates projected
+    L = 2 (radius + 1) for features of norm at most 1; iterates projected
     onto the L2 ball of the given radius.
     """
 
-    def __init__(self, dim: int, horizon: int, radius: float = 1.0,
-                 feature_bound: float = 1.0):
+    def __init__(self, dim: int, horizon: int, radius: float = 1.0):
         if dim < 1 or horizon < 1:
             raise ValueError("dim and horizon must be >= 1")
         self.dim = int(dim)
         self.radius = float(radius)
-        self.feature_bound = float(feature_bound)
-        lip = 2.0 * (radius * feature_bound + 1.0) * feature_bound
+        lip = 2.0 * (radius + 1.0)
         self.step = radius / (lip * np.sqrt(horizon))
         self.theta = np.zeros(dim)
 
@@ -242,5 +233,4 @@ class OgdForecaster:
         self.theta = theta
 
     def regret_budget(self) -> RegretBudget:
-        return regret_budget("ogd", dim=self.dim, radius=self.radius,
-                             feature_bound=self.feature_bound)
+        return regret_budget("ogd", dim=self.dim, radius=self.radius)

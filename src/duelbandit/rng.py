@@ -44,9 +44,6 @@ class RngHandle:
         """One uniform draw in [0, 1)."""
         return float(self._gen.random())
 
-    def uniform(self, low: float, high: float, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size)
-
     def integers(self, low: int, high: int) -> int:
         return int(self._gen.integers(low, high))
 

@@ -181,6 +181,12 @@ class TestRunCommand:
          {"kind": "finite_class", "k": 3}, "class_seed"),
         ({"kind": "minmaxdb", "gamma": 30.0, "solver_tolerance": 1e-3},
          {"kind": "finite_class", "k": 3}, "solver_tolerance"),
+        ({"kind": "ccedb"}, {"kind": "fixed", "fixture": "rps3", "k": 3}, "k"),
+        ({"kind": "ccedb"},
+         {"kind": "fixed", "matrix": [[0, 0.5], [-0.5, 0]], "k": 5}, "k"),
+        ({"kind": "ccedb"},
+         {"kind": "fixed", "matrix": [[0, 0.5], [-0.5, 0]],
+          "fixture": "rps3"}, "fixture"),
     ])
     def test_run_unused_spec_key_is_config_error(self, tmp_path, capsys,
                                                  algorithm, environment, key):
@@ -228,6 +234,42 @@ class TestRunCommand:
         assert err.startswith("config error:")
         assert "DUELBANDIT_THREADS" in err and "'abc'" in err
         assert not out_dir.exists()
+
+    # not "benchmark": pytest-benchmark owns that fixture name
+    @pytest.mark.parametrize("environment, bench, message", [
+        ({"kind": "fixed", "fixture": "condorcet", "k": 3}, {"q_star": None},
+         "'margin'"),
+        ({"kind": "fixed", "fixture": "rps3"},
+         {"q_star": None, "policy_cnt": 3}, "'policy_cnt'"),
+        ({"kind": "fixed", "fixture": "rps3"}, {"policy_count": "x"},
+         "policy_count"),
+        ({"kind": "fixed", "fixture": "rps3"}, {"policy_count": -2},
+         "policy_count"),
+        ({"kind": "fixed", "fixture": "rps3"}, {"policy_count": 1.5},
+         "policy_count"),
+    ])
+    def test_run_bad_spec_is_config_error(self, tmp_path, capsys,
+                                          environment, bench, message):
+        config = {"algorithm": {"kind": "ccedb"}, "environment": environment,
+                  "horizon": 20, "seeds": [0], "benchmark": bench}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert message in captured.err
+        assert "seed" not in captured.out
+        assert not out_dir.exists()
+
+    def test_aggregate_malformed_summary_is_config_error(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "summary.csv"
+        path.write_text("seed,horizon,final_br\n0,x,1.0\n")
+        assert main(["aggregate", "--in", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:")
 
     def test_aggregate_empty_dir(self, tmp_path):
         assert main(["aggregate", "--in", str(tmp_path)]) == 1

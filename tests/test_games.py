@@ -181,7 +181,7 @@ def _linprog_value(D):
 def _assert_kernel_value(D, value):
     """The kernel solves D to `value`, the optimum of the epigraph program,
     within 1e-9, with status 0 and its point on the simplex."""
-    x, viol, _pivots, status = get_kernels().epigraph_simplex(D, 0.0, 50_000)
+    x, viol, _pivots, status = get_kernels().epigraph_simplex(D, 50_000)
     assert status == 0
     assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12
     assert abs(max(viol, 0.0) - value) <= 1e-9
@@ -262,7 +262,7 @@ class TestSolveCce:
             k = 2 + (i % 9)
             u = gen.uniform(-3, 3, (k, k))
             x, viol, iters, status = get_kernels().epigraph_simplex(
-                cce_deviation_matrix(u), 0.0, 50_000
+                cce_deviation_matrix(u), 50_000
             )
             assert status == 0
             worst = max(worst, viol)
@@ -308,8 +308,8 @@ class TestSolveCceAgainstScipy:
         warm_hits = pivoted = 0
         for u in uppers:
             dev = cce_deviation_matrix(u)
-            warm = kp.epigraph_simplex(dev, 0.0, 50_000, basis)
-            cold = kp.epigraph_simplex(dev, 0.0, 50_000)
+            warm = kp.epigraph_simplex(dev, 50_000, basis)
+            cold = kp.epigraph_simplex(dev, 50_000)
             # a reused basis, not the pure-point exit
             warm_hits += warm[2] == 0 and dev.max(axis=0).min() > 0.0
             pivoted += cold[2] > 0
@@ -471,7 +471,7 @@ class TestNumpyKernelMatchesReference:
         pivots = 0
         for dev in learner_matrices[kind]:
             want = _reference_epigraph_simplex(dev, 0.0, 50_000)
-            _assert_same_solve(kp.epigraph_simplex(dev, 0.0, 50_000), want)
+            _assert_same_solve(kp.epigraph_simplex(dev, 50_000), want)
             pivots += want[2]
         assert pivots > 0
 
@@ -480,13 +480,13 @@ class TestNumpyKernelMatchesReference:
         dev = cce_deviation_matrix(np.zeros((3, 3)))
         want = _reference_epigraph_simplex(dev, 0.0, 50_000)
         assert want[2] == 0
-        _assert_same_solve(kp.epigraph_simplex(dev, 0.0, 50_000), want)
+        _assert_same_solve(kp.epigraph_simplex(dev, 50_000), want)
 
     def test_degenerate_instance(self):
         # ties at every column maximum make the first pivots degenerate
         dev = _zero_one(0, 40, 40, 0.7)
         want = _reference_epigraph_simplex(dev, 0.0, 50_000)
-        got = get_kernels().epigraph_simplex(dev, 0.0, 50_000)
+        got = get_kernels().epigraph_simplex(dev, 50_000)
         _assert_same_solve(got, want)
         _assert_kernel_value(dev, _linprog_value(dev))
 
@@ -495,8 +495,8 @@ def _cold_and_warm(kp, dev, previous):
     """One solve from a copy of `previous` and one cold; returns both
     results and the basis each left behind."""
     warm_basis, cold_basis = list(previous), []
-    warm = kp.epigraph_simplex(dev, 0.0, 50_000, warm_basis)
-    cold = kp.epigraph_simplex(dev, 0.0, 50_000, cold_basis)
+    warm = kp.epigraph_simplex(dev, 50_000, warm_basis)
+    cold = kp.epigraph_simplex(dev, 50_000, cold_basis)
     return warm, cold, warm_basis, cold_basis
 
 
@@ -510,7 +510,7 @@ class TestWarmStart:
         basis = []
         warm = 0
         for dev in learner_matrices["ccedb"]:
-            x, viol, pivots, status = kp.epigraph_simplex(dev, 0.0, 50_000, basis)
+            x, viol, pivots, status = kp.epigraph_simplex(dev, 50_000, basis)
             assert status == 0
             assert len(basis) == dev.shape[0] + 1
             if pivots == 0 and dev.max(axis=0).min() > 0.0:
@@ -556,7 +556,7 @@ class TestWarmStart:
         m, n = dev.shape
         basis = [7] * (m + 1)
         x, viol, pivots, status = get_kernels().epigraph_simplex(
-            dev, 0.0, 50_000, basis)
+            dev, 50_000, basis)
         assert (pivots, status) == (0, 0) and x.max() == 1.0
         # the tableau's columns: x, then s, then the row slacks; its last
         # row is sum x = 1

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from duelbandit.harness import (
     aggregate,
     build_environment,
     build_learner,
+    check_config,
     resolve_q_star,
     run_experiment,
     run_single_seed,
@@ -49,6 +51,12 @@ class TestConfigValidation:
         cfg = base_config()
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+
+    def test_readme_example_config_is_valid(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Running experiments", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        check_config(ExperimentConfig.from_dict(json.loads(block)))
 
 
 class TestBuilders:
