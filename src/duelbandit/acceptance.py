@@ -284,8 +284,8 @@ def criterion_7() -> tuple[bool, str]:
     pairs = [(0, 1), (0, 2), (1, 2)]
     for seed in range(20):
         rng = RngHandle(1000 + seed).substream("finite-stream")
-        env, tables = make_finite_class(1, k, class_size, rng)
-        truth, gen = env.truth_index, rng.generator
+        env = make_finite_class(1, k, class_size, rng)
+        tables, truth, gen = env.tables, env.truth_index, rng.generator
         oracle = FiniteClassAggregator(tables)
         err = 0.0
         for _ in range(horizon):

@@ -142,8 +142,11 @@ class CceLinDb:
                  solver_config: SolverConfig | None = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
+        if not 0.0 < delta < 1.0:
+            raise ValueError("delta must be in (0, 1)")
         self.dim = int(dim)
         self.ridge = float(ridge)
+        self.state = _RidgeState(self.dim, self.ridge)  # checks ridge > 0
         if width_multiplier is None:
             width_multiplier = float(
                 np.sqrt(dim * np.log((1.0 + horizon / ridge) / delta))
@@ -151,7 +154,6 @@ class CceLinDb:
             )
         self.width_multiplier = float(width_multiplier)
         self.solver_config = solver_config or SolverConfig()
-        self.state = _RidgeState(self.dim, self.ridge)
         self.t = 1
         self.last_mean: np.ndarray | None = None
         self.last_confidence: np.ndarray | None = None

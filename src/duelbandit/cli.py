@@ -28,8 +28,9 @@ from .harness import (
     run_experiment,
 )
 
-# what bad input raises; json.JSONDecodeError is a ValueError
-_INPUT_ERRORS = (OSError, ValueError, KeyError, DuelBanditError)
+# what bad input raises; json.JSONDecodeError is a ValueError, and a value
+# of the wrong type (a string where a number belongs, a null) a TypeError
+_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, DuelBanditError)
 
 
 def load_matrix(path: str) -> np.ndarray:

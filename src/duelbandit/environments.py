@@ -1,8 +1,9 @@
 """Synthetic contextual dueling environments and the named matrix fixtures.
 
-Each round an environment draws a context, the realized preference matrix
-and the ground-truth conditional mean, the last for evaluation only;
-learners see contexts and binary outcomes, never a matrix. Realizability holds by construction: the
+Each round an environment draws a context and its ground-truth matrix, the
+conditional mean of every duel's outcome; the harness draws the outcome from
+it and books the regret against it. Learners see contexts and binary
+outcomes, never a matrix. Realizability holds by construction: the
 generating function is a member of the hypothesis class handed to the oracle.
 """
 
@@ -61,23 +62,10 @@ def named_fixture(name: str, **params) -> PreferenceMatrix:
     return build(**params)
 
 
-def _skew_perturbation(k: int, amplitude: float, base: np.ndarray,
-                       rng: RngHandle) -> np.ndarray:
-    """Zero-mean skew noise, clipped per entry so base + noise stays in [-1, 1].
-
-    The symmetric per-entry support keeps the conditional mean exactly at
-    `base`.
-    """
-    room = np.minimum(amplitude, 1.0 - np.abs(np.triu(base, 1)))
-    raw = rng.generator.uniform(-1.0, 1.0, (k, k))
-    upper = np.triu(raw, 1) * room
-    return upper - upper.T
-
-
 class Environment:
-    """Contract: sample_round draws (context, realized matrix, truth), where
-    truth is the context's conditional-mean matrix, so the round loop needs
-    no second call; ground_truth maps a context back to that same matrix."""
+    """Contract: sample_round draws (context, truth), where truth is the
+    context's conditional-mean matrix, so the round loop needs no second
+    call; ground_truth maps a context back to that same matrix."""
 
     @property
     def k(self) -> int:
@@ -91,22 +79,17 @@ class Environment:
 
 
 class FixedMatrixEnvironment(Environment):
-    """Singleton context; every round realizes the same matrix."""
+    """Singleton context; every round draws the same matrix."""
 
-    def __init__(self, matrix: PreferenceMatrix, perturbation: float = 0.0):
+    def __init__(self, matrix: PreferenceMatrix):
         self.matrix = matrix
-        self.perturbation = float(perturbation)
 
     @property
     def k(self) -> int:
         return self.matrix.k
 
     def sample_round(self, rng: RngHandle):
-        if self.perturbation > 0.0:
-            noise = _skew_perturbation(self.k, self.perturbation,
-                                       self.matrix.entries, rng)
-            return 0, PreferenceMatrix(self.matrix.entries + noise), self.matrix
-        return 0, self.matrix, self.matrix
+        return 0, self.matrix
 
     def ground_truth(self, x) -> PreferenceMatrix:
         if x != 0:
@@ -117,8 +100,7 @@ class FixedMatrixEnvironment(Environment):
 class FiniteClassEnvironment(Environment):
     """Uniform contexts over a finite grid; truth is one table of a known class."""
 
-    def __init__(self, tables: np.ndarray, truth_index: int,
-                 perturbation: float = 0.0):
+    def __init__(self, tables: np.ndarray, truth_index: int):
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 4:
             raise ValueError("tables must have shape (|F|, n_contexts, K, K)")
@@ -126,7 +108,6 @@ class FiniteClassEnvironment(Environment):
             raise ValueError("truth_index outside the class")
         self.tables = tables
         self.truth_index = int(truth_index)
-        self.perturbation = float(perturbation)
         self._truth = [PreferenceMatrix(tables[truth_index, c])
                        for c in range(tables.shape[1])]
 
@@ -140,12 +121,7 @@ class FiniteClassEnvironment(Environment):
 
     def sample_round(self, rng: RngHandle):
         x = rng.integers(0, self.n_contexts)
-        truth = self._truth[x]
-        if self.perturbation > 0.0:
-            noise = _skew_perturbation(self.k, self.perturbation,
-                                       truth.entries, rng)
-            return x, PreferenceMatrix(truth.entries + noise), truth
-        return x, truth, truth
+        return x, self._truth[x]
 
     def ground_truth(self, x) -> PreferenceMatrix:
         xi = int(x)
@@ -198,8 +174,7 @@ class LinearRealizableEnvironment(Environment):
             vals = feats @ self.weight
         # the bits PreferenceMatrix stores; skew, zero diagonal, in [-1, 1]
         upper = np.where(self._upper, vals, 0.0)
-        truth = PreferenceMatrix._unchecked(upper - upper.T)
-        return feats, truth, truth
+        return feats, PreferenceMatrix._unchecked(upper - upper.T)
 
     def ground_truth(self, x) -> PreferenceMatrix:
         x = np.asarray(x, dtype=np.float64)
@@ -212,12 +187,12 @@ class LinearRealizableEnvironment(Environment):
 
 def make_finite_class(
     n_contexts: int, k: int, class_size: int, rng: RngHandle,
-    margin_cap: float = FINITE_CLASS_MARGIN_CAP, perturbation: float = 0.0,
-) -> tuple[FiniteClassEnvironment, np.ndarray]:
+    margin_cap: float = FINITE_CLASS_MARGIN_CAP,
+) -> FiniteClassEnvironment:
     """Random finite hypothesis class with the truth designated inside it.
 
-    Entries are uniform in [-margin_cap, margin_cap], antisymmetrized.
-    Returns the environment and the full table stack for the oracle.
+    Entries are uniform in [-margin_cap, margin_cap], antisymmetrized; the
+    environment's `tables` hold the whole class for the oracle.
     """
     if class_size < 1:
         raise ValueError("class_size must be >= 1")
@@ -226,8 +201,7 @@ def make_finite_class(
     upper = np.triu(raw, 1)
     tables = upper - upper.transpose(0, 1, 3, 2)
     truth_index = int(gen.integers(0, class_size))
-    env = FiniteClassEnvironment(tables, truth_index, perturbation=perturbation)
-    return env, tables
+    return FiniteClassEnvironment(tables, truth_index)
 
 
 def make_linear_environment(

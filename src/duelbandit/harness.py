@@ -44,6 +44,10 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class DiagnosticFailure(AssertionError):
     """A per-round inequality that should always hold was violated."""
 
@@ -73,7 +77,7 @@ class ExperimentConfig:
         if benchmark:
             raise ValueError(f"benchmark does not use keys {sorted(benchmark)}")
         count = self.benchmark["policy_count"]
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        if not _is_int(count) or count < 0:
             raise ValueError("benchmark policy_count must be an integer >= 0, "
                              f"got {count!r}")
 
@@ -84,13 +88,25 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "algorithm" not in raw or "environment" not in raw:
             raise ValueError("config needs 'algorithm' and 'environment'")
+        horizon = raw.get("horizon", 0)
+        seeds = raw.get("seeds", [])
+        diagnostic = raw.get("diagnostic", False)
+        if not _is_int(horizon):
+            raise ValueError(f"horizon must be an integer, got {horizon!r}")
+        if not isinstance(seeds, list) or not all(
+                _is_int(s) and s >= 0 for s in seeds):
+            raise ValueError(
+                f"seeds must be a list of integers >= 0, got {seeds!r}")
+        if not isinstance(diagnostic, bool):
+            raise ValueError(
+                f"diagnostic must be true or false, got {diagnostic!r}")
         return cls(
             algorithm=raw["algorithm"],
             environment=raw["environment"],
-            horizon=int(raw.get("horizon", 0)),
-            seeds=[int(s) for s in raw.get("seeds", [])],
+            horizon=horizon,
+            seeds=list(seeds),
             output_dir=raw.get("output_dir"),
-            diagnostic=bool(raw.get("diagnostic", False)),
+            diagnostic=diagnostic,
             benchmark=raw.get("benchmark", {}),
         )
 
@@ -131,7 +147,6 @@ def _reject_unused(spec: dict, what: str, kind) -> None:
 def build_environment(spec: dict) -> Environment:
     spec = dict(spec)
     kind = spec.pop("kind", "fixed")
-    perturbation = 0.0 if kind == "linear" else spec.pop("perturbation", 0.0)
     if kind == "fixed":
         if "matrix" in spec:
             entries = spec.pop("matrix")
@@ -141,17 +156,15 @@ def build_environment(spec: dict) -> Environment:
             name = spec.pop("fixture")
             # the rest of the spec is the fixture's parameters
             matrix = named_fixture(name, **spec)
-        return FixedMatrixEnvironment(matrix, perturbation=float(perturbation))
+        return FixedMatrixEnvironment(matrix)
     if kind == "finite_class":
         class_seed, n_contexts = spec.pop("class_seed", 0), spec.pop("n_contexts", 1)
         k, class_size = spec.pop("k"), spec.pop("class_size", 16)
         margin_cap = spec.pop("margin_cap", FINITE_CLASS_MARGIN_CAP)
         _reject_unused(spec, "environment", kind)
         class_rng = RngHandle(int(class_seed)).substream("class")
-        env, _ = make_finite_class(int(n_contexts), int(k), int(class_size),
-                                   class_rng, float(margin_cap),
-                                   float(perturbation))
-        return env
+        return make_finite_class(int(n_contexts), int(k), int(class_size),
+                                 class_rng, float(margin_cap))
     if kind == "linear":
         k, dim = spec.pop("k"), spec.pop("dim")
         weight_seed = spec.pop("weight_seed", 0)
@@ -180,9 +193,9 @@ def _build_oracle(spec: dict, env: Environment, horizon: int):
             raise ValueError(
                 "finite oracle needs a finite-class or fixed environment")
         rng = RngHandle(int(class_seed)).substream("oracle-class")
-        drawn, tables = make_finite_class(1, env.k, int(class_size), rng)
-        tables[drawn.truth_index, 0] = env.matrix.entries
-        return FiniteClassAggregator(tables)
+        drawn = make_finite_class(1, env.k, int(class_size), rng)
+        drawn.tables[drawn.truth_index, 0] = env.matrix.entries
+        return FiniteClassAggregator(drawn.tables)
     if kind not in ("vaw", "ogd"):
         raise ValueError(f"unknown oracle kind {kind!r}")
     value = spec.pop("ridge" if kind == "vaw" else "radius", 1.0)
@@ -335,10 +348,10 @@ def run_single_seed(config: ExperimentConfig, seed: int):
     solver_iters = 0
     try:
         for t in range(1, config.horizon + 1):
-            x, realized, truth = env.sample_round(env_rng)
+            x, truth = env.sample_round(env_rng)
             joint, duel = learner.select(x, learner_rng)
             a, b = duel
-            outcome = sample_outcome(realized.entries.item(a, b), outcome_rng)
+            outcome = sample_outcome(truth.entries.item(a, b), outcome_rng)
             if config.diagnostic:
                 if isinstance(learner, (CceDb, CceLinDb)):
                     if not _diag_check_cce(learner, truth, joint):

@@ -153,6 +153,8 @@ class _RidgeState:
     RESYNC_EVERY = 1024
 
     def __init__(self, dim: int, ridge: float):
+        if not ridge > 0.0:
+            raise ValueError(f"ridge must be > 0, got {ridge!r}")
         self.gram = np.eye(dim) * ridge
         self.moment = np.zeros(dim)
         self._inv = np.eye(dim) / ridge
@@ -214,6 +216,8 @@ class OgdForecaster:
     def __init__(self, dim: int, horizon: int, radius: float = 1.0):
         if dim < 1 or horizon < 1:
             raise ValueError("dim and horizon must be >= 1")
+        if not radius > 0.0:
+            raise ValueError(f"radius must be > 0, got {radius!r}")
         self.dim = int(dim)
         self.radius = float(radius)
         lip = 2.0 * (radius + 1.0)

@@ -136,11 +136,11 @@ class TestCceDb:
             root.substream(name) for name in ("environment", "learner", "outcome"))
         zero_pivot = 0
         for t in range(2000):
-            x, realized, _truth = env.sample_round(env_rng)
+            x, truth = env.sample_round(env_rng)
             joint, duel = learner.select(x, learner_rng)
             assert cce_violation(learner.last_upper, joint) <= 1e-8, t
             zero_pivot += learner.last_iterations == 0
-            learner.observe(x, duel, sample_outcome(realized.entries[duel],
+            learner.observe(x, duel, sample_outcome(truth.entries[duel],
                                                     outcome_rng))
         assert zero_pivot >= 0.75 * 2000
 
@@ -338,7 +338,7 @@ class TestInteriorValuesNeedNoChecks:
         env_rng, learner_rng, outcome_rng = (
             root.substream(name) for name in ("environment", "learner", "outcome"))
         for t in range(1, self.ROUNDS + 1):
-            x, realized, _truth = env.sample_round(env_rng)
+            x, truth = env.sample_round(env_rng)
             joint, duel = learner.select(x, learner_rng)
             w = joint.weights
             assert w.min() >= 0.0, t
@@ -348,5 +348,5 @@ class TestInteriorValuesNeedNoChecks:
                 y = learner.last_prediction.entries
                 assert np.array_equal(y, -y.T), t
                 assert (np.diagonal(y) == 0.0).all(), t
-            outcome = sample_outcome(realized.entries[duel], outcome_rng)
+            outcome = sample_outcome(truth.entries[duel], outcome_rng)
             learner.observe(x, duel, outcome)

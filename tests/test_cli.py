@@ -187,6 +187,12 @@ class TestRunCommand:
         ({"kind": "ccedb"},
          {"kind": "fixed", "matrix": [[0, 0.5], [-0.5, 0]],
           "fixture": "rps3"}, "fixture"),
+        ({"kind": "ccedb"},
+         {"kind": "fixed", "fixture": "rps3", "perturbation": 0.3},
+         "perturbation"),
+        ({"kind": "minmaxdb", "gamma": 30.0},
+         {"kind": "finite_class", "k": 3, "perturbation": 0.3},
+         "perturbation"),
     ])
     def test_run_unused_spec_key_is_config_error(self, tmp_path, capsys,
                                                  algorithm, environment, key):
@@ -199,6 +205,53 @@ class TestRunCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and repr(key) in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"diagnostic": "false"}, "diagnostic"),
+        ({"horizon": 2.7}, "horizon"),
+        ({"horizon": None}, "horizon"),
+        ({"seeds": [0.9]}, "seeds"),
+        ({"seeds": [True]}, "seeds"),
+        ({"seeds": [-1]}, "seeds"),
+        ({"environment": {"kind": "fixed", "fixture": "condorcet",
+                          "k": "3", "margin": 0.4}}, None),
+        ({"environment": {"kind": "fixed", "fixture": "hardness",
+                          "eps": "0.2"}}, None),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": None},
+          "environment": {"kind": "finite_class", "k": 3}}, None),
+        ({"algorithm": {"kind": "ccelindb"},
+          "environment": {"kind": "linear", "k": None, "dim": 2}}, None),
+        ({"algorithm": {"kind": "ccelindb", "delta": 0},
+          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "delta"),
+        ({"algorithm": {"kind": "ccelindb", "delta": 2.0},
+          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "delta"),
+        ({"algorithm": {"kind": "ccelindb", "ridge": 0},
+          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "ridge"),
+        ({"algorithm": {"kind": "ccelindb", "ridge": -1},
+          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "ridge"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
+                        "oracle": {"kind": "vaw", "ridge": 0}},
+          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "ridge"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
+                        "oracle": {"kind": "ogd", "radius": -1}},
+          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "radius"),
+    ])
+    def test_run_bad_value_is_config_error(self, tmp_path, capsys,
+                                           overrides, message):
+        config = {"algorithm": {"kind": "ccedb"},
+                  "environment": {"kind": "fixed", "fixture": "rps3"},
+                  "horizon": 20, "seeds": [0], "benchmark": {"q_star": None},
+                  **overrides}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert message is None or message in captured.err
+        assert "seed" not in captured.out
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("environment, message", [

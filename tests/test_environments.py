@@ -47,31 +47,19 @@ class TestFixtures:
 class TestFixedMatrixEnvironment:
     def test_round_and_truth(self, rng):
         env = FixedMatrixEnvironment(rps3())
-        x, realized, truth = env.sample_round(rng)
+        x, truth = env.sample_round(rng)
         assert x == 0
-        assert realized is env.matrix
         assert truth is env.matrix
         assert env.ground_truth(0) is env.matrix
         with pytest.raises(UnknownContext):
             env.ground_truth(1)
 
-    def test_perturbed_rounds_stay_valid_and_centered(self):
-        env = FixedMatrixEnvironment(condorcet(3, 0.4), perturbation=0.3)
-        rng = RngHandle(0).substream("env")
-        draws = []
-        for _ in range(3000):
-            _x, realized, truth = env.sample_round(rng)
-            PreferenceMatrix(realized.entries)
-            assert truth is env.matrix
-            draws.append(realized.entries[0, 1])
-        assert abs(np.mean(draws) - 0.4) <= 0.02
-        assert np.std(draws) > 0.01  # actually perturbed
-
 
 class TestFiniteClassEnvironment:
     def test_make_finite_class_realizable(self):
         rng = RngHandle(1).substream("cls")
-        env, tables = make_finite_class(4, 3, 16, rng)
+        env = make_finite_class(4, 3, 16, rng)
+        tables = env.tables
         assert tables.shape == (16, 4, 3, 3)
         truth = tables[env.truth_index]
         for c in range(4):
@@ -81,12 +69,12 @@ class TestFiniteClassEnvironment:
 
     def test_single_hypothesis_class(self):
         rng = RngHandle(2).substream("cls")
-        env, tables = make_finite_class(1, 3, 1, rng)
+        env = make_finite_class(1, 3, 1, rng)
         assert env.truth_index == 0
 
     def test_context_sampling_uniform(self):
         rng = RngHandle(3).substream("cls")
-        env, _ = make_finite_class(4, 2, 4, rng)
+        env = make_finite_class(4, 2, 4, rng)
         draw_rng = RngHandle(3).substream("draws")
         xs = [env.sample_round(draw_rng)[0] for _ in range(4000)]
         counts = np.bincount(xs, minlength=4) / len(xs)
@@ -94,7 +82,7 @@ class TestFiniteClassEnvironment:
 
     def test_unknown_context(self):
         rng = RngHandle(4).substream("cls")
-        env, _ = make_finite_class(2, 2, 3, rng)
+        env = make_finite_class(2, 2, 3, rng)
         with pytest.raises(UnknownContext):
             env.ground_truth(5)
 
@@ -102,20 +90,18 @@ class TestFiniteClassEnvironment:
 class TestLinearRealizableEnvironment:
     def test_zero_weight_gives_zero_truth(self, rng):
         env = LinearRealizableEnvironment(3, np.zeros(4))
-        x, realized, truth = env.sample_round(rng)
-        assert (realized.entries == 0).all()
-        assert truth is realized
+        x, truth = env.sample_round(rng)
+        assert (truth.entries == 0).all()
 
     def test_features_antisymmetric_and_truth_linear(self, rng):
         env = make_linear_environment(4, 3, RngHandle(5).substream("w"))
         for _ in range(20):
-            x, realized, truth = env.sample_round(rng)
-            assert truth is realized
+            x, truth = env.sample_round(rng)
             assert np.array_equal(truth.entries, env.ground_truth(x).entries)
             assert np.array_equal(x, -x.transpose(1, 0, 2))
-            assert np.allclose(realized.entries, x @ env.weight)
-            PreferenceMatrix(realized.entries)
-            assert np.abs(realized.entries).max() <= 1.0
+            assert np.allclose(truth.entries, x @ env.weight)
+            PreferenceMatrix(truth.entries)
+            assert np.abs(truth.entries).max() <= 1.0
 
     def test_truth_requires_right_shape(self, rng):
         env = LinearRealizableEnvironment(3, np.ones(2) * 0.5)
@@ -159,9 +145,8 @@ class TestLinearRealizableEnvironment:
         rng = RngHandle(0)
         rescaled = 0
         for _ in range(draws):
-            x, realized, truth = env.sample_round(rng)
+            x, truth = env.sample_round(rng)
             f = truth.entries
-            assert realized is truth
             assert f.tobytes() == env.ground_truth(x).entries.tobytes()
             assert np.array_equal(f, -f.T)
             assert (np.diagonal(f) == 0.0).all()
@@ -195,12 +180,12 @@ class TestExplicitTournamentClass:
 class TestConditionalMeanConsistency:
     @pytest.mark.parametrize("builder", [
         lambda: FixedMatrixEnvironment(condorcet(3, 0.4)),
-        lambda: make_finite_class(2, 3, 8, RngHandle(6).substream("cls"))[0],
+        lambda: make_finite_class(2, 3, 8, RngHandle(6).substream("cls")),
     ])
     def test_outcome_mean_matches_truth(self, builder):
         env = builder()
         rng = RngHandle(7).substream("mc")
-        x, _, drawn_truth = env.sample_round(rng)
+        x, drawn_truth = env.sample_round(rng)
         assert drawn_truth is env.ground_truth(x)
         truth = drawn_truth.entries[0, 1]
         n = 100_000

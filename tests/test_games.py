@@ -47,10 +47,10 @@ def _learner_uppers(algorithm, environment, seed, rounds, horizon):
         root.substream(name) for name in ("environment", "learner", "outcome"))
     uppers = []
     for _ in range(rounds):
-        x, realized, _truth = env.sample_round(env_rng)
+        x, truth = env.sample_round(env_rng)
         _joint, duel = learner.select(x, learner_rng)
         uppers.append(learner.last_upper)
-        learner.observe(x, duel, sample_outcome(realized.entries[duel],
+        learner.observe(x, duel, sample_outcome(truth.entries[duel],
                                                 outcome_rng))
     return uppers
 
@@ -613,10 +613,10 @@ class TestKlProjectFloored:
             root.substream(name) for name in ("environment", "learner", "outcome"))
         cases = []
         for _ in range(300):
-            x, realized, _truth = env.sample_round(env_rng)
+            x, truth = env.sample_round(env_rng)
             _joint, duel = learner.select(x, learner_rng)
             cases.append((learner.last_marginal, floor))
-            learner.observe(x, duel, sample_outcome(realized.entries[duel],
+            learner.observe(x, duel, sample_outcome(truth.entries[duel],
                                                     outcome_rng))
         gen = np.random.default_rng(0)
         for _ in range(300):
