@@ -11,14 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    pair_indices,
     product_joint,
     sample_joint,
     sample_pair,
     skew_complete,
 )
 from .errors import GammaTooSmall, HorizonTooShort
-from .games import SolverConfig, solve_cce, solve_minmax_feasibility
+from .games import (
+    SolverConfig,
+    minmax_slack,
+    solve_cce,
+    solve_minmax_feasibility,
+)
 from .oracles import RegretBudget, _RidgeState
 from .rng import RngHandle
 
@@ -195,25 +199,43 @@ class MinMaxDb:
         self.oracle = oracle
         self.solver_config = solver_config or SolverConfig()
         self.t = 1
-        self._triu = pair_indices(k)  # the pair order of skew_complete
+        self._stop_violation = minmax_slack(self.k, self.gamma) / 2.0
+        self._forecast = None    # the oracle forecast of the last solve
+        self._solved = None      # its (marginal, joint)
         self.last_prediction = None
         self.last_marginal: np.ndarray | None = None
         self.last_violation = 0.0
         self.last_iterations = 0
 
     def select(self, context, rng: RngHandle):
-        y_hat = skew_complete(
-            self.oracle.predict_matrix(context)[self._triu], self.k)
-        report = solve_minmax_feasibility(
-            y_hat, self.gamma, self.solver_config,
-            warm_start=self.last_marginal,
-        )
-        p = report.point
-        self.last_prediction = y_hat
-        self.last_marginal = p.weights
-        self.last_violation = report.max_violation
-        self.last_iterations = report.iterations
-        joint = product_joint(p)
+        """Play the marginal the inverse-gap program picks for the forecast.
+
+        The marginal depends only on the forecast. A new solve starts from
+        the last marginal, which lies on the floored simplex, so its
+        projection copies it; on the forecast object of the last solve
+        (the oracle hands it back until an update or a change of context)
+        it finds the same violation there, and if that met the descent's
+        stop test it returns that marginal after 0 iterations. That case
+        skips the solve and reuses the held joint and marginal.
+        """
+        forecast = self.oracle.predict_matrix(context)
+        if (forecast is self._forecast
+                and self.last_violation <= self._stop_violation):
+            self.last_iterations = 0
+        else:
+            y_hat = skew_complete(forecast)
+            report = solve_minmax_feasibility(
+                y_hat, self.gamma, self.solver_config,
+                warm_start=self.last_marginal,
+            )
+            p = report.point
+            self._forecast = forecast
+            self._solved = p, product_joint(p)
+            self.last_prediction = y_hat
+            self.last_marginal = p.weights
+            self.last_violation = report.max_violation
+            self.last_iterations = report.iterations
+        p, joint = self._solved
         return joint, sample_pair(p, rng)
 
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:

@@ -181,29 +181,22 @@ def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def skew_complete(upper_values, k: int) -> PreferenceMatrix:
-    """Build a preference matrix from one value per pair a < b.
+def skew_complete(forecast) -> PreferenceMatrix:
+    """The preference matrix of an oracle's K x K skew forecast.
 
-    Values are taken row by row over the upper triangle: (0, 1), (0, 2),
-    ..., (k-2, k-1), the order of `np.triu_indices(k, 1)`. Values outside
-    [-1, 1] (online regressors may overshoot) are clamped and the clamp is
-    logged; the diagonal is zero by construction, so the result is built
-    without `PreferenceMatrix`'s checks.
+    The forecast must be exactly skew with a zero diagonal, as every
+    oracle's `predict_matrix` returns it; only its shape is checked. Values
+    outside [-1, 1] (online regressors may overshoot) are clamped, which
+    keeps the matrix skew, and the clamp is logged.
     """
-    vals = np.asarray(upper_values, dtype=np.float64).ravel()
-    if vals.size != k * (k - 1) // 2:
-        raise ValueError(
-            f"need {k * (k - 1) // 2} pair values for k={k}, got {vals.size}"
-        )
-    clamped = np.clip(vals, -1.0, 1.0)
-    n_clamped = int(np.count_nonzero(clamped != vals))
+    m = _as_square(forecast)
+    clamped = np.clip(m, -1.0, 1.0)
+    n_clamped = int(np.count_nonzero(clamped != m)) // 2  # each pair twice
     if n_clamped:
+        k = m.shape[0]
         log.debug("skew_complete clamped %d of %d predictions into [-1, 1]",
-                  n_clamped, vals.size)
-    m = np.zeros((k, k))
-    m[pair_indices(k)] = clamped
-    m -= m.T
-    return PreferenceMatrix._unchecked(m)
+                  n_clamped, k * (k - 1) // 2)
+    return PreferenceMatrix._unchecked(clamped)
 
 
 def sample_outcome(p_value: float, rng: RngHandle) -> int:
@@ -235,4 +228,5 @@ def sample_joint(joint: JointActionDistribution, rng: RngHandle) -> tuple[int, i
 
 def product_joint(dist: ActionDistribution) -> JointActionDistribution:
     """The exact product measure p x p as a joint distribution."""
-    return JointActionDistribution._unchecked(np.outer(dist.weights, dist.weights))
+    w = dist.weights
+    return JointActionDistribution._unchecked(w[:, None] * w)  # np.outer

@@ -104,6 +104,8 @@ class FiniteClassEnvironment(Environment):
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 4:
             raise ValueError("tables must have shape (|F|, n_contexts, K, K)")
+        if tables.shape[1] < 1:
+            raise ValueError("finite-class environment needs n_contexts >= 1")
         if not 0 <= truth_index < tables.shape[0]:
             raise ValueError("truth_index outside the class")
         self.tables = tables

@@ -243,7 +243,7 @@ def minmax_descent(Y: np.ndarray, gamma: float, floor: float, rhs: float,
     it = 0
     while it <= max_iter:
         g = Y @ p + inv_budget / p
-        i = int(np.argmax(g))
+        i = int(g.argmax())
         viol = float(g[i] - rhs)
         if viol < best_v:
             best_v = viol

@@ -144,6 +144,19 @@ def _reject_unused(spec: dict, what: str, kind) -> None:
         raise ValueError(f"{what} kind {kind!r} does not use keys {sorted(spec)}")
 
 
+_REQUIRED = object()
+
+
+def _pop_int(spec: dict, key: str, default=_REQUIRED) -> int:
+    """Pop the integer `key` from a spec, or `default` if it is absent
+    (a required key raises KeyError); a value that is not an int, or is a
+    bool, raises ValueError naming the key."""
+    value = spec.pop(key) if default is _REQUIRED else spec.pop(key, default)
+    if not _is_int(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def build_environment(spec: dict) -> Environment:
     spec = dict(spec)
     kind = spec.pop("kind", "fixed")
@@ -158,22 +171,22 @@ def build_environment(spec: dict) -> Environment:
             matrix = named_fixture(name, **spec)
         return FixedMatrixEnvironment(matrix)
     if kind == "finite_class":
-        class_seed, n_contexts = spec.pop("class_seed", 0), spec.pop("n_contexts", 1)
-        k, class_size = spec.pop("k"), spec.pop("class_size", 16)
+        class_seed = _pop_int(spec, "class_seed", 0)
+        n_contexts = _pop_int(spec, "n_contexts", 1)
+        k, class_size = _pop_int(spec, "k"), _pop_int(spec, "class_size", 16)
         margin_cap = spec.pop("margin_cap", FINITE_CLASS_MARGIN_CAP)
         _reject_unused(spec, "environment", kind)
-        class_rng = RngHandle(int(class_seed)).substream("class")
-        return make_finite_class(int(n_contexts), int(k), int(class_size),
-                                 class_rng, float(margin_cap))
+        class_rng = RngHandle(class_seed).substream("class")
+        return make_finite_class(n_contexts, k, class_size, class_rng,
+                                 float(margin_cap))
     if kind == "linear":
-        k, dim = spec.pop("k"), spec.pop("dim")
-        weight_seed = spec.pop("weight_seed", 0)
+        k, dim = _pop_int(spec, "k"), _pop_int(spec, "dim")
+        weight_seed = _pop_int(spec, "weight_seed", 0)
         _reject_unused(spec, "environment", kind)
-        dim = int(dim)
         if dim < 1:  # before the draw, which would reject it in numpy's words
             raise ValueError(f"linear environment needs dim >= 1, got {dim}")
-        weight_rng = RngHandle(int(weight_seed)).substream("weight")
-        return make_linear_environment(int(k), dim, weight_rng)
+        weight_rng = RngHandle(weight_seed).substream("weight")
+        return make_linear_environment(k, dim, weight_rng)
     raise ValueError(f"unknown environment kind {kind!r}")
 
 
@@ -184,16 +197,16 @@ def _build_oracle(spec: dict, env: Environment, horizon: int):
         # a fixed environment's class is drawn here; a finite_class
         # environment hands over its own
         if isinstance(env, FixedMatrixEnvironment):
-            class_seed = spec.pop("class_seed", 0)
-            class_size = spec.pop("class_size", 16)
+            class_seed = _pop_int(spec, "class_seed", 0)
+            class_size = _pop_int(spec, "class_size", 16)
         _reject_unused(spec, "oracle", kind)
         if isinstance(env, FiniteClassEnvironment):
             return FiniteClassAggregator(env.tables)
         if not isinstance(env, FixedMatrixEnvironment):
             raise ValueError(
                 "finite oracle needs a finite-class or fixed environment")
-        rng = RngHandle(int(class_seed)).substream("oracle-class")
-        drawn = make_finite_class(1, env.k, int(class_size), rng)
+        rng = RngHandle(class_seed).substream("oracle-class")
+        drawn = make_finite_class(1, env.k, class_size, rng)
         drawn.tables[drawn.truth_index, 0] = env.matrix.entries
         return FiniteClassAggregator(drawn.tables)
     if kind not in ("vaw", "ogd"):
@@ -212,14 +225,14 @@ def build_learner(spec: dict, env: Environment, horizon: int):
     kind = spec.pop("kind", None)
     if kind not in ("ccedb", "ccelindb", "minmaxdb"):
         raise ValueError(f"unknown algorithm kind {kind!r}")
-    max_iterations = spec.pop("solver_max_iterations",
+    max_iterations = _pop_int(spec, "solver_max_iterations",
                               SolverConfig.max_iterations)
     if kind == "minmaxdb":
         # its acceptance test is the fixed slack K/gamma: no solver_tolerance
         oracle_spec = spec.pop("oracle", {"kind": "finite"})
         gamma = spec.pop("gamma", "auto")
         _reject_unused(spec, "algorithm", kind)
-        solver_config = SolverConfig(max_iterations=int(max_iterations))
+        solver_config = SolverConfig(max_iterations=max_iterations)
         oracle = _build_oracle(oracle_spec, env, horizon)
         if gamma == "auto":
             gamma = default_gamma(env.k, horizon, oracle.regret_budget())
@@ -230,7 +243,7 @@ def build_learner(spec: dict, env: Environment, horizon: int):
         ridge = spec.pop("ridge", 1.0)
         width_multiplier = spec.pop("width_multiplier", None)
     _reject_unused(spec, "algorithm", kind)
-    solver_config = SolverConfig(max_iterations=int(max_iterations),
+    solver_config = SolverConfig(max_iterations=max_iterations,
                                  violation_tolerance=float(tolerance))
     delta = 1.0 / horizon if delta is None else float(delta)
     if kind == "ccedb":

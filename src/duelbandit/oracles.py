@@ -3,6 +3,11 @@
 Every oracle answers two calls. `predict_matrix(context)` returns the K x K
 skew matrix of its forecasts for every pair of the context and changes no
 state. `update(context, a, b, y)` folds in the label y of the pair (a, b).
+A forecast is exactly skew with a zero diagonal, and callers must not
+write to it: the finite-class oracle memoizes it read-only, and hands back
+the same object for a context until its next `update`, so a caller may
+take an unchanged object for an unchanged forecast. The linear oracles
+build a fresh array on every call.
 Labels are the raw duel outcomes in {-1, +1}, whose conditional mean is
 exactly the ground-truth preference entry, so no recentering is applied.
 A finite-class context is an integer id; a linear context is the
@@ -79,7 +84,8 @@ class FiniteClassAggregator:
 
     Hypotheses are precomputed prediction tables of shape
     (|F|, n_contexts, K, K); contexts are integer ids. The forecast is the
-    weight-weighted mean of hypothesis predictions.
+    weight-weighted mean of hypothesis predictions, computed once per
+    context between updates and held read-only.
     """
 
     def __init__(self, tables: np.ndarray):
@@ -89,6 +95,7 @@ class FiniteClassAggregator:
         self.tables = tables
         self.log_weights = np.zeros(tables.shape[0])
         self._n_updates = 0
+        self._forecasts: dict[int, np.ndarray] = {}  # context id -> forecast
 
     @property
     def class_size(self) -> int:
@@ -106,12 +113,20 @@ class FiniteClassAggregator:
         return x
 
     def predict_matrix(self, context) -> np.ndarray:
-        return np.einsum("f,fij->ij", self.weights,
-                         self.tables[:, self._context(context)])
+        x = self._context(context)
+        m = self._forecasts.get(x)
+        if m is None:
+            # each entry sums over f in the same order, and the tables are
+            # exactly skew, so the mean is too
+            m = np.einsum("f,fij->ij", self.weights, self.tables[:, x])
+            m.flags.writeable = False
+            self._forecasts[x] = m
+        return m
 
     def update(self, context, a: int, b: int, y: float) -> None:
         preds = self.tables[:, self._context(context), a, b]
         self.log_weights = self.log_weights - EXP_WEIGHTS_ETA * (preds - y) ** 2
+        self._forecasts = {}
         self._n_updates += 1
         if self._n_updates % 512 == 0:
             self.log_weights -= self.log_weights.max()  # drift guard

@@ -4,7 +4,13 @@ import pytest
 from duelbandit.algorithms import CceDb, CceLinDb, MinMaxDb, default_gamma
 from duelbandit.core import SIMPLEX_TOLERANCE, PreferenceMatrix, sample_outcome
 from duelbandit.errors import GammaTooSmall, HorizonTooShort
-from duelbandit.games import cce_deviation_matrix, cce_violation, minmax_violation
+from duelbandit.games import (
+    SolverConfig,
+    cce_deviation_matrix,
+    cce_violation,
+    minmax_slack,
+    minmax_violation,
+)
 from duelbandit.harness import build_environment, build_learner
 from duelbandit.oracles import (
     FiniteClassAggregator,
@@ -293,6 +299,99 @@ class TestMinMaxDb:
         joint, duel = learner.select(x, rng)
         assert joint.k == k
         learner.observe(x, duel, +1 if duel[0] != duel[1] else 1)
+
+
+class _FreshForecasts:
+    """Hands out a fresh copy of every forecast of the oracle it wraps, so
+    a MinMaxDb on it never takes a held solve."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def predict_matrix(self, context):
+        return self.oracle.predict_matrix(context).copy()
+
+    def update(self, context, a, b, y):
+        self.oracle.update(context, a, b, y)
+
+
+class TestMinMaxDbReuse:
+    """While the finite oracle hands back the forecast object of the last
+    solve, MinMaxDb reuses that solve; round by round it must give the bits
+    of a twin that solves every round."""
+
+    HORIZON = 2500
+
+    @pytest.mark.parametrize("n_contexts", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reuse_gives_the_bits_of_a_new_solve(self, n_contexts, seed):
+        env = build_environment({"kind": "finite_class", "k": 3,
+                                 "n_contexts": n_contexts,
+                                 "class_size": 8, "class_seed": 3})
+        learner = build_learner({"kind": "minmaxdb", "gamma": "auto"}, env,
+                                self.HORIZON)
+        twin = MinMaxDb(learner.k, learner.gamma,
+                        _FreshForecasts(FiniteClassAggregator(env.tables)),
+                        learner.solver_config)
+        root = RngHandle(seed)
+        env_rng, outcome_rng = (root.substream(name)
+                                for name in ("environment", "outcome"))
+        learner_rng, twin_rng = (RngHandle(seed).substream("learner")
+                                 for _ in range(2))
+        reused = 0
+        joint = None
+        for t in range(1, self.HORIZON + 1):
+            x, truth = env.sample_round(env_rng)
+            last_joint = joint
+            joint, duel = learner.select(x, learner_rng)
+            twin_joint, twin_duel = twin.select(x, twin_rng)
+            reused += joint is last_joint
+            assert duel == twin_duel, t
+            assert np.array_equal(joint.weights, twin_joint.weights), t
+            assert np.array_equal(learner.last_marginal,
+                                  twin.last_marginal), t
+            assert np.array_equal(learner.last_prediction.entries,
+                                  twin.last_prediction.entries), t
+            assert learner.last_violation == twin.last_violation, t
+            assert learner.last_iterations == twin.last_iterations, t
+            outcome = sample_outcome(truth.entries.item(*duel), outcome_rng)
+            learner.observe(x, duel, outcome)
+            twin.observe(x, duel, outcome)
+        if n_contexts == 1:
+            assert reused >= self.HORIZON / 4
+
+    def test_a_solve_that_missed_the_stop_test_is_not_reused(self, rng):
+        # with one iteration per solve, the first solve on this forecast
+        # ends above the stop test, so the same forecast is solved again
+        tabs = np.zeros((1, 1, 3, 3))
+        tabs[0, 0, 0, 1:], tabs[0, 0, 1:, 0] = 0.9, -0.9
+        learner = MinMaxDb(3, 24.0, FiniteClassAggregator(tabs),
+                           SolverConfig(max_iterations=1))
+        twin = MinMaxDb(3, 24.0, _FreshForecasts(FiniteClassAggregator(tabs)),
+                        SolverConfig(max_iterations=1))
+        stop = minmax_slack(3, 24.0) / 2.0
+        twin_rng = RngHandle(12345)
+        joints, iterations, violations = [], [], []
+        for _ in range(3):
+            joint, duel = learner.select(0, rng)
+            twin_joint, twin_duel = twin.select(0, twin_rng)
+            assert duel == twin_duel
+            assert np.array_equal(joint.weights, twin_joint.weights)
+            assert learner.last_iterations == twin.last_iterations
+            joints.append(joint)
+            iterations.append(learner.last_iterations)
+            violations.append(learner.last_violation)
+        assert violations[0] > stop >= violations[1] == violations[2]
+        assert iterations == [1, 1, 0]
+        assert joints[1] is not joints[0] and joints[2] is joints[1]
+
+    def test_fresh_forecasts_are_never_reused(self, rng):
+        # a vaw-like oracle: a new array every call, equal values
+        learner = MinMaxDb(3, 12.0, _FreshForecasts(
+            FiniteClassAggregator(np.zeros((1, 1, 3, 3)))))
+        joints = [learner.select(0, rng)[0] for _ in range(3)]
+        assert joints[0] is not joints[1] and joints[1] is not joints[2]
+        assert learner.last_iterations == 0
 
 
 class TestDefaultGamma:

@@ -236,6 +236,44 @@ class TestRunCommand:
         ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
                         "oracle": {"kind": "ogd", "radius": -1}},
           "environment": {"kind": "linear", "k": 3, "dim": 2}}, "radius"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
+          "environment": {"kind": "finite_class", "k": 3, "n_contexts": 0}},
+         "n_contexts >= 1"),
+        # integer keys are checked, not truncated
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
+          "environment": {"kind": "finite_class", "k": 3.7}},
+         "k must be an integer"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
+          "environment": {"kind": "finite_class", "k": 3, "class_size": 2.9}},
+         "class_size must be an integer"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
+          "environment": {"kind": "finite_class", "k": 3, "n_contexts": 1.5}},
+         "n_contexts must be an integer"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
+          "environment": {"kind": "finite_class", "k": 3, "class_seed": "4"}},
+         "class_seed must be an integer"),
+        ({"algorithm": {"kind": "ccelindb"},
+          "environment": {"kind": "linear", "k": 3.0, "dim": 2}},
+         "k must be an integer"),
+        ({"algorithm": {"kind": "ccelindb"},
+          "environment": {"kind": "linear", "k": 3, "dim": 2.5}},
+         "dim must be an integer"),
+        ({"algorithm": {"kind": "ccelindb"},
+          "environment": {"kind": "linear", "k": 3, "dim": 2,
+                          "weight_seed": True}},
+         "weight_seed must be an integer"),
+        ({"algorithm": {"kind": "ccedb", "solver_max_iterations": 100.5}},
+         "solver_max_iterations must be an integer"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
+                        "solver_max_iterations": None},
+          "environment": {"kind": "finite_class", "k": 3}},
+         "solver_max_iterations must be an integer"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
+                        "oracle": {"kind": "finite", "class_size": 4.2}}},
+         "class_size must be an integer"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
+                        "oracle": {"kind": "finite", "class_seed": 1.0}}},
+         "class_seed must be an integer"),
     ])
     def test_run_bad_value_is_config_error(self, tmp_path, capsys,
                                            overrides, message):

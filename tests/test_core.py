@@ -62,30 +62,52 @@ class TestValidatePreferenceMatrix:
     @given(st.integers(2, 8), st.integers(0, 2**32 - 1))
     def test_random_skew_completion_always_validates(self, k, seed):
         gen = np.random.default_rng(seed)
-        vals = gen.uniform(-1, 1, k * (k - 1) // 2)
-        m = skew_complete(vals, k)
+        upper = np.triu(gen.uniform(-1, 1, (k, k)), 1)
+        m = skew_complete(upper - upper.T)
         again = PreferenceMatrix(m.entries)
         assert np.array_equal(again.entries, m.entries)
 
 
 class TestSkewComplete:
     def test_two_arm_direct(self):
-        m = skew_complete([0.3], k=2)
+        m = skew_complete([[0, 0.3], [-0.3, 0]])
         assert np.array_equal(m.entries, [[0, 0.3], [-0.3, 0]])
 
     def test_zero_values_give_zero_matrix(self):
-        m = skew_complete([0, 0, 0], k=3)
+        m = skew_complete(np.zeros((3, 3)))
         assert (m.entries == 0).all()
 
     def test_out_of_range_clamped_and_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="duelbandit.core"):
-            m = skew_complete([1.7], k=2)
+            m = skew_complete([[0, 1.7], [-1.7, 0]])
         assert np.array_equal(m.entries, [[0, 1], [-1, 0]])
-        assert any("clamped" in r.message for r in caplog.records)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skew_complete clamped 1 of 1 predictions into [-1, 1]"]
 
-    def test_wrong_count_rejected(self):
-        with pytest.raises(ValueError):
-            skew_complete([0.1, 0.2], k=3)
+    def test_clamp_count_is_per_pair(self, caplog):
+        forecast = np.zeros((4, 4))
+        forecast[0, 1], forecast[1, 3], forecast[2, 3] = 1.5, -2.0, 0.5
+        forecast -= forecast.T
+        with caplog.at_level(logging.DEBUG, logger="duelbandit.core"):
+            skew_complete(forecast)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skew_complete clamped 2 of 6 predictions into [-1, 1]"]
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_clamp_keeps_the_matrix_skew(self, k):
+        gen = np.random.default_rng(k)
+        upper = np.triu(gen.uniform(-3, 3, (k, k)), 1)
+        forecast = upper - upper.T
+        m = skew_complete(forecast).entries
+        assert np.array_equal(m, np.clip(forecast, -1, 1))
+        assert np.array_equal(m, -m.T)
+        assert np.abs(m).max() <= 1.0 and (np.abs(m) == 1.0).any()
+        assert not m.flags.writeable
+
+    def test_non_square_rejected(self):
+        for shape in [(3,), (2, 3), (1, 2, 2)]:
+            with pytest.raises(ValueError, match="square"):
+                skew_complete(np.zeros(shape))
 
 
 class TestMarginals:

@@ -86,6 +86,12 @@ class TestFiniteClassEnvironment:
         with pytest.raises(UnknownContext):
             env.ground_truth(5)
 
+    def test_empty_context_grid_rejected(self):
+        with pytest.raises(ValueError, match="n_contexts >= 1"):
+            FiniteClassEnvironment(np.zeros((2, 0, 3, 3)), 0)
+        with pytest.raises(ValueError, match="n_contexts >= 1"):
+            make_finite_class(0, 3, 4, RngHandle(5).substream("cls"))
+
 
 class TestLinearRealizableEnvironment:
     def test_zero_weight_gives_zero_truth(self, rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from duelbandit.environments import make_finite_class
 from duelbandit.errors import DimensionMismatch, UnsupportedOracle
 from duelbandit.oracles import (
     FiniteClassAggregator,
@@ -68,6 +69,41 @@ class TestFiniteClassAggregator:
         for x in (0, 1):
             expected = sum(w[f] * tabs[f, x] for f in range(5))
             assert np.abs(oracle.predict_matrix(x) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 20])
+    @pytest.mark.parametrize("class_size", [1, 16, 257])
+    def test_forecast_is_exactly_skew(self, k, class_size):
+        # the forecast goes to MinMaxDb as it is: no triangle is rebuilt
+        rng = RngHandle(k * 1000 + class_size).substream("cls")
+        tables = make_finite_class(2, k, class_size, rng).tables
+        oracle = FiniteClassAggregator(tables)
+        gen = rng.generator
+        for _ in range(50):
+            a, b = sorted(gen.choice(k, 2, replace=False))
+            oracle.update(int(gen.integers(0, 2)), a, b,
+                          float(gen.choice([-1.0, 1.0])))
+        for x in (0, 1):
+            m = oracle.predict_matrix(x)
+            assert (m == -m.T).all()
+            assert (np.diagonal(m) == 0.0).all()
+
+    def test_forecast_is_held_read_only_until_update(self):
+        gen = np.random.default_rng(1)
+        raw = gen.uniform(-0.8, 0.8, (4, 2, 3, 3))
+        tabs = np.triu(raw, 1) - np.triu(raw, 1).transpose(0, 1, 3, 2)
+        oracle = FiniteClassAggregator(tabs)
+        first = [oracle.predict_matrix(x) for x in (0, 1)]
+        for x, m in enumerate(first):
+            assert not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 1] = 0.0
+            assert oracle.predict_matrix(x) is m
+        assert first[0] is not first[1]
+        oracle.update(1, 0, 2, 1.0)
+        after = [oracle.predict_matrix(x) for x in (0, 1)]
+        assert after[0] is not first[0] and after[1] is not first[1]
+        assert not np.array_equal(after[0], first[0])
+        assert oracle.predict_matrix(0) is after[0]
 
     def test_context_out_of_range(self):
         oracle = FiniteClassAggregator(constant_tables([0.0]))

@@ -51,6 +51,16 @@ CONFIGS = {
         "horizon": 300, "seeds": [0, 1],
         "benchmark": {"q_star": None, "policy_count": 0},
     },
+    # criterion 11's instance: the context switches, and after a switch
+    # the inverse-gap descent iterates (23 rounds of the 2000)
+    "minmaxdb-finite3-ctx2": {
+        "algorithm": {"kind": "minmaxdb", "gamma": "auto",
+                      "oracle": {"kind": "finite"}},
+        "environment": {"kind": "finite_class", "k": 3, "n_contexts": 2,
+                        "class_size": 8, "class_seed": 3},
+        "horizon": 1000, "seeds": [0, 1],
+        "benchmark": {"q_star": None, "policy_count": 2},
+    },
     "minmaxdb-vaw-linear3": {
         "algorithm": {"kind": "minmaxdb", "gamma": "auto",
                       "oracle": {"kind": "vaw"}},
@@ -81,6 +91,11 @@ DIGESTS = {
         "rounds_seed0.csv": "5c8f04292ebd2659cd8406caa6779edf93779f968d6a7326522c740c0d83d619",
         "rounds_seed1.csv": "219e831eaa4feac01826a69da8b0fd83a1b14304d73fb2a22e56fd600535a2ef",
         "summary.csv": "e0d4868a5dae143c89cbfa6df330d96deef9a8d8dc077ba7a700ca12b3ae4bad",
+    },
+    "minmaxdb-finite3-ctx2": {
+        "rounds_seed0.csv": "3ee3955e67d22f50fd9198b5049466d5f50094791b4d4901cc17c6ced9df05e1",
+        "rounds_seed1.csv": "b573c8172dfd27520771d7b520392b18941128f2ae7bd1b62b32db1df3f2ac64",
+        "summary.csv": "e60ceb5ade079cf9f052ef658d2acdffa48bac9f548e362a73691350c0257de9",
     },
     "minmaxdb-vaw-linear3": {
         "rounds_seed0.csv": "f44a07cc0178a36872138702a6a7db99c4a01748bb4621390d429357abf90636",
