@@ -20,6 +20,7 @@ from .errors import GammaTooSmall, HorizonTooShort
 from .games import (
     SolverConfig,
     minmax_slack,
+    minmax_violation,
     solve_cce,
     solve_minmax_feasibility,
 )
@@ -200,38 +201,45 @@ class MinMaxDb:
         self.solver_config = solver_config or SolverConfig()
         self.t = 1
         self._stop_violation = minmax_slack(self.k, self.gamma) / 2.0
-        self._forecast = None    # the oracle forecast of the last solve
-        self._solved = None      # its (marginal, joint)
+        self._forecast = None    # the oracle forecast last seen
+        self._solved = None      # the held (marginal, joint)
         self.last_prediction = None
         self.last_marginal: np.ndarray | None = None
-        self.last_violation = 0.0
+        self.last_violation = np.inf  # the held marginal's, last forecast
         self.last_iterations = 0
 
     def select(self, context, rng: RngHandle):
-        """Play the marginal the inverse-gap program picks for the forecast.
+        """Play a marginal that meets the inverse-gap program of the forecast.
 
-        The marginal depends only on the forecast. A new solve starts from
-        the last marginal, which lies on the floored simplex, so its
-        projection copies it; on the forecast object of the last solve
-        (the oracle hands it back until an update or a change of context)
-        it finds the same violation there, and if that met the descent's
-        stop test it returns that marginal after 0 iterations. That case
-        skips the solve and reuses the held joint and marginal.
+        Any marginal within the descent's stop test serves the round, so
+        the held marginal is kept while it meets that test under the
+        current forecast, and solved again, warm-started from itself, only
+        when it misses. Its violation is what a solve finds at iteration 0
+        (the held marginal lies on the floored simplex, so the solve's
+        projection copies it), and a solve that meets the test there
+        returns it after 0 iterations: keeping it gives the bits of solving
+        every round. The violation is computed once per forecast object,
+        so an unchanged object (the finite oracle hands it back until an
+        update or a change of context) reuses it. A NaN violation fails
+        the test, and the solver raises NotConverged.
         """
         forecast = self.oracle.predict_matrix(context)
-        if (forecast is self._forecast
-                and self.last_violation <= self._stop_violation):
+        if forecast is not self._forecast:
+            y_hat = skew_complete(forecast)
+            self._forecast = forecast
+            self.last_prediction = y_hat
+            if self.last_marginal is not None:
+                self.last_violation = minmax_violation(
+                    y_hat, self.gamma, self.last_marginal)
+        if self.last_violation <= self._stop_violation:
             self.last_iterations = 0
         else:
-            y_hat = skew_complete(forecast)
             report = solve_minmax_feasibility(
-                y_hat, self.gamma, self.solver_config,
+                self.last_prediction, self.gamma, self.solver_config,
                 warm_start=self.last_marginal,
             )
             p = report.point
-            self._forecast = forecast
             self._solved = p, product_joint(p)
-            self.last_prediction = y_hat
             self.last_marginal = p.weights
             self.last_violation = report.max_violation
             self.last_iterations = report.iterations

@@ -187,9 +187,14 @@ def skew_complete(forecast) -> PreferenceMatrix:
     The forecast must be exactly skew with a zero diagonal, as every
     oracle's `predict_matrix` returns it; only its shape is checked. Values
     outside [-1, 1] (online regressors may overshoot) are clamped, which
-    keeps the matrix skew, and the clamp is logged.
+    keeps the matrix skew, and the clamp is logged. A forecast already in
+    [-1, 1] (a skew matrix's maximum is its largest absolute entry) is
+    wrapped as a read-only view, not copied; NaN fails that test and takes
+    the clamp.
     """
     m = _as_square(forecast)
+    if m.max() <= 1.0:
+        return PreferenceMatrix._unchecked(m.view())
     clamped = np.clip(m, -1.0, 1.0)
     n_clamped = int(np.count_nonzero(clamped != m)) // 2  # each pair twice
     if n_clamped:

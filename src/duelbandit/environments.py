@@ -122,7 +122,8 @@ class FiniteClassEnvironment(Environment):
         return self.tables.shape[1]
 
     def sample_round(self, rng: RngHandle):
-        x = rng.integers(0, self.n_contexts)
+        # a one-context grid draws nothing; integers(0, 1) takes no bits
+        x = rng.integers(0, self.n_contexts) if len(self._truth) > 1 else 0
         return x, self._truth[x]
 
     def ground_truth(self, x) -> PreferenceMatrix:

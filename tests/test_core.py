@@ -104,6 +104,31 @@ class TestSkewComplete:
         assert np.abs(m).max() <= 1.0 and (np.abs(m) == 1.0).any()
         assert not m.flags.writeable
 
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_in_range_forecast_is_a_read_only_view(self, k, caplog):
+        gen = np.random.default_rng(k)
+        upper = np.triu(gen.uniform(-1, 1, (k, k)), 1)
+        upper[0, -1] = -1.0  # the bounds themselves are in range
+        upper[-2, -1] = 1.0
+        forecast = upper - upper.T
+        with caplog.at_level(logging.DEBUG, logger="duelbandit.core"):
+            m = skew_complete(forecast).entries
+        assert m.tobytes() == np.clip(forecast, -1, 1).tobytes()
+        assert np.shares_memory(m, forecast)
+        assert not m.flags.writeable
+        assert forecast.flags.writeable
+        assert caplog.records == []
+
+    def test_nan_takes_the_clamp_and_is_logged(self, caplog):
+        forecast = np.zeros((3, 3))
+        forecast[0, 1], forecast[1, 0] = np.nan, np.nan
+        with caplog.at_level(logging.DEBUG, logger="duelbandit.core"):
+            m = skew_complete(forecast).entries
+        assert m.tobytes() == np.clip(forecast, -1, 1).tobytes()
+        assert not np.shares_memory(m, forecast)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skew_complete clamped 1 of 3 predictions into [-1, 1]"]
+
     def test_non_square_rejected(self):
         for shape in [(3,), (2, 3), (1, 2, 2)]:
             with pytest.raises(ValueError, match="square"):

@@ -80,6 +80,15 @@ class TestFiniteClassEnvironment:
         counts = np.bincount(xs, minlength=4) / len(xs)
         assert (np.abs(counts - 0.25) <= 0.03).all()
 
+    def test_one_context_draws_take_no_bits(self):
+        env = make_finite_class(1, 3, 4, RngHandle(6).substream("cls"))
+        draw_rng = RngHandle(6).substream("draws")
+        rounds = [env.sample_round(draw_rng) for _ in range(100)]
+        assert all(x == 0 and truth is env.ground_truth(0)
+                   for x, truth in rounds)
+        fresh = RngHandle(6).substream("draws")
+        assert draw_rng.random() == fresh.random()
+
     def test_unknown_context(self):
         rng = RngHandle(4).substream("cls")
         env = make_finite_class(2, 2, 3, rng)

@@ -61,6 +61,16 @@ CONFIGS = {
         "horizon": 1000, "seeds": [0, 1],
         "benchmark": {"q_star": None, "policy_count": 2},
     },
+    # two contexts over a class of 16: the descent iterates on many rounds
+    # and, between them, the held marginal meets new forecasts unsolved
+    "minmaxdb-finite3-ctx2-class16": {
+        "algorithm": {"kind": "minmaxdb", "gamma": "auto",
+                      "oracle": {"kind": "finite"}},
+        "environment": {"kind": "finite_class", "k": 3, "n_contexts": 2,
+                        "class_size": 16, "class_seed": 11},
+        "horizon": 1000, "seeds": [0, 1],
+        "benchmark": {"q_star": None, "policy_count": 2},
+    },
     "minmaxdb-vaw-linear3": {
         "algorithm": {"kind": "minmaxdb", "gamma": "auto",
                       "oracle": {"kind": "vaw"}},
@@ -96,6 +106,11 @@ DIGESTS = {
         "rounds_seed0.csv": "3ee3955e67d22f50fd9198b5049466d5f50094791b4d4901cc17c6ced9df05e1",
         "rounds_seed1.csv": "b573c8172dfd27520771d7b520392b18941128f2ae7bd1b62b32db1df3f2ac64",
         "summary.csv": "e60ceb5ade079cf9f052ef658d2acdffa48bac9f548e362a73691350c0257de9",
+    },
+    "minmaxdb-finite3-ctx2-class16": {
+        "rounds_seed0.csv": "5e34d98f8a8c64a4332c970d8c0a655cb4ce4222c7b6e0070ee9fcdeb42dc81e",
+        "rounds_seed1.csv": "661cbb84e10d97f4bf844157257073707201337ea0900d4eb5747e18316bd8b7",
+        "summary.csv": "7b0b5c4ea7b32568bb9c222793f96b43dec03752788272190695c05b72549e84",
     },
     "minmaxdb-vaw-linear3": {
         "rounds_seed0.csv": "f44a07cc0178a36872138702a6a7db99c4a01748bb4621390d429357abf90636",
