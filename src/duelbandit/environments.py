@@ -17,6 +17,7 @@ from .core import PreferenceMatrix
 from .errors import UnknownContext
 from .rng import RngHandle
 
+DRAW_AHEAD_ROUNDS = 256   # linear rounds drawn per environment-stream call
 FINITE_CLASS_MARGIN_CAP = 0.8   # keeps win probabilities away from {0, 1}
 
 
@@ -139,6 +140,12 @@ class LinearRealizableEnvironment(Environment):
     Feature tensors are antisymmetric across the pair axes, so predictions of
     any linear model are skew by linearity; each draw is rescaled so the
     ground-truth entries land in [-1, 1].
+
+    No learner can influence a context, so `sample_round` draws
+    `DRAW_AHEAD_ROUNDS` rounds at once from the handle it is given, with
+    the bits of drawing them one round at a time, and serves them in turn
+    as read-only views into the block. A call with another handle starts
+    a new block from that handle.
     """
 
     def __init__(self, k: int, weight: np.ndarray):
@@ -160,24 +167,39 @@ class LinearRealizableEnvironment(Environment):
         self.weight = weight
         self.dim = weight.shape[0]
         self._upper = np.triu(np.ones((k, k), dtype=bool), 1)
+        self._source = None     # the handle the held block came from
+        self._rounds = iter(())
 
     @property
     def k(self) -> int:
         return self._k
 
     def sample_round(self, rng: RngHandle):
+        if rng is not self._source:
+            self._source, self._rounds = rng, iter(())
+        drawn = next(self._rounds, None)
+        if drawn is None:
+            self._rounds = self._draw_ahead(rng)
+            drawn = next(self._rounds)
+        return drawn
+
+    def _draw_ahead(self, rng: RngHandle):
+        """The next DRAW_AHEAD_ROUNDS rounds' (features, truth), in order."""
         k, d = self._k, self.dim
-        raw = rng.generator.uniform(-1.0, 1.0, (k, k, d))
-        feats = (raw - raw.transpose(1, 0, 2)) / 2.0
+        raw = rng.generator.uniform(-1.0, 1.0, (DRAW_AHEAD_ROUNDS, k, k, d))
+        feats = (raw - raw.transpose(0, 2, 1, 3)) / 2.0
         vals = feats @ self.weight
-        peak = np.abs(vals).max()
-        if peak > 1.0 - 1e-9:
-            # headroom absorbs re-summation error when truth is recomputed
-            feats *= (1.0 - 1e-9) / peak
-            vals = feats @ self.weight
+        peaks = np.abs(vals).max(axis=(1, 2))
         # the bits PreferenceMatrix stores; skew, zero diagonal, in [-1, 1]
         upper = np.where(self._upper, vals, 0.0)
-        return feats, PreferenceMatrix._unchecked(upper - upper.T)
+        for t in np.flatnonzero(peaks > 1.0 - 1e-9):
+            # headroom absorbs re-summation error when truth is recomputed
+            feats[t] *= (1.0 - 1e-9) / peaks[t]
+            upper[t] = np.where(self._upper, feats[t] @ self.weight, 0.0)
+        feats.setflags(write=False)
+        truths = map(PreferenceMatrix._unchecked,
+                     upper - upper.transpose(0, 2, 1))
+        return zip(feats, truths)
 
     def ground_truth(self, x) -> PreferenceMatrix:
         x = np.asarray(x, dtype=np.float64)

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from duelbandit.errors import (
     RangeViolation,
     SkewSymmetryViolation,
 )
-from duelbandit.rng import RngHandle
+from duelbandit.rng import DRAW_AHEAD, RngHandle
 
 RPS = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
 
@@ -299,3 +300,31 @@ class TestDeterminism:
     def test_named_substreams_differ(self):
         r = RngHandle(7)
         assert r.substream("a").random() != r.substream("b").random()
+
+
+class TestDrawAhead:
+    """`random()` serves uniforms from blocks; the bits are those of
+    scalar draws, and a handle that drew ahead refuses direct draws."""
+
+    def test_uniforms_match_scalar_draws(self):
+        ours = RngHandle(7).substream("u")
+        twin = RngHandle(7).substream("u").generator
+        n = 800   # more than three refills
+        assert n > 3 * DRAW_AHEAD
+        assert [ours.random() for _ in range(n)] == \
+            [float(twin.random()) for _ in range(n)]
+
+    def test_direct_draws_refused_after_drawing_ahead(self):
+        handle = RngHandle(7).substream("u")
+        handle.random()
+        name = re.escape(f"seed=7, path={handle.path!r}")
+        with pytest.raises(RuntimeError, match=name):
+            handle.generator
+        with pytest.raises(RuntimeError, match=name):
+            handle.integers(0, 10)
+
+    def test_direct_draws_work_before_drawing_ahead(self):
+        handle, twin = RngHandle(7), RngHandle(7).generator
+        assert handle.integers(0, 1000) == int(twin.integers(0, 1000))
+        assert handle.generator.random() == twin.random()
+        assert handle.random() == float(twin.random())

@@ -3,6 +3,7 @@ import pytest
 
 from duelbandit.core import PreferenceMatrix
 from duelbandit.environments import (
+    DRAW_AHEAD_ROUNDS,
     FiniteClassEnvironment,
     FixedMatrixEnvironment,
     LinearRealizableEnvironment,
@@ -168,6 +169,64 @@ class TestLinearRealizableEnvironment:
             assert np.abs(f).max() <= 1.0
             rescaled += bool(np.abs(x @ env.weight).max() > 1.0 - 1e-8)
         assert rescaled >= min_rescaled
+
+
+def _reference_round(env, rng):
+    """One linear round drawn on its own, as before rounds were drawn
+    ahead: the formula the block draw must reproduce bit for bit."""
+    k, d = env.k, env.dim
+    raw = rng.generator.uniform(-1.0, 1.0, (k, k, d))
+    feats = (raw - raw.transpose(1, 0, 2)) / 2.0
+    vals = feats @ env.weight
+    peak = np.abs(vals).max()
+    if peak > 1.0 - 1e-9:
+        feats *= (1.0 - 1e-9) / peak
+        vals = feats @ env.weight
+    upper = np.where(np.triu(np.ones((k, k), dtype=bool), 1), vals, 0.0)
+    return feats, upper - upper.T
+
+
+class TestLinearDrawAhead:
+    """Contexts come from blocks of DRAW_AHEAD_ROUNDS rounds; each round
+    must have the bits of the per-round formula, served read-only."""
+
+    @pytest.mark.parametrize("k, dim, weight_seed, min_rescaled", [
+        (5, 4, 5, 0),     # the ccelindb-linear5 benchmark's weight
+        (4, 8, 3, 300),   # most draws take the rescaling branch
+    ])
+    def test_rounds_have_the_per_round_bits(self, k, dim, weight_seed,
+                                            min_rescaled):
+        env = build_environment({"kind": "linear", "k": k, "dim": dim,
+                                 "weight_seed": weight_seed})
+        rng, twin = (RngHandle(0).substream("env") for _ in range(2))
+        previous = None
+        rescaled = 0
+        rounds = 600
+        assert rounds > 2 * DRAW_AHEAD_ROUNDS   # crosses two block boundaries
+        for t in range(rounds):
+            x, truth = env.sample_round(rng)
+            want_x, want_truth = _reference_round(env, twin)
+            assert x.tobytes() == want_x.tobytes(), t
+            assert truth.entries.tobytes() == want_truth.tobytes(), t
+            assert not x.flags.writeable and not truth.entries.flags.writeable
+            if previous is not None:
+                assert not np.shares_memory(x, previous[0]), t
+                assert not np.shares_memory(truth.entries, previous[1]), t
+            previous = x, truth.entries
+            rescaled += bool(np.abs(x @ env.weight).max() > 1.0 - 1e-8)
+        assert rescaled >= min_rescaled
+
+    def test_another_handle_starts_a_new_block(self):
+        env = build_environment({"kind": "linear", "k": 4, "dim": 8,
+                                 "weight_seed": 3})
+        first = RngHandle(1).substream("env")
+        for _ in range(10):
+            env.sample_round(first)
+        x, truth = env.sample_round(RngHandle(2).substream("env"))
+        want_x, want_truth = _reference_round(env,
+                                              RngHandle(2).substream("env"))
+        assert x.tobytes() == want_x.tobytes()
+        assert truth.entries.tobytes() == want_truth.tobytes()
 
 
 class TestExplicitTournamentClass:

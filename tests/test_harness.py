@@ -254,6 +254,25 @@ class TestRunExperiment:
         else:  # widths this narrow miss the truth: the check must see it
             assert min(violations) > 0
 
+    @pytest.mark.parametrize("algorithm", [
+        {"kind": "ccelindb"},
+        {"kind": "minmaxdb", "gamma": 50.0, "oracle": {"kind": "vaw"}},
+        {"kind": "minmaxdb", "gamma": 50.0, "oracle": {"kind": "ogd"}},
+    ], ids=["ccelindb", "minmaxdb-vaw", "minmaxdb-ogd"])
+    def test_linear_learners_run_on_read_only_contexts(self, algorithm):
+        # contexts are read-only views into a block of rounds drawn ahead,
+        # so a learner or oracle writing to one would raise; T=300 crosses
+        # a block boundary
+        cfg = ExperimentConfig.from_dict({
+            "algorithm": algorithm,
+            "environment": {"kind": "linear", "k": 4, "dim": 3,
+                            "weight_seed": 5},
+            "horizon": 300, "seeds": [0, 1],
+            "benchmark": {"q_star": None, "policy_count": 2},
+        })
+        summaries, _ = run_experiment(cfg)
+        assert [s.status for s in summaries] == ["ok", "ok"]
+
     def test_normalized_statistic_finite(self):
         summaries, _ = run_experiment(base_config())
         assert np.isfinite(summaries[0].normalized_br)
