@@ -35,7 +35,6 @@ from .evaluation import (
 )
 from .games import (
     FeasibilityReport,
-    SolverConfig,
     solve_cce,
     solve_minmax_feasibility,
     solve_zero_sum_nash,
@@ -70,7 +69,6 @@ __all__ = [
     "RegretLedger",
     "RngHandle",
     "RunSummary",
-    "SolverConfig",
     "VawForecaster",
     "aggregate",
     "br_regret_step",

@@ -18,7 +18,6 @@ from .core import (
 )
 from .errors import GammaTooSmall, HorizonTooShort
 from .games import (
-    SolverConfig,
     minmax_slack,
     minmax_violation,
     solve_cce,
@@ -56,7 +55,7 @@ def _cce_round(learner, mean: np.ndarray, width: np.ndarray, rng: RngHandle,
     """
     upper = mean + width
     upper.flat[::upper.shape[0] + 1] = 0.0  # the diagonal
-    report = solve_cce(upper, learner.solver_config, warm_start=basis)
+    report = solve_cce(upper, warm_start=basis)
     joint = report.point
     learner.last_mean = mean
     learner.last_confidence = width
@@ -73,13 +72,11 @@ class CceDb:
     kind = "ccedb"
     gamma = None
 
-    def __init__(self, k: int, delta: float,
-                 solver_config: SolverConfig | None = None):
+    def __init__(self, k: int, delta: float):
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
         self.k = int(k)
         self.delta = float(delta)
-        self.solver_config = solver_config or SolverConfig()
         self.wins = np.zeros((k, k))
         self.t = 1
         self.last_mean: np.ndarray | None = None
@@ -143,8 +140,7 @@ class CceLinDb:
     gamma = None
 
     def __init__(self, dim: int, horizon: int, delta: float,
-                 ridge: float = 1.0, width_multiplier: float | None = None,
-                 solver_config: SolverConfig | None = None):
+                 ridge: float = 1.0, width_multiplier: float | None = None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         if not 0.0 < delta < 1.0:
@@ -158,7 +154,6 @@ class CceLinDb:
                 + np.sqrt(ridge)
             )
         self.width_multiplier = float(width_multiplier)
-        self.solver_config = solver_config or SolverConfig()
         self.t = 1
         self.last_mean: np.ndarray | None = None
         self.last_confidence: np.ndarray | None = None
@@ -191,14 +186,12 @@ class MinMaxDb:
 
     kind = "minmaxdb"
 
-    def __init__(self, k: int, gamma: float, oracle,
-                 solver_config: SolverConfig | None = None):
+    def __init__(self, k: int, gamma: float, oracle):
         if gamma < 2.0 * k:
             raise GammaTooSmall(f"gamma={gamma} below 2K={2 * k}")
         self.k = int(k)
         self.gamma = float(gamma)
         self.oracle = oracle
-        self.solver_config = solver_config or SolverConfig()
         self.t = 1
         self._stop_violation = minmax_slack(self.k, self.gamma) / 2.0
         self._forecast = None    # the oracle forecast last seen
@@ -235,7 +228,7 @@ class MinMaxDb:
             self.last_iterations = 0
         else:
             report = solve_minmax_feasibility(
-                self.last_prediction, self.gamma, self.solver_config,
+                self.last_prediction, self.gamma,
                 warm_start=self.last_marginal,
             )
             p = report.point

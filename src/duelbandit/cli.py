@@ -19,7 +19,14 @@ import numpy as np
 
 from .core import PreferenceMatrix
 from .errors import DuelBanditError
-from .games import SolverConfig, backend_name, cce_violation, solve_cce, solve_minmax_feasibility
+from .games import (
+    backend_name,
+    cce_violation,
+    minmax_rhs,
+    minmax_slack,
+    solve_cce,
+    solve_minmax_feasibility,
+)
 from .harness import (
     ExperimentConfig,
     RunSummary,
@@ -73,7 +80,7 @@ def _cmd_solve_cce(args) -> int:
     try:
         u = load_matrix(args.matrix)
         # solve_cce rejects a non-square or non-finite matrix with ValueError
-        report = solve_cce(u, SolverConfig())
+        report = solve_cce(u)
     except DuelBanditError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
@@ -101,14 +108,15 @@ def _cmd_solve_igw(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        report = solve_minmax_feasibility(y, args.gamma, SolverConfig())
+        report = solve_minmax_feasibility(y, args.gamma)
     except DuelBanditError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     k = y.k
     print(f"backend: {backend_name()}")
     print(f"iterations: {report.iterations}")
-    print(f"budget 5K/gamma: {5 * k / args.gamma:.6f} slack K/gamma: {k / args.gamma:.6f}")
+    print(f"budget 5K/gamma: {minmax_rhs(k, args.gamma):.6f} "
+          f"slack K/gamma: {minmax_slack(k, args.gamma):.6f}")
     print(f"max violation beyond budget: {report.max_violation:.3e}")
     print("marginal:", " ".join(f"{v:.6f}" for v in report.point.weights))
     return 0

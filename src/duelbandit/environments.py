@@ -211,18 +211,19 @@ class LinearRealizableEnvironment(Environment):
 
 
 def make_finite_class(
-    n_contexts: int, k: int, class_size: int, rng: RngHandle,
-    margin_cap: float = FINITE_CLASS_MARGIN_CAP,
+    n_contexts: int, k: int, class_size: int, rng: RngHandle
 ) -> FiniteClassEnvironment:
     """Random finite hypothesis class with the truth designated inside it.
 
-    Entries are uniform in [-margin_cap, margin_cap], antisymmetrized; the
-    environment's `tables` hold the whole class for the oracle.
+    Entries are uniform in [-FINITE_CLASS_MARGIN_CAP, FINITE_CLASS_MARGIN_CAP],
+    antisymmetrized; the environment's `tables` hold the whole class for
+    the oracle.
     """
     if class_size < 1:
         raise ValueError("class_size must be >= 1")
     gen = rng.generator
-    raw = gen.uniform(-margin_cap, margin_cap, (class_size, n_contexts, k, k))
+    raw = gen.uniform(-FINITE_CLASS_MARGIN_CAP, FINITE_CLASS_MARGIN_CAP,
+                      (class_size, n_contexts, k, k))
     upper = np.triu(raw, 1)
     tables = upper - upper.transpose(0, 1, 3, 2)
     truth_index = int(gen.integers(0, class_size))

@@ -35,9 +35,9 @@ class DimensionMismatch(DuelBanditError):
 class NotConverged(DuelBanditError):
     """A solver exhausted its iteration budget above tolerance.
 
-    For CCE and the inverse-gap program this signals a solver bug or
-    misconfiguration, never a property of the input: both problems are
-    provably feasible.
+    For CCE and the inverse-gap program this signals a solver bug or a
+    budget (`games.MAX_ITERATIONS`) too small, never a property of the
+    input: both problems are provably feasible.
     """
 
     def __init__(self, message, max_violation=None, iterations=None):

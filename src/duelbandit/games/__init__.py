@@ -1,6 +1,6 @@
 """Equilibrium and feasibility solvers.
 
-Three entry points, all pure functions of (input, config):
+Three entry points, all pure functions of their input:
 
   * solve_cce               -- coarse correlated equilibrium of a general-sum
                                K x K matrix, as a joint distribution over pairs;
@@ -34,7 +34,6 @@ from ..errors import GammaTooSmall, NotConverged
 from . import _kernels_py
 
 __all__ = [
-    "SolverConfig",
     "FeasibilityReport",
     "solve_cce",
     "solve_zero_sum_nash",
@@ -45,8 +44,9 @@ __all__ = [
     "get_kernels",
 ]
 
-DEFAULT_MAX_ITERATIONS = 50_000
-DEFAULT_VIOLATION_TOLERANCE = 1e-8
+# Every solver reads these at call time, so a test can patch them.
+MAX_ITERATIONS = 50_000     # pivot or descent budget of one solve
+VIOLATION_TOLERANCE = 1e-8  # worst violation a simplex solve may return
 
 
 def get_kernels():
@@ -57,20 +57,6 @@ def get_kernels():
 
 def backend_name() -> str:
     return _kernels_py.BACKEND_NAME
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Iteration budget and feasibility tolerance."""
-
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    violation_tolerance: float = DEFAULT_VIOLATION_TOLERANCE
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.violation_tolerance <= 0:
-            raise ValueError("violation_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -133,16 +119,12 @@ def cce_violation(u, joint) -> float:
     return max(dev_row - value_row, dev_col - value_col)
 
 
-def solve_cce(
-    u,
-    config: SolverConfig | None = None,
-    warm_start: list | None = None,
-) -> FeasibilityReport:
+def solve_cce(u, warm_start: list | None = None) -> FeasibilityReport:
     """Find a coarse correlated equilibrium of the general-sum matrix `u`.
 
     Solved as a linear feasibility problem over the joint simplex (minimize
     the max violation of the 2K deviation constraints). A CCE always exists
-    for a finite matrix, so NotConverged signals solver misconfiguration.
+    for a finite matrix, so NotConverged signals a solver bug.
     A matrix that is not square or has a non-finite entry raises ValueError.
 
     `warm_start` is a list the caller keeps from solve to solve: the
@@ -150,19 +132,18 @@ def solve_cce(
     basis in it. The returned joint is then often the previous solve's
     vertex, not necessarily the one a cold solve finds.
     """
-    cfg = config or SolverConfig()
     ue = _as_square(_entries(u))
     if not np.isfinite(ue).all():
         raise ValueError("matrix entries must be finite")
     k = ue.shape[0]
     dev = cce_deviation_matrix(ue)
     x, viol, iters, status = get_kernels().epigraph_simplex(
-        dev, cfg.max_iterations, warm_start
+        dev, MAX_ITERATIONS, warm_start
     )
-    if status != 0 or viol > cfg.violation_tolerance:
+    if status != 0 or viol > VIOLATION_TOLERANCE:
         raise NotConverged(
             f"CCE solve stopped at violation {viol:.3e} "
-            f"(tolerance {cfg.violation_tolerance:.1e}) after {iters} pivots",
+            f"(tolerance {VIOLATION_TOLERANCE:.1e}) after {iters} pivots",
             max_violation=viol,
             iterations=iters,
         )
@@ -170,21 +151,20 @@ def solve_cce(
     return FeasibilityReport(joint, viol, iters)
 
 
-def solve_zero_sum_nash(p, config: SolverConfig | None = None) -> FeasibilityReport:
+def solve_zero_sum_nash(p) -> FeasibilityReport:
     """Maximin strategy q of a skew-symmetric game: min_j (q^T P)_j >= -tol.
 
     The symmetric zero-sum game has value 0, so the maximin strategy makes
     every column payoff nonnegative.
     """
-    cfg = config or SolverConfig()
     pe = _entries(p)
     if not isinstance(p, PreferenceMatrix):
         pe = PreferenceMatrix(pe).entries  # validates skew-symmetry
     # (q^T P)_j >= 0 for all j  <=>  (P q)_j <= 0 for all j, by skew-symmetry
     q, viol, iters, status = get_kernels().epigraph_simplex(
-        pe.copy(), cfg.max_iterations
+        pe.copy(), MAX_ITERATIONS
     )
-    if status != 0 or viol > cfg.violation_tolerance:
+    if status != 0 or viol > VIOLATION_TOLERANCE:
         raise NotConverged(
             f"zero-sum Nash solve stopped at violation {viol:.3e} "
             f"after {iters} pivots",
@@ -216,7 +196,6 @@ def minmax_violation(y_hat, gamma: float, point) -> float:
 def solve_minmax_feasibility(
     y_hat,
     gamma: float,
-    config: SolverConfig | None = None,
     warm_start: np.ndarray | None = None,
 ) -> FeasibilityReport:
     """Find p on the floored simplex with, for every arm i,
@@ -226,7 +205,6 @@ def solve_minmax_feasibility(
     Requires gamma >= 2K, under which a feasible point always exists; the
     solver targets half the slack and reports the violation it achieved.
     """
-    cfg = config or SolverConfig()
     ye = _entries(y_hat)
     if not isinstance(y_hat, PreferenceMatrix):
         ye = PreferenceMatrix(ye).entries
@@ -246,7 +224,7 @@ def solve_minmax_feasibility(
         float(rhs),
         slack / 2.0,
         eta0,
-        cfg.max_iterations,
+        MAX_ITERATIONS,
         None if warm_start is None else np.asarray(warm_start, dtype=np.float64),
     )
     if viol > slack:

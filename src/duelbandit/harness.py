@@ -8,6 +8,7 @@ floats and reproduce byte-identically for a fixed config.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -19,7 +20,6 @@ import numpy as np
 from .algorithms import CceDb, CceLinDb, MinMaxDb, default_gamma
 from .core import PreferenceMatrix, sample_outcome
 from .environments import (
-    FINITE_CLASS_MARGIN_CAP,
     Environment,
     FiniteClassEnvironment,
     FixedMatrixEnvironment,
@@ -30,7 +30,7 @@ from .environments import (
 )
 from .errors import DuelBanditError
 from .evaluation import RegretLedger, exposure
-from .games import SolverConfig, minmax_rhs, solve_zero_sum_nash
+from .games import minmax_rhs, solve_zero_sum_nash
 from .oracles import FiniteClassAggregator, OgdForecaster, VawForecaster
 from .rng import RngHandle
 
@@ -91,6 +91,7 @@ class ExperimentConfig:
         horizon = raw.get("horizon", 0)
         seeds = raw.get("seeds", [])
         diagnostic = raw.get("diagnostic", False)
+        output_dir = raw.get("output_dir")
         if not _is_int(horizon):
             raise ValueError(f"horizon must be an integer, got {horizon!r}")
         if not isinstance(seeds, list) or not all(
@@ -100,12 +101,16 @@ class ExperimentConfig:
         if not isinstance(diagnostic, bool):
             raise ValueError(
                 f"diagnostic must be true or false, got {diagnostic!r}")
+        if output_dir is not None and not (
+                isinstance(output_dir, str) and output_dir):
+            raise ValueError("output_dir must be null or a non-empty string, "
+                             f"got {output_dir!r}")
         return cls(
             algorithm=raw["algorithm"],
             environment=raw["environment"],
             horizon=horizon,
             seeds=list(seeds),
-            output_dir=raw.get("output_dir"),
+            output_dir=output_dir,
             diagnostic=diagnostic,
             benchmark=raw.get("benchmark", {}),
         )
@@ -174,11 +179,9 @@ def build_environment(spec: dict) -> Environment:
         class_seed = _pop_int(spec, "class_seed", 0)
         n_contexts = _pop_int(spec, "n_contexts", 1)
         k, class_size = _pop_int(spec, "k"), _pop_int(spec, "class_size", 16)
-        margin_cap = spec.pop("margin_cap", FINITE_CLASS_MARGIN_CAP)
         _reject_unused(spec, "environment", kind)
         class_rng = RngHandle(class_seed).substream("class")
-        return make_finite_class(n_contexts, k, class_size, class_rng,
-                                 float(margin_cap))
+        return make_finite_class(n_contexts, k, class_size, class_rng)
     if kind == "linear":
         k, dim = _pop_int(spec, "k"), _pop_int(spec, "dim")
         weight_seed = _pop_int(spec, "weight_seed", 0)
@@ -225,34 +228,26 @@ def build_learner(spec: dict, env: Environment, horizon: int):
     kind = spec.pop("kind", None)
     if kind not in ("ccedb", "ccelindb", "minmaxdb"):
         raise ValueError(f"unknown algorithm kind {kind!r}")
-    max_iterations = _pop_int(spec, "solver_max_iterations",
-                              SolverConfig.max_iterations)
     if kind == "minmaxdb":
-        # its acceptance test is the fixed slack K/gamma: no solver_tolerance
         oracle_spec = spec.pop("oracle", {"kind": "finite"})
         gamma = spec.pop("gamma", "auto")
         _reject_unused(spec, "algorithm", kind)
-        solver_config = SolverConfig(max_iterations=max_iterations)
         oracle = _build_oracle(oracle_spec, env, horizon)
         if gamma == "auto":
             gamma = default_gamma(env.k, horizon, oracle.regret_budget())
-        return MinMaxDb(env.k, float(gamma), oracle, solver_config)
-    tolerance = spec.pop("solver_tolerance", SolverConfig.violation_tolerance)
+        return MinMaxDb(env.k, float(gamma), oracle)
     delta = spec.pop("delta", None)
     if kind == "ccelindb":
         ridge = spec.pop("ridge", 1.0)
         width_multiplier = spec.pop("width_multiplier", None)
     _reject_unused(spec, "algorithm", kind)
-    solver_config = SolverConfig(max_iterations=max_iterations,
-                                 violation_tolerance=float(tolerance))
     delta = 1.0 / horizon if delta is None else float(delta)
     if kind == "ccedb":
-        return CceDb(env.k, delta, solver_config)
+        return CceDb(env.k, delta)
     if not isinstance(env, LinearRealizableEnvironment):
         raise ValueError("ccelindb needs a linear environment")
     return CceLinDb(env.dim, horizon, delta, ridge=float(ridge),
-                    width_multiplier=width_multiplier,
-                    solver_config=solver_config)
+                    width_multiplier=width_multiplier)
 
 
 def _truth_matrix_for_benchmark(env: Environment) -> PreferenceMatrix:
@@ -433,11 +428,6 @@ def _run_and_write_seed(config: ExperimentConfig, seed: int):
     }
 
 
-def _worker(args):
-    raw, seed = args
-    return _run_and_write_seed(ExperimentConfig.from_dict(raw), seed)
-
-
 def _write_rounds(config: ExperimentConfig, seed: int, lines: list[str]) -> None:
     if config.output_dir is None:
         return
@@ -479,8 +469,7 @@ def run_experiment(config: ExperimentConfig, keep_ledgers: bool = False):
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(
-                _worker, [(config.to_dict(), s) for s in config.seeds]
-            ))
+                functools.partial(_run_and_write_seed, config), config.seeds))
     else:
         results = [_run_and_write_seed(config, s) for s in config.seeds]
     summaries = [summary for summary, _ in results]

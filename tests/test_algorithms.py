@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import duelbandit.games as games
 from duelbandit.algorithms import CceDb, CceLinDb, MinMaxDb, default_gamma
 from duelbandit.core import (
     SIMPLEX_TOLERANCE,
@@ -12,7 +13,6 @@ from duelbandit.core import (
 )
 from duelbandit.errors import GammaTooSmall, HorizonTooShort, NotConverged
 from duelbandit.games import (
-    SolverConfig,
     cce_deviation_matrix,
     cce_violation,
     minmax_slack,
@@ -323,11 +323,10 @@ class _Scripted:
         pass
 
 
-def _solve_every_round(oracle, gamma, config, marginal, x, rng):
+def _solve_every_round(oracle, gamma, marginal, x, rng):
     """One reference round: complete, solve from `marginal`, sample."""
     y_hat = skew_complete(oracle.predict_matrix(x))
-    report = solve_minmax_feasibility(y_hat, gamma, config,
-                                      warm_start=marginal)
+    report = solve_minmax_feasibility(y_hat, gamma, warm_start=marginal)
     return y_hat, report, product_joint(report.point), \
         sample_pair(report.point, rng)
 
@@ -360,8 +359,7 @@ class TestMinMaxDbReuse:
             last_joint = joint
             joint, duel = learner.select(x, learner_rng)
             y_hat, report, ref_joint, ref_duel = _solve_every_round(
-                reference, learner.gamma, learner.solver_config, marginal,
-                x, reference_rng)
+                reference, learner.gamma, marginal, x, reference_rng)
             marginal = report.point.weights
             kept += joint is last_joint
             solved += report.iterations > 0
@@ -402,13 +400,14 @@ class TestMinMaxDbReuse:
         assert kept >= self.HORIZON / 8
         assert solved > 0
 
-    def test_a_solve_that_missed_the_stop_test_is_not_reused(self, rng):
+    def test_a_solve_that_missed_the_stop_test_is_not_reused(self, rng,
+                                                             monkeypatch):
         # with one iteration per solve, the first solve on this forecast
         # ends above the stop test, so the same forecast is solved again
         tabs = np.zeros((1, 1, 3, 3))
         tabs[0, 0, 0, 1:], tabs[0, 0, 1:, 0] = 0.9, -0.9
-        config = SolverConfig(max_iterations=1)
-        learner = MinMaxDb(3, 24.0, FiniteClassAggregator(tabs), config)
+        monkeypatch.setattr(games, "MAX_ITERATIONS", 1)
+        learner = MinMaxDb(3, 24.0, FiniteClassAggregator(tabs))
         reference = FiniteClassAggregator(tabs)
         reference_rng = RngHandle(12345)
         stop = minmax_slack(3, 24.0) / 2.0
@@ -417,7 +416,7 @@ class TestMinMaxDbReuse:
         for _ in range(3):
             joint, duel = learner.select(0, rng)
             _, report, ref_joint, ref_duel = _solve_every_round(
-                reference, 24.0, config, marginal, 0, reference_rng)
+                reference, 24.0, marginal, 0, reference_rng)
             marginal = report.point.weights
             assert duel == ref_duel
             assert np.array_equal(joint.weights, ref_joint.weights)
@@ -460,12 +459,12 @@ class TestMinMaxDbReuse:
         assert learner.last_violation == report.max_violation
 
     @pytest.mark.parametrize("held", [False, True])
-    def test_nan_forecast_raises_not_converged(self, held, rng):
+    def test_nan_forecast_raises_not_converged(self, held, rng, monkeypatch):
         bad = np.zeros((3, 3))
         bad[0, 1], bad[1, 0] = np.nan, np.nan
         forecasts = [np.zeros((3, 3)), bad] if held else [bad]
-        learner = MinMaxDb(3, 12.0, _Scripted(*forecasts),
-                           SolverConfig(max_iterations=20))
+        monkeypatch.setattr(games, "MAX_ITERATIONS", 20)
+        learner = MinMaxDb(3, 12.0, _Scripted(*forecasts))
         if held:
             learner.select(0, rng)
         with pytest.raises(NotConverged):

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+import duelbandit.games as games
 from duelbandit.cli import load_matrix, main
 
 RPS_TEXT = "0 1 -1\n-1 0 1\n1 -1 0\n"
@@ -86,7 +88,8 @@ class TestRunCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["n_runs"] == 2
 
-    def test_failed_seed_keeps_the_rows_before_it(self, tmp_path, capsys):
+    def test_failed_seed_keeps_the_rows_before_it(self, tmp_path, capsys,
+                                                  monkeypatch):
         # one pivot is not enough for seed 0's cold simplex at round 15
         config = {
             "algorithm": {"kind": "ccedb"},
@@ -101,8 +104,7 @@ class TestRunCommand:
         full_dir = tmp_path / "full"
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(full_dir)]) == 0
-        config["algorithm"]["solver_max_iterations"] = 1
-        cfg_path.write_text(json.dumps(config))
+        monkeypatch.setattr(games, "MAX_ITERATIONS", 1)
         cut_dir = tmp_path / "cut"
         assert main(["run", "--config", str(cfg_path),
                      "--out", str(cut_dir)]) == 2
@@ -119,6 +121,23 @@ class TestRunCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"horizon": 5}))
         assert main(["run", "--config", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("output_dir", [5, True, ""])
+    def test_run_bad_output_dir_is_config_error(self, tmp_path, capsys,
+                                                monkeypatch, output_dir):
+        # no --out, which would override the key
+        monkeypatch.chdir(tmp_path)
+        config = {"algorithm": {"kind": "ccedb"},
+                  "environment": {"kind": "fixed", "fixture": "rps3"},
+                  "horizon": 20, "seeds": [0], "output_dir": output_dir}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "output_dir" in captured.err
+        assert "seed" not in captured.out
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_run_contextual_nash_is_config_error(self, tmp_path, capsys):
         # the default q_star rule is nash, which a contextual environment
@@ -193,6 +212,13 @@ class TestRunCommand:
         ({"kind": "minmaxdb", "gamma": 30.0},
          {"kind": "finite_class", "k": 3, "perturbation": 0.3},
          "perturbation"),
+        # the solver budget and tolerance are constants, not config keys
+        ({"kind": "ccedb", "solver_max_iterations": 100},
+         {"kind": "fixed", "fixture": "rps3"}, "solver_max_iterations"),
+        ({"kind": "ccelindb", "solver_tolerance": 1e-6},
+         {"kind": "linear", "k": 3, "dim": 2}, "solver_tolerance"),
+        ({"kind": "minmaxdb", "gamma": 30.0},
+         {"kind": "finite_class", "k": 3, "margin_cap": 0.5}, "margin_cap"),
     ])
     def test_run_unused_spec_key_is_config_error(self, tmp_path, capsys,
                                                  algorithm, environment, key):
@@ -262,12 +288,10 @@ class TestRunCommand:
           "environment": {"kind": "linear", "k": 3, "dim": 2,
                           "weight_seed": True}},
          "weight_seed must be an integer"),
-        ({"algorithm": {"kind": "ccedb", "solver_max_iterations": 100.5}},
-         "solver_max_iterations must be an integer"),
-        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
-                        "solver_max_iterations": None},
-          "environment": {"kind": "finite_class", "k": 3}},
-         "solver_max_iterations must be an integer"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 4.0},
+          "environment": {"kind": "finite_class", "k": 3}}, "below 2K"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": "auto"},
+          "environment": {"kind": "finite_class", "k": 3}}, "T=20 below"),
         ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
                         "oracle": {"kind": "finite", "class_size": 4.2}}},
          "class_size must be an integer"),

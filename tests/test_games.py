@@ -8,7 +8,6 @@ from duelbandit.core import ActionDistribution, PreferenceMatrix, sample_outcome
 from duelbandit.errors import GammaTooSmall, NotConverged
 from duelbandit.games import (
     FeasibilityReport,
-    SolverConfig,
     backend_name,
     cce_deviation_matrix,
     cce_violation,
@@ -441,23 +440,13 @@ class TestSolveMinmaxFeasibility:
         )
         assert second.iterations <= first.iterations
 
-    def test_not_converged_raises(self):
+    def test_not_converged_raises(self, monkeypatch):
         y = np.zeros((10, 10))
         y[0, 1:] = 1.0
         y[1:, 0] = -1.0
-        cfg = SolverConfig(max_iterations=1)
+        monkeypatch.setattr(games, "MAX_ITERATIONS", 1)
         with pytest.raises(NotConverged):
-            solve_minmax_feasibility(PreferenceMatrix(y), 600.0, cfg)
-
-
-class TestSolverConfig:
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            SolverConfig(violation_tolerance=0.0)
-
-    def test_bad_iterations(self):
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0)
+            solve_minmax_feasibility(PreferenceMatrix(y), 600.0)
 
 
 class TestNumpyKernelMatchesReference:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import duelbandit.games as games
 from duelbandit import harness
 from duelbandit.harness import (
     CSV_HEADER,
@@ -321,18 +322,17 @@ class TestAggregate:
 
 
 class TestSingleSeedFailurePath:
-    def test_solver_failure_recorded_not_raised(self):
+    def test_solver_failure_recorded_not_raised(self, monkeypatch):
         cfg = base_config()
-        cfg.algorithm["solver_max_iterations"] = 50_000
         summary, ledger, lines = run_single_seed(cfg, 0)
         assert summary.status == "ok"
         # force an unreachable iteration cap: the singleton class makes the
         # oracle predict the full-margin matrix exactly from round one, so
         # the program genuinely needs iterations it is not allowed
+        monkeypatch.setattr(games, "MAX_ITERATIONS", 1)
         cfg2 = ExperimentConfig.from_dict({
             "algorithm": {"kind": "minmaxdb", "gamma": 600.0,
-                          "oracle": {"kind": "finite", "class_size": 1},
-                          "solver_max_iterations": 1},
+                          "oracle": {"kind": "finite", "class_size": 1}},
             "environment": {"kind": "fixed", "fixture": "condorcet",
                             "k": 10, "margin": 1.0},
             "horizon": 10, "seeds": [0],
@@ -341,10 +341,10 @@ class TestSingleSeedFailurePath:
         summary, _, _ = run_single_seed(cfg2, 0)
         assert summary.status.startswith("failed: NotConverged at round 1: ")
 
-    def test_cce_failure_names_round_and_pivots(self, tmp_path):
+    def test_cce_failure_names_round_and_pivots(self, tmp_path, monkeypatch):
         # one pivot is not enough for every round's cold simplex
         cfg = base_config(horizon=50, output_dir=str(tmp_path))
-        cfg.algorithm["solver_max_iterations"] = 1
+        monkeypatch.setattr(games, "MAX_ITERATIONS", 1)
         summary, _, lines = run_single_seed(cfg, 0)
         assert 0 < len(lines) < 50  # the rounds before the failing one
         assert summary.status.startswith(
