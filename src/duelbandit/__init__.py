@@ -43,7 +43,6 @@ from .harness import ExperimentConfig, RunSummary, aggregate, run_experiment
 from .oracles import (
     FiniteClassAggregator,
     OgdForecaster,
-    RegretBudget,
     VawForecaster,
     regret_budget,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "MinMaxDb",
     "OgdForecaster",
     "PreferenceMatrix",
-    "RegretBudget",
     "RegretLedger",
     "RngHandle",
     "RunSummary",

@@ -8,6 +8,8 @@ snapshots the learners publish (last confidence matrix, last marginal, ...).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .core import (
@@ -23,13 +25,14 @@ from .games import (
     solve_cce,
     solve_minmax_feasibility,
 )
-from .oracles import RegretBudget, _RidgeState
+from .oracles import RIDGE, _RidgeState
 from .rng import RngHandle
 
 UNEXPLORED_WIDTH_CAP = 2.0  # diameter of the payoff range [-1, 1]
 
 
-def default_gamma(k: int, horizon: int, budget: RegretBudget) -> float:
+def default_gamma(k: int, horizon: int,
+                  budget: Callable[[float], float]) -> float:
     """Exploration rate sqrt(20 K T / RegSq(T)).
 
     Valid only for T >= 4K RegSq(T); below that the main guarantee is
@@ -67,16 +70,14 @@ def _cce_round(learner, mean: np.ndarray, width: np.ndarray, rng: RngHandle,
 class CceDb:
     """Count-based learner: empirical preference estimates, per-pair
     confidence widths, and a coarse correlated equilibrium of the upper
-    confidence matrix each round."""
+    confidence matrix each round, at confidence level delta = 1/T."""
 
     kind = "ccedb"
     gamma = None
 
-    def __init__(self, k: int, delta: float):
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
+    def __init__(self, k: int, horizon: int):
         self.k = int(k)
-        self.delta = float(delta)
+        self.delta = 1.0 / horizon
         self.wins = np.zeros((k, k))
         self.t = 1
         self.last_mean: np.ndarray | None = None
@@ -134,26 +135,23 @@ class CceDb:
 class CceLinDb:
     """Ridge-regression learner for feature-tensor contexts: linear point
     estimates and ellipsoidal confidence widths from one product with the
-    ridge state's held inverse, CCE of the upper matrix."""
+    ridge state's held inverse, CCE of the upper matrix. The widths scale by
+    the OFUL multiplier sqrt(d ln((1 + T/RIDGE) / delta)) + sqrt(RIDGE) at
+    delta = 1/T."""
 
     kind = "ccelindb"
     gamma = None
 
-    def __init__(self, dim: int, horizon: int, delta: float,
-                 ridge: float = 1.0, width_multiplier: float | None = None):
+    def __init__(self, dim: int, horizon: int):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if not 0.0 < delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
         self.dim = int(dim)
-        self.ridge = float(ridge)
-        self.state = _RidgeState(self.dim, self.ridge)  # checks ridge > 0
-        if width_multiplier is None:
-            width_multiplier = float(
-                np.sqrt(dim * np.log((1.0 + horizon / ridge) / delta))
-                + np.sqrt(ridge)
-            )
-        self.width_multiplier = float(width_multiplier)
+        self.state = _RidgeState(self.dim)
+        delta = 1.0 / horizon
+        self.width_multiplier = float(
+            np.sqrt(dim * np.log((1.0 + horizon / RIDGE) / delta))
+            + np.sqrt(RIDGE)
+        )
         self.t = 1
         self.last_mean: np.ndarray | None = None
         self.last_confidence: np.ndarray | None = None
@@ -187,8 +185,8 @@ class MinMaxDb:
     kind = "minmaxdb"
 
     def __init__(self, k: int, gamma: float, oracle):
-        if gamma < 2.0 * k:
-            raise GammaTooSmall(f"gamma={gamma} below 2K={2 * k}")
+        if not 2.0 * k <= gamma < np.inf:
+            raise GammaTooSmall(f"gamma={gamma} below 2K={2 * k} or not finite")
         self.k = int(k)
         self.gamma = float(gamma)
         self.oracle = oracle

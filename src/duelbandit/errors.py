@@ -47,7 +47,8 @@ class NotConverged(DuelBanditError):
 
 
 class GammaTooSmall(DuelBanditError):
-    """Exploration rate below the 2K threshold the feasibility proof needs."""
+    """Exploration rate not finite, or below the 2K threshold the feasibility
+    proof needs."""
 
 
 class HorizonTooShort(DuelBanditError):

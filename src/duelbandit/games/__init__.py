@@ -209,8 +209,8 @@ def solve_minmax_feasibility(
     if not isinstance(y_hat, PreferenceMatrix):
         ye = PreferenceMatrix(ye).entries
     k = ye.shape[0]
-    if gamma < 2.0 * k:
-        raise GammaTooSmall(f"gamma={gamma} below 2K={2 * k}")
+    if not 2.0 * k <= gamma < np.inf:
+        raise GammaTooSmall(f"gamma={gamma} below 2K={2 * k} or not finite")
     # the floor keeps the feasibility proof's smoothed point, every
     # coordinate of which is >= 1/gamma; gamma >= 2K puts it below 1/K
     floor = 1.0 / (4.0 * gamma)

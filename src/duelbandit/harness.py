@@ -214,13 +214,12 @@ def _build_oracle(spec: dict, env: Environment, horizon: int):
         return FiniteClassAggregator(drawn.tables)
     if kind not in ("vaw", "ogd"):
         raise ValueError(f"unknown oracle kind {kind!r}")
-    value = spec.pop("ridge" if kind == "vaw" else "radius", 1.0)
     _reject_unused(spec, "oracle", kind)
     if not isinstance(env, LinearRealizableEnvironment):
         raise ValueError(f"{kind} oracle needs a linear environment")
     if kind == "vaw":
-        return VawForecaster(env.dim, ridge=float(value))
-    return OgdForecaster(env.dim, horizon, radius=float(value))
+        return VawForecaster(env.dim)
+    return OgdForecaster(env.dim, horizon)
 
 
 def build_learner(spec: dict, env: Environment, horizon: int):
@@ -235,19 +234,15 @@ def build_learner(spec: dict, env: Environment, horizon: int):
         oracle = _build_oracle(oracle_spec, env, horizon)
         if gamma == "auto":
             gamma = default_gamma(env.k, horizon, oracle.regret_budget())
+        elif isinstance(gamma, bool) or not isinstance(gamma, (int, float)):
+            raise ValueError(f"gamma must be 'auto' or a number, got {gamma!r}")
         return MinMaxDb(env.k, float(gamma), oracle)
-    delta = spec.pop("delta", None)
-    if kind == "ccelindb":
-        ridge = spec.pop("ridge", 1.0)
-        width_multiplier = spec.pop("width_multiplier", None)
     _reject_unused(spec, "algorithm", kind)
-    delta = 1.0 / horizon if delta is None else float(delta)
     if kind == "ccedb":
-        return CceDb(env.k, delta)
+        return CceDb(env.k, horizon)
     if not isinstance(env, LinearRealizableEnvironment):
         raise ValueError("ccelindb needs a linear environment")
-    return CceLinDb(env.dim, horizon, delta, ridge=float(ridge),
-                    width_multiplier=width_multiplier)
+    return CceLinDb(env.dim, horizon)
 
 
 def _truth_matrix_for_benchmark(env: Environment) -> PreferenceMatrix:

@@ -15,13 +15,14 @@ A finite-class context is an integer id; a linear context is the
 
 Implemented: weighted-average exponential aggregation over a finite class,
 the ridge forecaster that folds the current input into its design before
-predicting, and projected online gradient descent. Generalized-linear,
-kernel and Banach-space oracles are declared unsupported.
+predicting, and projected online gradient descent. The linear oracles and
+their regret budgets are fixed at ridge RIDGE = 1 and weight-ball radius
+RADIUS = 1; these take no setting. Any other oracle kind (generalized-linear,
+kernel, Banach-space) is unsupported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,53 +31,37 @@ from .core import pair_indices
 from .errors import DimensionMismatch, UnsupportedOracle
 
 EXP_WEIGHTS_ETA = 0.125  # square loss on [-1,1] predictions is 1/8-exp-concave
-
-_UNSUPPORTED_KINDS = ("glm", "glmtron", "rkhs", "kernel", "banach")
-
-
-@dataclass(frozen=True)
-class RegretBudget:
-    """Known upper bound T -> RegSq(T) on an oracle's square-loss regret."""
-
-    bound_fn: Callable[[float], float]
-
-    def __call__(self, horizon: float) -> float:
-        return float(self.bound_fn(horizon))
+RIDGE = 1.0   # the linear oracles' regularizer lambda
+RADIUS = 1.0  # the L2 ball of linear weights the budgets compete with
 
 
 def regret_budget(
-    oracle_kind: str,
+    kind: str,
     *,
     class_size: int | None = None,
     dim: int | None = None,
-    ridge: float = 1.0,
-    radius: float = 1.0,
-) -> RegretBudget:
-    """The regret bound the harness uses to tune the exploration rate.
+) -> Callable[[float], float]:
+    """The bound T -> RegSq(T) the harness uses to tune the exploration rate.
 
     finite: 8 ln|F| (the 1/8-exp-concavity constant for the [-1,1] loss
     range; a tighter constant holds only for [0,1]-range conventions).
-    vaw: d ln(1 + T/d) + ridge * radius^2. ogd: radius * L * sqrt(T).
+    vaw: d ln(1 + T/d) + RIDGE * RADIUS^2. ogd: RADIUS * L * sqrt(T).
+    Any other kind raises UnsupportedOracle.
     """
-    kind = oracle_kind.lower()
-    if kind in _UNSUPPORTED_KINDS:
-        raise UnsupportedOracle(f"oracle kind {oracle_kind!r} is out of scope")
     if kind == "finite":
         if not class_size or class_size < 1:
             raise ValueError("finite-class budget needs class_size >= 1")
-        const = 8.0 * np.log(max(class_size, 2))
-        return RegretBudget(lambda t: const)
+        const = float(8.0 * np.log(max(class_size, 2)))
+        return lambda t: const
+    if kind not in ("vaw", "ogd"):
+        raise UnsupportedOracle(f"oracle kind {kind!r} is out of scope")
+    if not dim or dim < 1:
+        raise ValueError(f"{kind} budget needs dim >= 1")
     if kind == "vaw":
-        if not dim or dim < 1:
-            raise ValueError("vaw budget needs dim >= 1")
-        c0 = ridge * radius * radius
-        return RegretBudget(lambda t: dim * np.log(1.0 + t / dim) + c0)
-    if kind == "ogd":
-        if not dim or dim < 1:
-            raise ValueError("ogd budget needs dim >= 1")
-        scale = radius * (2.0 * (radius + 1.0))
-        return RegretBudget(lambda t: scale * np.sqrt(t))
-    raise UnsupportedOracle(f"unknown oracle kind {oracle_kind!r}")
+        c0 = RIDGE * RADIUS * RADIUS
+        return lambda t: float(dim * np.log(1.0 + t / dim) + c0)
+    scale = RADIUS * (2.0 * (RADIUS + 1.0))
+    return lambda t: float(scale * np.sqrt(t))
 
 
 class FiniteClassAggregator:
@@ -131,7 +116,7 @@ class FiniteClassAggregator:
         if self._n_updates % 512 == 0:
             self.log_weights -= self.log_weights.max()  # drift guard
 
-    def regret_budget(self) -> RegretBudget:
+    def regret_budget(self) -> Callable[[float], float]:
         return regret_budget("finite", class_size=self.class_size)
 
 
@@ -161,18 +146,16 @@ def _skew_forecasts(context, dim: int, forecast) -> np.ndarray:
 
 
 class _RidgeState:
-    """Regularized least squares: the gram matrix A = ridge*I + sum x x^T,
+    """Regularized least squares: the gram matrix A = RIDGE*I + sum x x^T,
     the moment vector b = sum y x, and A^{-1}, held by Sherman-Morrison and
     recomputed from A every `RESYNC_EVERY` updates to shed rank-one drift."""
 
     RESYNC_EVERY = 1024
 
-    def __init__(self, dim: int, ridge: float):
-        if not ridge > 0.0:
-            raise ValueError(f"ridge must be > 0, got {ridge!r}")
-        self.gram = np.eye(dim) * ridge
+    def __init__(self, dim: int):
+        self.gram = np.eye(dim) * RIDGE
         self.moment = np.zeros(dim)
-        self._inv = np.eye(dim) / ridge
+        self._inv = np.eye(dim) / RIDGE
         self._updates = 0
 
     def add(self, x: np.ndarray, y: float) -> None:
@@ -198,12 +181,11 @@ class VawForecaster:
     b^T (A + x x^T)^{-1} x = b^T A^{-1} x / (1 + x^T A^{-1} x).
     """
 
-    def __init__(self, dim: int, ridge: float = 1.0):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.dim = int(dim)
-        self.ridge = float(ridge)
-        self.state = _RidgeState(self.dim, self.ridge)
+        self.state = _RidgeState(self.dim)
 
     def _forecast(self, feats: np.ndarray) -> np.ndarray:
         """Batched forecasts; rank-one identity avoids per-row solves."""
@@ -216,27 +198,24 @@ class VawForecaster:
     def update(self, context, a: int, b: int, y: float) -> None:
         self.state.add(_features(context, self.dim)[a, b], y)
 
-    def regret_budget(self) -> RegretBudget:
-        return regret_budget("vaw", dim=self.dim, ridge=self.ridge)
+    def regret_budget(self) -> Callable[[float], float]:
+        return regret_budget("vaw", dim=self.dim)
 
 
 class OgdForecaster:
     """Projected online gradient descent on the square loss.
 
-    Step size radius / (L sqrt(T)) with gradient bound
-    L = 2 (radius + 1) for features of norm at most 1; iterates projected
-    onto the L2 ball of the given radius.
+    Step size RADIUS / (L sqrt(T)) with gradient bound
+    L = 2 (RADIUS + 1) for features of norm at most 1; iterates projected
+    onto the L2 ball of radius RADIUS.
     """
 
-    def __init__(self, dim: int, horizon: int, radius: float = 1.0):
+    def __init__(self, dim: int, horizon: int):
         if dim < 1 or horizon < 1:
             raise ValueError("dim and horizon must be >= 1")
-        if not radius > 0.0:
-            raise ValueError(f"radius must be > 0, got {radius!r}")
         self.dim = int(dim)
-        self.radius = float(radius)
-        lip = 2.0 * (radius + 1.0)
-        self.step = radius / (lip * np.sqrt(horizon))
+        lip = 2.0 * (RADIUS + 1.0)
+        self.step = RADIUS / (lip * np.sqrt(horizon))
         self.theta = np.zeros(dim)
 
     def predict_matrix(self, context) -> np.ndarray:
@@ -247,9 +226,9 @@ class OgdForecaster:
         grad = 2.0 * (self.theta @ x - y) * x
         theta = self.theta - self.step * grad
         norm = np.linalg.norm(theta)
-        if norm > self.radius:
-            theta *= self.radius / norm
+        if norm > RADIUS:
+            theta *= RADIUS / norm
         self.theta = theta
 
-    def regret_budget(self) -> RegretBudget:
-        return regret_budget("ogd", dim=self.dim, radius=self.radius)
+    def regret_budget(self) -> Callable[[float], float]:
+        return regret_budget("ogd", dim=self.dim)

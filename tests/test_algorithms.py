@@ -22,7 +22,6 @@ from duelbandit.games import (
 from duelbandit.harness import build_environment, build_learner
 from duelbandit.oracles import (
     FiniteClassAggregator,
-    RegretBudget,
     VawForecaster,
 )
 from duelbandit.rng import RngHandle
@@ -30,11 +29,11 @@ from duelbandit.rng import RngHandle
 
 class TestCceDb:
     def test_first_round_statistics(self, rng):
-        k, delta = 3, 0.1
-        learner = CceDb(k, delta)
+        k, horizon = 3, 10
+        learner = CceDb(k, horizon)
         joint, duel = learner.select(None, rng)
         assert (learner.last_mean == 0).all()
-        default = min(2.0, np.sqrt(0.5 * np.log(k * k / delta)))
+        default = min(2.0, np.sqrt(0.5 * np.log(k * k * horizon)))
         off = ~np.eye(k, dtype=bool)
         assert np.allclose(learner.last_confidence[off], default)
         assert (np.diagonal(learner.last_upper) == 0).all()
@@ -42,8 +41,8 @@ class TestCceDb:
         assert 0 <= duel[0] < k and 0 <= duel[1] < k
 
     def test_formula_example(self, rng):
-        # W[0,1]=3, N[0,1]=4, t=10, K=5, delta=0.1
-        learner = CceDb(5, 0.1)
+        # W[0,1]=3, N[0,1]=4, t=10, K=5, delta=1/T=0.1
+        learner = CceDb(5, 10)
         learner.wins[0, 1] = 3
         learner.wins[1, 0] = 1
         learner.t = 10
@@ -62,11 +61,13 @@ class TestCceDb:
         (20, 1e-3, 5000),
     ])
     def test_statistics_same_bits_as_the_formulas(self, k, delta, t, rng):
-        learner = CceDb(k, delta)
+        # the statistics read the wins, t and delta: set all three
+        learner = CceDb(k, 10)
         gen = np.random.default_rng(k)
         learner.wins = (gen.integers(0, 5, (k, k))
                         * (gen.random((k, k)) < 0.6)).astype(float)
         learner.t = t
+        learner.delta = delta
         learner.select(None, rng)
         n = learner.wins + learner.wins.T
         explored = n > 0
@@ -85,7 +86,7 @@ class TestCceDb:
     def test_resolved_matrix_concentrates_on_winner(self, rng):
         # huge counts, clear gap: the CCE must put almost all duel mass on
         # arm 0; cross-checked against a brute-force grid on the limit matrix
-        learner = CceDb(2, 0.01)
+        learner = CceDb(2, 100)
         n = 10**6
         learner.wins[0, 1] = 0.8 * n
         learner.wins[1, 0] = 0.2 * n
@@ -107,7 +108,7 @@ class TestCceDb:
         assert 0.0 <= best_loser_mass <= 1e-9  # only pure (0,0) survives
 
     def test_observe_updates(self):
-        learner = CceDb(3, 0.1)
+        learner = CceDb(3, 10)
         learner.observe(None, (0, 1), +1)
         assert learner.wins[0, 1] == 1 and learner.wins[1, 0] == 0
         learner.observe(None, (0, 1), -1)
@@ -119,7 +120,7 @@ class TestCceDb:
 
     def test_upper_matrix_identity(self, rng):
         # U[a,b] + U[b,a] == 2 C[a,b] exactly for explored off-diagonal pairs
-        learner = CceDb(4, 0.05)
+        learner = CceDb(4, 20)
         gen = np.random.default_rng(0)
         for _ in range(200):
             a, b = gen.integers(0, 4, 2)
@@ -132,12 +133,8 @@ class TestCceDb:
                 if a != b and n[a, b] > 0:
                     assert u[a, b] + u[b, a] == pytest.approx(2 * c[a, b], abs=1e-12)
 
-    def test_bad_delta(self):
-        with pytest.raises(ValueError):
-            CceDb(3, 1.5)
-
     def test_bad_outcome(self):
-        learner = CceDb(3, 0.1)
+        learner = CceDb(3, 10)
         with pytest.raises(ValueError):
             learner.observe(None, (0, 1), 0)
 
@@ -161,7 +158,8 @@ class TestCceDb:
 
 class TestCceLinDb:
     def test_no_history_unit_features(self, rng):
-        learner = CceLinDb(3, horizon=100, delta=0.1, width_multiplier=1.0)
+        learner = CceLinDb(3, horizon=100)
+        learner.width_multiplier = 1.0
         gen = np.random.default_rng(1)
         x = gen.normal(size=(2, 2, 3))
         x -= x.transpose(1, 0, 2)
@@ -174,7 +172,8 @@ class TestCceLinDb:
 
     def test_one_observation_ridge_arithmetic(self, rng):
         # d=1: one observation (x=1, y=1), ridge=1 -> w_hat = 0.5
-        learner = CceLinDb(1, horizon=100, delta=0.1, width_multiplier=2.0)
+        learner = CceLinDb(1, horizon=100)
+        learner.width_multiplier = 2.0
         x = np.zeros((2, 2, 1))
         x[0, 1, 0] = 1.0
         x[1, 0, 0] = -1.0
@@ -186,7 +185,8 @@ class TestCceLinDb:
         assert learner.last_upper[0, 1] == pytest.approx(0.5 + 2 * np.sqrt(0.5))
 
     def test_width_shrinks_along_observed_direction(self, rng):
-        learner = CceLinDb(2, horizon=10**4, delta=0.1, width_multiplier=1.0)
+        learner = CceLinDb(2, horizon=10**4)
+        learner.width_multiplier = 1.0
         x = np.zeros((2, 2, 2))
         x[0, 1] = [1.0, 0.0]
         x[1, 0] = [-1.0, 0.0]
@@ -205,7 +205,7 @@ class TestCceLinDb:
         # mean b^T A^-1 x and confidence c sqrt(x^T A^-1 x) from the held
         # inverse; the upper matrix is their sum, which the diagnostic
         # coverage check needs as a skew mean plus a symmetric confidence
-        learner = CceLinDb(dim, horizon=1000, delta=0.01)
+        learner = CceLinDb(dim, horizon=1000)
         gen = np.random.default_rng(dim)
         off = ~np.eye(k, dtype=bool)
         for _ in range(40):
@@ -229,7 +229,7 @@ class TestCceLinDb:
     def test_gram_identity(self):
         # the ridge state's gram is the running sum of outer products
         gen = np.random.default_rng(2)
-        learner = CceLinDb(3, horizon=100, delta=0.1)
+        learner = CceLinDb(3, horizon=100)
         expected = np.eye(3)
         for _ in range(50):
             x = gen.uniform(-1, 1, (2, 2, 3))
@@ -237,6 +237,12 @@ class TestCceLinDb:
             learner.observe(x, (0, 1), int(gen.choice([-1, 1])))
             expected += np.outer(x[0, 1], x[0, 1])
         assert np.array_equal(learner.state.gram, expected)
+
+    def test_width_multiplier_is_oful_at_ridge_one_delta_one_over_t(self):
+        # sqrt(d ln((1 + T/ridge) / delta)) + sqrt(ridge), ridge 1, delta 1/T
+        expected = float(np.sqrt(4 * np.log((1.0 + 2000 / 1.0) / (1.0 / 2000)))
+                         + np.sqrt(1.0))
+        assert CceLinDb(4, horizon=2000).width_multiplier == expected
 
 
 class TestMinMaxDb:
@@ -266,8 +272,9 @@ class TestMinMaxDb:
         assert (g <= 5 * 2 / 10.0 + 2 / 10.0 + 1e-9).all()
 
     def test_gamma_floor(self):
-        with pytest.raises(GammaTooSmall):
-            MinMaxDb(3, 3.0, self._zero_oracle(3))
+        for gamma in (3.0, np.nan, np.inf):  # below 2K, or not finite
+            with pytest.raises(GammaTooSmall):
+                MinMaxDb(3, gamma, self._zero_oracle(3))
 
     def test_observe_feeds_oracle_canonically(self):
         class Recorder:
@@ -473,16 +480,15 @@ class TestMinMaxDbReuse:
 
 class TestDefaultGamma:
     def test_formula(self):
-        budget = RegretBudget(lambda t: 10.0)
-        assert default_gamma(2, 8000, budget) == pytest.approx(np.sqrt(32000))
+        assert default_gamma(2, 8000, lambda t: 10.0) == pytest.approx(np.sqrt(32000))
 
     def test_degenerate_budget(self):
         with pytest.raises(ValueError):
-            default_gamma(2, 100, RegretBudget(lambda t: 0.0))
+            default_gamma(2, 100, lambda t: 0.0)
 
     def test_horizon_too_short(self):
         with pytest.raises(HorizonTooShort):
-            default_gamma(5, 100, RegretBudget(lambda t: 10.0))
+            default_gamma(5, 100, lambda t: 10.0)
 
 
 class TestInteriorValuesNeedNoChecks:

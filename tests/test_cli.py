@@ -56,8 +56,13 @@ class TestSolveCommands:
         assert "marginal:" in out
 
     def test_solve_igw_bad_gamma_is_config_error(self, rps_file, capsys):
-        # gamma below 2K surfaces as a solver-domain error -> exit 2
-        assert main(["solve-igw", "--matrix", rps_file, "--gamma", "2"]) == 2
+        # gamma below 2K or not finite surfaces as a solver-domain error,
+        # exit 2, before any iteration
+        for gamma in ("2", "nan", "inf"):
+            assert main(["solve-igw", "--matrix", rps_file,
+                         "--gamma", gamma]) == 2
+            captured = capsys.readouterr()
+            assert "below 2K" in captured.err and captured.out == ""
 
     def test_solve_igw_non_skew_matrix(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -219,6 +224,25 @@ class TestRunCommand:
          {"kind": "linear", "k": 3, "dim": 2}, "solver_tolerance"),
         ({"kind": "minmaxdb", "gamma": 30.0},
          {"kind": "finite_class", "k": 3, "margin_cap": 0.5}, "margin_cap"),
+        # delta = 1/T, ridge 1, the OFUL width and radius 1 are constants
+        ({"kind": "ccelindb", "delta": 0},
+         {"kind": "linear", "k": 3, "dim": 2}, "delta"),
+        ({"kind": "ccelindb", "delta": 2.0},
+         {"kind": "linear", "k": 3, "dim": 2}, "delta"),
+        ({"kind": "ccelindb", "ridge": 0},
+         {"kind": "linear", "k": 3, "dim": 2}, "ridge"),
+        ({"kind": "ccelindb", "ridge": -1},
+         {"kind": "linear", "k": 3, "dim": 2}, "ridge"),
+        ({"kind": "minmaxdb", "gamma": 30.0,
+          "oracle": {"kind": "vaw", "ridge": 0}},
+         {"kind": "linear", "k": 3, "dim": 2}, "ridge"),
+        ({"kind": "minmaxdb", "gamma": 30.0,
+          "oracle": {"kind": "ogd", "radius": -1}},
+         {"kind": "linear", "k": 3, "dim": 2}, "radius"),
+        ({"kind": "ccedb", "delta": 0.1},
+         {"kind": "fixed", "fixture": "rps3"}, "delta"),
+        ({"kind": "ccelindb", "width_multiplier": -1.0},
+         {"kind": "linear", "k": 3, "dim": 2}, "width_multiplier"),
     ])
     def test_run_unused_spec_key_is_config_error(self, tmp_path, capsys,
                                                  algorithm, environment, key):
@@ -248,20 +272,19 @@ class TestRunCommand:
           "environment": {"kind": "finite_class", "k": 3}}, None),
         ({"algorithm": {"kind": "ccelindb"},
           "environment": {"kind": "linear", "k": None, "dim": 2}}, None),
-        ({"algorithm": {"kind": "ccelindb", "delta": 0},
-          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "delta"),
-        ({"algorithm": {"kind": "ccelindb", "delta": 2.0},
-          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "delta"),
-        ({"algorithm": {"kind": "ccelindb", "ridge": 0},
-          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "ridge"),
-        ({"algorithm": {"kind": "ccelindb", "ridge": -1},
-          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "ridge"),
-        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
-                        "oracle": {"kind": "vaw", "ridge": 0}},
-          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "ridge"),
-        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
-                        "oracle": {"kind": "ogd", "radius": -1}},
-          "environment": {"kind": "linear", "k": 3, "dim": 2}}, "radius"),
+        # gamma is "auto" or a number that is not a bool, finite and >= 2K
+        ({"algorithm": {"kind": "minmaxdb", "gamma": "30"},
+          "environment": {"kind": "finite_class", "k": 3}}, "gamma must be"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": True},
+          "environment": {"kind": "finite_class", "k": 3}}, "gamma must be"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": [30.0]},
+          "environment": {"kind": "finite_class", "k": 3}}, "gamma must be"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": float("nan")},
+          "environment": {"kind": "finite_class", "k": 3}}, "not finite"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": float("inf")},
+          "environment": {"kind": "finite_class", "k": 3}}, "not finite"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": -float("inf")},
+          "environment": {"kind": "finite_class", "k": 3}}, "not finite"),
         ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
           "environment": {"kind": "finite_class", "k": 3, "n_contexts": 0}},
          "n_contexts >= 1"),

@@ -396,8 +396,10 @@ class TestSolveMinmaxFeasibility:
         assert minmax_grid_min_violation(y, 10.0, 1e-3) <= 0.0
 
     def test_gamma_below_threshold_rejected(self):
-        with pytest.raises(GammaTooSmall):
-            solve_minmax_feasibility(PreferenceMatrix(np.zeros((3, 3))), 5.0)
+        y = PreferenceMatrix(np.zeros((3, 3)))
+        for gamma in (5.0, np.nan, np.inf):  # below 2K, or not finite
+            with pytest.raises(GammaTooSmall):
+                solve_minmax_feasibility(y, gamma)
 
     def test_feasibility_totality_random_grid(self, make_skew):
         gen = np.random.default_rng(7)

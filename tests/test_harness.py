@@ -236,12 +236,17 @@ class TestRunExperiment:
         assert summaries[0].status == "ok"
 
     @pytest.mark.parametrize("width_multiplier", [None, 1e-3])
-    def test_diagnostic_mode_ccelindb(self, width_multiplier):
-        algorithm = {"kind": "ccelindb"}
-        if width_multiplier is not None:
-            algorithm["width_multiplier"] = width_multiplier
+    def test_diagnostic_mode_ccelindb(self, width_multiplier, monkeypatch):
+        if width_multiplier is not None:  # no config key sets the width
+            build = harness.build_learner
+
+            def narrow(spec, env, horizon):
+                learner = build(spec, env, horizon)
+                learner.width_multiplier = width_multiplier
+                return learner
+            monkeypatch.setattr(harness, "build_learner", narrow)
         cfg = ExperimentConfig.from_dict({
-            "algorithm": algorithm,
+            "algorithm": {"kind": "ccelindb"},
             "environment": {"kind": "linear", "k": 5, "dim": 4,
                             "weight_seed": 5},
             "horizon": 300, "seeds": [0, 1], "diagnostic": True,

@@ -152,12 +152,12 @@ class TestVawForecaster:
 
     def test_gram_matrix_stays_positive_definite(self):
         gen = np.random.default_rng(1)
-        oracle = VawForecaster(3, ridge=0.5)
+        oracle = VawForecaster(3)
         for _ in range(200):
             z = pair_context(gen.uniform(-1, 1, 3))
             oracle.update(z, 0, 1, float(gen.choice([-1.0, 1.0])))
         eigs = np.linalg.eigvalsh(oracle.state.gram)
-        assert eigs.min() >= 0.5 - 1e-9
+        assert eigs.min() >= 1.0 - 1e-9  # the ridge
 
     def test_matches_direct_solve_oracle(self):
         # independent route: explicit solve of (A + x x^T) w = b per query
@@ -213,7 +213,7 @@ class TestRidgeState:
         # the Sherman-Morrison inverse against a fresh factorization of the
         # gram, checked around each re-sync and through T=10000 updates
         gen = np.random.default_rng(dim)
-        state = _RidgeState(dim, 1.0)
+        state = _RidgeState(dim)
         every = _RidgeState.RESYNC_EVERY
         checks = {1, 2, 9999, 10000} | {
             m * every + off for m in range(1, 10) for off in (-1, 0, 1)}
@@ -233,7 +233,7 @@ class TestRidgeState:
 
     def test_inverse_recomputed_from_the_gram_at_each_resync(self):
         gen = np.random.default_rng(3)
-        state = _RidgeState(4, 0.5)
+        state = _RidgeState(4)
         for _ in range(2 * _RidgeState.RESYNC_EVERY):
             state.add(gen.uniform(-1, 1, 4), 1.0)
         assert np.array_equal(state._inv, np.linalg.inv(state.gram))
@@ -270,11 +270,15 @@ class TestOgdForecaster:
 
     def test_iterates_stay_in_ball(self):
         gen = np.random.default_rng(3)
-        oracle = OgdForecaster(3, horizon=100, radius=0.7)
+        oracle = OgdForecaster(3, horizon=100)
+        oracle.step = 0.5  # large enough that the projection acts
+        norms = []
         for _ in range(500):
             x = gen.uniform(-1, 1, 3)
             oracle.update(pair_context(x), 0, 1, float(gen.choice([-1.0, 1.0])))
-            assert np.linalg.norm(oracle.theta) <= 0.7 + 1e-12
+            norms.append(np.linalg.norm(oracle.theta))
+        assert max(norms) <= 1.0 + 1e-12  # the radius
+        assert max(norms) == pytest.approx(1.0)
 
 
 class TestRegretBudget:
@@ -286,6 +290,10 @@ class TestRegretBudget:
         b = regret_budget("vaw", dim=4)
         assert b(5000) == pytest.approx(4 * np.log(1 + 5000 / 4) + 1.0)
 
+    def test_ogd_form(self):
+        # radius 1, gradient bound L = 2 (1 + 1): 4 sqrt(T)
+        assert regret_budget("ogd", dim=3)(100) == 40.0
+
     def test_nondecreasing(self):
         for kind, kw in [("finite", {"class_size": 8}), ("vaw", {"dim": 3}),
                          ("ogd", {"dim": 3})]:
@@ -293,9 +301,10 @@ class TestRegretBudget:
             vals = [b(t) for t in (1, 10, 100, 1000, 10000)]
             assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("kind", ["glm", "glmtron", "rkhs", "banach"])
+    @pytest.mark.parametrize("kind", ["glm", "glmtron", "rkhs", "banach",
+                                      "kernel", "Finite", "ridge"])
     def test_out_of_scope_kinds(self, kind):
-        with pytest.raises(UnsupportedOracle):
+        with pytest.raises(UnsupportedOracle, match=kind):
             regret_budget(kind, dim=3)
 
     def test_degenerate_params(self):
