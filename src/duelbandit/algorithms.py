@@ -152,7 +152,6 @@ class CceLinDb:
             np.sqrt(dim * np.log((1.0 + horizon / RIDGE) / delta))
             + np.sqrt(RIDGE)
         )
-        self.t = 1
         self.last_mean: np.ndarray | None = None
         self.last_confidence: np.ndarray | None = None
         self.last_upper: np.ndarray | None = None
@@ -174,7 +173,6 @@ class CceLinDb:
             raise ValueError(f"outcome must be -1 or +1, got {outcome}")
         x = np.asarray(context, dtype=np.float64)[duel[0], duel[1]]
         self.state.add(x, float(outcome))
-        self.t += 1
 
 
 class MinMaxDb:
@@ -190,7 +188,6 @@ class MinMaxDb:
         self.k = int(k)
         self.gamma = float(gamma)
         self.oracle = oracle
-        self.t = 1
         self._stop_violation = minmax_slack(self.k, self.gamma) / 2.0
         self._forecast = None    # the oracle forecast last seen
         self._solved = None      # the held (marginal, joint)
@@ -246,4 +243,3 @@ class MinMaxDb:
             if a > b:
                 a, b, outcome = b, a, -outcome
             self.oracle.update(context, a, b, float(outcome))
-        self.t += 1

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .core import PreferenceMatrix
-from .errors import DuelBanditError
+from .errors import DuelBanditError, GammaTooSmall
 from .games import (
     backend_name,
     cce_violation,
@@ -109,6 +109,9 @@ def _cmd_solve_igw(args) -> int:
         return 1
     try:
         report = solve_minmax_feasibility(y, args.gamma)
+    except GammaTooSmall as exc:  # the gamma given is input, not a fault
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except DuelBanditError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

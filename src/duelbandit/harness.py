@@ -54,7 +54,9 @@ class DiagnosticFailure(AssertionError):
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment description; `from_dict` fills defaults."""
+    """Resolved experiment description. Every field is checked on
+    construction, so `ExperimentConfig(...)` and `from_dict` raise the same
+    ValueError naming the field; `check_config` checks the specs inside."""
 
     algorithm: dict
     environment: dict
@@ -65,13 +67,29 @@ class ExperimentConfig:
     benchmark: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not _is_int(self.horizon):
+            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        self.algorithm = dict(self.algorithm)
-        self.environment = dict(self.environment)
-        benchmark = dict(self.benchmark)
+        if not isinstance(self.seeds, list) or not self.seeds or not all(
+                _is_int(s) and s >= 0 for s in self.seeds):
+            raise ValueError("seeds must be a non-empty list of integers >= 0, "
+                             f"got {self.seeds!r}")
+        self.seeds = list(self.seeds)
+        if not isinstance(self.diagnostic, bool):
+            raise ValueError(
+                f"diagnostic must be true or false, got {self.diagnostic!r}")
+        if self.output_dir is not None and not (
+                isinstance(self.output_dir, str) and self.output_dir):
+            raise ValueError("output_dir must be null or a non-empty string, "
+                             f"got {self.output_dir!r}")
+        for name in ("algorithm", "environment", "benchmark"):
+            value = getattr(self, name)
+            if not isinstance(value, dict):
+                raise ValueError(
+                    f"{name} must be a JSON object (a dict), got {value!r}")
+            setattr(self, name, dict(value))
+        benchmark = self.benchmark
         self.benchmark = {"q_star": benchmark.pop("q_star", "nash"),
                           "policy_count": benchmark.pop("policy_count", 0)}
         if benchmark:
@@ -88,32 +106,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "algorithm" not in raw or "environment" not in raw:
             raise ValueError("config needs 'algorithm' and 'environment'")
-        horizon = raw.get("horizon", 0)
-        seeds = raw.get("seeds", [])
-        diagnostic = raw.get("diagnostic", False)
-        output_dir = raw.get("output_dir")
-        if not _is_int(horizon):
-            raise ValueError(f"horizon must be an integer, got {horizon!r}")
-        if not isinstance(seeds, list) or not all(
-                _is_int(s) and s >= 0 for s in seeds):
-            raise ValueError(
-                f"seeds must be a list of integers >= 0, got {seeds!r}")
-        if not isinstance(diagnostic, bool):
-            raise ValueError(
-                f"diagnostic must be true or false, got {diagnostic!r}")
-        if output_dir is not None and not (
-                isinstance(output_dir, str) and output_dir):
-            raise ValueError("output_dir must be null or a non-empty string, "
-                             f"got {output_dir!r}")
-        return cls(
-            algorithm=raw["algorithm"],
-            environment=raw["environment"],
-            horizon=horizon,
-            seeds=list(seeds),
-            output_dir=output_dir,
-            diagnostic=diagnostic,
-            benchmark=raw.get("benchmark", {}),
-        )
+        return cls(**{"horizon": 0, "seeds": [], **raw})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -153,10 +146,12 @@ _REQUIRED = object()
 
 
 def _pop_int(spec: dict, key: str, default=_REQUIRED) -> int:
-    """Pop the integer `key` from a spec, or `default` if it is absent
-    (a required key raises KeyError); a value that is not an int, or is a
-    bool, raises ValueError naming the key."""
-    value = spec.pop(key) if default is _REQUIRED else spec.pop(key, default)
+    """Pop the integer `key` from a spec, or `default` if it is absent; a
+    missing required key, or a value that is not an int or is a bool,
+    raises ValueError naming the key."""
+    if default is _REQUIRED and key not in spec:
+        raise ValueError(f"missing required key {key!r}")
+    value = spec.pop(key, default)
     if not _is_int(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
     return value
@@ -170,10 +165,13 @@ def build_environment(spec: dict) -> Environment:
             entries = spec.pop("matrix")
             _reject_unused(spec, "environment", kind)
             matrix = PreferenceMatrix(np.asarray(entries, dtype=np.float64))
-        else:
+        elif "fixture" in spec:
             name = spec.pop("fixture")
             # the rest of the spec is the fixture's parameters
             matrix = named_fixture(name, **spec)
+        else:
+            raise ValueError(
+                "fixed environment needs a 'matrix' or a 'fixture'")
         return FixedMatrixEnvironment(matrix)
     if kind == "finite_class":
         class_seed = _pop_int(spec, "class_seed", 0)
@@ -416,11 +414,7 @@ def _run_and_write_seed(config: ExperimentConfig, seed: int):
     """
     summary, ledger, lines = run_single_seed(config, seed)
     _write_rounds(config, seed, lines)
-    return summary, {
-        "br_steps": ledger.br_steps, "fb_steps": ledger.fb_steps,
-        "br_cum": ledger.br_cum, "fb_cum": ledger.fb_cum,
-        "final_policy": ledger.final_policy,
-    }
+    return summary, {"br_steps": ledger.br_steps, "fb_steps": ledger.fb_steps}
 
 
 def _write_rounds(config: ExperimentConfig, seed: int, lines: list[str]) -> None:
@@ -456,8 +450,9 @@ def worker_count() -> int:
 def run_experiment(config: ExperimentConfig, keep_ledgers: bool = False):
     """Execute every seed; returns (summaries, ledgers-or-None).
 
-    Ledgers (when kept) are plain dicts of per-round arrays, merged in seed
-    order regardless of worker completion order.
+    A kept ledger is a dict of one seed's per-round `br_steps` and
+    `fb_steps` arrays; ledgers merge in seed order regardless of worker
+    completion order.
     """
     # fork starts every worker at once: never more than there are seeds
     workers = min(worker_count(), len(config.seeds))

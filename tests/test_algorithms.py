@@ -293,7 +293,6 @@ class TestMinMaxDb:
         learner.observe(0, (1, 0), +1)  # same pair, flipped label
         learner.observe(0, (2, 2), +1)  # diagonal: no oracle update
         assert rec.calls == [(0, 1, 1.0), (0, 1, -1.0)]
-        assert learner.t == 4
 
     def test_flipped_duel_drives_same_posterior(self):
         tabs = np.zeros((2, 1, 2, 2))

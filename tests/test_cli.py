@@ -56,12 +56,13 @@ class TestSolveCommands:
         assert "marginal:" in out
 
     def test_solve_igw_bad_gamma_is_config_error(self, rps_file, capsys):
-        # gamma below 2K or not finite surfaces as a solver-domain error,
-        # exit 2, before any iteration
+        # gamma below 2K or not finite is bad input, as in a run config:
+        # exit 1 before any iteration
         for gamma in ("2", "nan", "inf"):
             assert main(["solve-igw", "--matrix", rps_file,
-                         "--gamma", gamma]) == 2
+                         "--gamma", gamma]) == 1
             captured = capsys.readouterr()
+            assert captured.err.startswith("config error:")
             assert "below 2K" in captured.err and captured.out == ""
 
     def test_solve_igw_non_skew_matrix(self, tmp_path):
@@ -321,6 +322,22 @@ class TestRunCommand:
         ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0,
                         "oracle": {"kind": "finite", "class_seed": 1.0}}},
          "class_seed must be an integer"),
+        ({"algorithm": "ccedb"}, "algorithm must be a JSON object"),
+        ({"benchmark": [["q_star", None]]}, "benchmark must be a JSON object"),
+        # a missing required spec key is named
+        ({"environment": {"kind": "fixed"}},
+         "fixed environment needs a 'matrix' or a 'fixture'"),
+        ({"environment": {"kind": "fixed", "k": 3, "margin": 0.4}},
+         "fixed environment needs a 'matrix' or a 'fixture'"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
+          "environment": {"kind": "finite_class"}},
+         "missing required key 'k'"),
+        ({"algorithm": {"kind": "ccelindb"},
+          "environment": {"kind": "linear", "dim": 2}},
+         "missing required key 'k'"),
+        ({"algorithm": {"kind": "ccelindb"},
+          "environment": {"kind": "linear", "k": 3}},
+         "missing required key 'dim'"),
     ])
     def test_run_bad_value_is_config_error(self, tmp_path, capsys,
                                            overrides, message):

@@ -35,13 +35,25 @@ def base_config(**overrides):
 
 
 class TestConfigValidation:
-    def test_zero_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            base_config(horizon=0)
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            base_config(seeds=[])
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", True), ("horizon", 2.5), ("horizon", "10"),
+        ("horizon", 0),
+        ("seeds", [True]), ("seeds", [-1]), ("seeds", []), ("seeds", (0,)),
+        ("seeds", "0"),
+        ("diagnostic", "no"), ("diagnostic", 1), ("diagnostic", None),
+        ("output_dir", 5), ("output_dir", ""), ("output_dir", True),
+        ("algorithm", "ccedb"),
+        ("environment", [["kind", "fixed"]]),
+        ("benchmark", [["q_star", None]]),
+    ], ids=str)
+    def test_bad_field_rejected_by_both_entry_points(self, field, value):
+        raw = {"algorithm": {"kind": "ccedb"},
+               "environment": {"kind": "fixed", "fixture": "rps3"},
+               "horizon": 20, "seeds": [0], field: value}
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**raw)
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict(raw)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
