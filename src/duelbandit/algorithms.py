@@ -24,6 +24,7 @@ from .games import (
     minmax_violation,
     solve_cce,
     solve_minmax_feasibility,
+    zero_pivot_cces,
 )
 from .oracles import RIDGE, _RidgeState
 from .rng import RngHandle
@@ -48,17 +49,10 @@ def default_gamma(k: int, horizon: int,
     return float(np.sqrt(20.0 * k * horizon / reg))
 
 
-def _cce_round(learner, mean: np.ndarray, width: np.ndarray, rng: RngHandle,
-               basis: list | None = None):
-    """The CCE learners' common round tail.
-
-    Zeroes the diagonal of the upper matrix mean + width, solves its CCE
-    (from the caller's simplex `basis`, if it keeps one), publishes the
-    round's snapshot on `learner` and samples a duel from the joint.
-    """
-    upper = mean + width
-    upper.flat[::upper.shape[0] + 1] = 0.0  # the diagonal
-    report = solve_cce(upper, warm_start=basis)
+def _publish_cce(learner, mean: np.ndarray, width: np.ndarray,
+                 upper: np.ndarray, report, rng: RngHandle):
+    """The CCE learners' common round tail: publishes the round's snapshot
+    on `learner` and samples a duel from the joint of `report`."""
     joint = report.point
     learner.last_mean = mean
     learner.last_confidence = width
@@ -70,7 +64,12 @@ def _cce_round(learner, mean: np.ndarray, width: np.ndarray, rng: RngHandle,
 class CceDb:
     """Count-based learner: empirical preference estimates, per-pair
     confidence widths, and a coarse correlated equilibrium of the upper
-    confidence matrix each round, at confidence level delta = 1/T."""
+    confidence matrix each round, at confidence level delta = 1/T.
+
+    `prepare_round` computes a round's statistics and the solves that need
+    no simplex pivot for many learners at once; `select` uses what it left
+    and runs as a batch of one when it left nothing.
+    """
 
     kind = "ccedb"
     gamma = None
@@ -85,12 +84,32 @@ class CceDb:
         self.last_upper: np.ndarray | None = None
         self.last_iterations = 0
         self._basis: list[int] = []  # the last CCE solve's simplex basis
+        self._row = 0  # the row of the stack that `wins` is a view of
+        self._prepared = None  # this round's (mean, width, upper, report)
 
     def counts(self) -> np.ndarray:
         return self.wins + self.wins.T
 
-    def _statistics(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and width matrices of this round.
+    @staticmethod
+    def _stacked_wins(learners: list) -> np.ndarray:
+        """The learners' win counts as one (S, K, K) array whose rows their
+        `wins` are views of; stacked again only when the learners are not
+        the rows of the last call's stack, in order."""
+        stack = learners[0].wins.base
+        if stack is None or len(stack) != len(learners) or not all(
+                learner.wins.base is stack and learner._row == row
+                for row, learner in enumerate(learners)):
+            stack = np.stack([learner.wins for learner in learners])
+            for row, learner in enumerate(learners):
+                learner.wins = stack[row]
+                learner._row = row
+        return stack
+
+    @classmethod
+    def prepare_round(cls, learners: list) -> None:
+        """Give every learner (all of one K) its round's mean, width and
+        upper matrices and the CCE solve that needs no pivot, if there is
+        one, in one stacked pass; each learner's next `select` uses them.
 
         A pair duelled n > 0 times has mean 2 wins / n - 1 and width
         sqrt(log_term / n); an unexplored pair has mean 0 and width
@@ -104,23 +123,41 @@ class CceDb:
           because CAP = 2 is a power of two.
 
         Subtracting the boolean `explored` takes 1 off the explored means.
+        Every operation acts on each learner's K x K block alone, so a
+        learner gets the same bits in any batch. Each round's arrays are
+        new, so a published snapshot is never overwritten.
         """
-        k = self.k
-        n = self.counts()
+        wins = cls._stacked_wins(learners)
+        n = wins + wins.transpose(0, 2, 1)
         explored = n > 0
-        log_term = np.log(k * k * self.t * self.t / self.delta)
-        half_n = np.where(explored, 0.5 * n,
-                          max(1.0, 0.5 * log_term / UNEXPLORED_WIDTH_CAP ** 2))
-        mean = np.subtract(self.wins / half_n, explored)
-        width = np.sqrt(0.5 * log_term / half_n)
-        return mean, width
+        log_term = np.log([learner.k * learner.k * learner.t * learner.t
+                           / learner.delta for learner in learners])
+        half_log = (0.5 * log_term)[:, None, None]
+        half_n = np.where(explored, 0.5 * n, np.maximum(
+            1.0, half_log / UNEXPLORED_WIDTH_CAP ** 2))
+        mean = np.subtract(wins / half_n, explored)
+        width = np.sqrt(half_log / half_n)
+        upper = mean + width
+        k = wins.shape[1]
+        upper.reshape(len(learners), k * k)[:, ::k + 1] = 0.0  # diagonals
+        reports = zero_pivot_cces(upper,
+                                  [learner._basis for learner in learners])
+        for learner, *prepared in zip(learners, mean, width, upper, reports):
+            learner._prepared = prepared
 
     def select(self, context, rng: RngHandle):
         """Solve the CCE of the current upper matrix and sample a duel."""
-        mean, width = self._statistics()
-        # the upper matrix moves little between rounds, so the previous
-        # round's basis usually still gives a CCE
-        return _cce_round(self, mean, width, rng, self._basis)
+        if self._prepared is None:
+            self.prepare_round([self])
+        (mean, width, upper, report), self._prepared = self._prepared, None
+        if report is None:
+            # neither the pure point nor the previous round's basis (which
+            # usually still gives a CCE, since the upper matrix moves
+            # little) serves: pivot from scratch, without trying the basis
+            # again
+            self._basis.clear()
+            report = solve_cce(upper, warm_start=self._basis)
+        return _publish_cce(self, mean, width, upper, report, rng)
 
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:
         if outcome not in (-1, 1):
@@ -166,7 +203,9 @@ class CceLinDb:
         mean = mean.reshape(k, k)
         width = np.sqrt(np.maximum(quad, 0.0, out=quad), out=quad).reshape(k, k)
         width *= self.width_multiplier  # the width the upper matrix adds
-        return _cce_round(self, mean, width, rng)
+        upper = mean + width
+        upper.flat[::k + 1] = 0.0  # the diagonal
+        return _publish_cce(self, mean, width, upper, solve_cce(upper), rng)
 
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:
         if outcome not in (-1, 1):

@@ -28,6 +28,7 @@ from .games import (
     solve_minmax_feasibility,
 )
 from .harness import (
+    SUMMARY_HEADER,
     ExperimentConfig,
     RunSummary,
     aggregate,
@@ -45,8 +46,12 @@ def load_matrix(path: str) -> np.ndarray:
     if path.endswith(".json"):
         with open(path) as fh:
             doc = json.load(fh)
-        return np.asarray(doc["entries"] if isinstance(doc, dict) else doc,
-                          dtype=np.float64)
+        if isinstance(doc, dict):
+            if "entries" not in doc:
+                raise ValueError(f"{path}: a matrix object needs the key "
+                                 "'entries'")
+            doc = doc["entries"]
+        return np.asarray(doc, dtype=np.float64)
     return np.atleast_2d(np.loadtxt(path))
 
 
@@ -67,6 +72,7 @@ def _cmd_run(args) -> int:
         return 1
     summaries, _ = run_experiment(config)
     failed = 0
+    # a seed's wall time is that of the lockstep group it ran in
     for s in summaries:
         print(f"seed {s.seed}: BR={s.final_br:.6g} FB={s.final_fb:.6g} "
               f"policy={s.final_policy:.6g} [{s.wall_clock_s:.2f}s] {s.status}")
@@ -142,6 +148,10 @@ def _parse_summary_csv(path: str) -> list[RunSummary]:
     out = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        missing = [name for name in SUMMARY_HEADER.split(",")
+                   if name != "status" and name not in header]
+        if missing:
+            raise ValueError(f"header lacks the columns {missing}")
         for line in fh:
             parts = line.rstrip("\n").split(",")
             row = dict(zip(header, parts))

@@ -14,7 +14,9 @@ CCE and Nash reduce to one linear program: minimize the maximum constraint
 violation over a simplex. The inverse-gap program is convex (linear exposure
 plus 1/p_i penalty) and is solved by entropic mirror descent on a floored
 simplex. The hot loops live in the numpy kernels of `_kernels_py`; the
-solvers fetch them through `get_kernels()` at call time.
+solvers fetch the simplex and the descent through `get_kernels()` at call
+time. `zero_pivot_cces` runs the first stage of many CCE solves at once,
+one stacked basis solve for all of them, and calls its kernel directly.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "solve_minmax_feasibility",
     "cce_deviation_matrix",
     "cce_violation",
+    "zero_pivot_cces",
     "backend_name",
     "get_kernels",
 ]
@@ -95,11 +98,12 @@ def cce_deviation_matrix(u: np.ndarray) -> np.ndarray:
     Row a* (first K rows) holds, per joint cell (a, b), the gain
     u[a*, b] - u[a, b] of the row player deviating to pure a* against the
     right marginal; row K + b* the mirrored gain u[b*, a] - u[b, a] for the
-    other player. A joint p is a CCE iff D p <= 0.
+    other player. A joint p is a CCE iff D p <= 0. A stack of matrices
+    (S, K, K) gives the stack of their matrices (S, 2K, K^2).
     """
-    gain, base = _deviation_indices(u.shape[0])
-    flat = u.ravel()
-    return flat.take(gain) - flat.take(base)
+    gain, base = _deviation_indices(u.shape[-1])
+    flat = u.reshape(u.shape[:-2] + (-1,))
+    return flat.take(gain, axis=-1) - flat.take(base, axis=-1)
 
 
 def cce_violation(u, joint) -> float:
@@ -149,6 +153,24 @@ def solve_cce(u, warm_start: list | None = None) -> FeasibilityReport:
         )
     joint = JointActionDistribution._unchecked(x.reshape(k, k))
     return FeasibilityReport(joint, viol, iters)
+
+
+def zero_pivot_cces(uppers: np.ndarray, bases: list) -> list:
+    """The first stage of `solve_cce(u, warm_start=basis)` for a stack of
+    finite matrices (S, K, K) at once, each with its own basis list.
+
+    Entry i is the report `solve_cce` gives when the simplex needs no
+    pivot: the pure-point exit, or the vertex of the full basis held in
+    bases[i]. Either is a CCE within the tolerance. It is None otherwise;
+    `solve_cce` from an emptied basis then gives that matrix's report,
+    going straight to the cold pivots.
+    """
+    k = uppers.shape[-1]
+    solves = _kernels_py.zero_pivot_solves(cce_deviation_matrix(uppers), bases)
+    return [None if solve is None else FeasibilityReport(
+                JointActionDistribution._unchecked(solve[0].reshape(k, k)),
+                solve[1], 0)
+            for solve in solves]
 
 
 def solve_zero_sum_nash(p) -> FeasibilityReport:

@@ -2,6 +2,8 @@
 
   * epigraph_simplex -- minimize max_i (D x)_i over the simplex, i.e. the
     linear feasibility core behind CCE and zero-sum Nash solves,
+  * zero_pivot_solves -- its solves that need no pivot (the pure point or a
+    held basis's warm vertex) for a stack of matrices at once,
   * minmax_descent   -- entropic mirror descent for the inverse-gap
     feasibility program on the floored simplex.
 
@@ -76,25 +78,92 @@ def _basic_point(basis: list, values: list, n: int):
     return x, total
 
 
-def _warm_vertex(D: np.ndarray, T: np.ndarray, basis: list):
-    """The vertex of `basis` in the unpivoted tableau `T`, as a finished
-    solve, if it is primal feasible with s <= 1e-15 and its point meets
-    max(D x) <= 0; otherwise None."""
-    n = D.shape[1]
+def warm_vertices(Ds: np.ndarray, bases: list) -> list:
+    """The vertex of each full basis in its unpivoted tableau, as a finished
+    solve, for a stack Ds of shape (S, m, n) and S bases of m + 1 columns.
+
+    Seed i gets (x, max_violation, 0, 0) if its vertex is primal feasible
+    with s <= 1e-15 and its point meets max(D_i x) <= 0, and None otherwise.
+    The basis systems are solved by one stacked `np.linalg.solve`; if one
+    of them is singular, each is solved alone and the singular ones get
+    None. The checks run on the whole stack too: a stacked solve, row sum
+    or `np.matmul` gives each seed the bits of its own 1-D call.
+    """
+    S, m, n = Ds.shape
+    ncol = n + 1 + m
+    template = _tableau_template(m, n)
+    # the tableaux's columns (x vars, s, slacks) as rows
+    columns = np.empty((S, ncol, m + 1))
+    columns[:] = template[:, :ncol].T
+    columns[:, :n, :m] = Ds.transpose(0, 2, 1)
+    picks = np.array(bases)
+    seed_rows = np.arange(S)[:, None]
+    # row c of B^T is the tableau column bases[i][c]
+    B = columns.reshape(S * ncol, m + 1).take(
+        picks + seed_rows * ncol, axis=0).transpose(0, 2, 1)
+    rhs = template[:, -1:]  # the true right-hand side e_m, one column
     try:
-        values = np.linalg.solve(T.take(basis, axis=1), T[:, -1]).tolist()
+        values = np.linalg.solve(B, rhs)[:, :, 0]
     except np.linalg.LinAlgError:
-        return None
-    if min(values) < -_WARM_TOL:
-        return None
-    if n in basis and values[basis.index(n)] > 1e-15:
-        return None
-    x, total = _basic_point(basis, values, n)
-    viol = float((D @ x).max())
+        values = np.full((S, m + 1), np.nan)  # NaN rows fail every check
+        for i in range(S):
+            try:
+                values[i] = np.linalg.solve(B[i], rhs[:, 0])
+            except np.linalg.LinAlgError:
+                pass
+    # the basic solution in tableau columns, clipped at 0
+    basic = np.zeros((S, ncol))
+    basic[seed_rows, picks] = np.where(values < 0.0, 0.0, values)
+    # the seeds whose solution is primal feasible with s (column n) at
+    # most 1e-15 go on to have their point checked
+    kept = np.flatnonzero((values.min(axis=1) >= -_WARM_TOL)
+                          & (basic[:, n] <= 1e-15))
+    x = basic[kept, :n]
+    total = x.sum(axis=1)
+    positive = total > 0
+    np.divide(x, total[:, None], out=x, where=positive[:, None])
+    viol = np.matmul(Ds[kept], x[:, :, None])[:, :, 0].max(axis=1)
+    vertices = [None] * S
     # the point itself is checked: a NaN that reaches x fails here
-    if not (total > 0 and viol <= _WARM_TOL):
-        return None
-    return x, viol, 0, 0
+    for j in np.flatnonzero(positive & (viol <= _WARM_TOL)).tolist():
+        vertices[int(kept[j])] = x[j], float(viol[j]), 0, 0
+    return vertices
+
+
+def _pure_point(basis: list, j0: int, top: float, m: int, n: int):
+    """The pure point e_j0 as a finished solve, when column j0's largest
+    entry `top` is the smallest column maximum and is <= 0; the basis
+    becomes the row slacks and j0."""
+    basis[:] = range(n + 1, n + 1 + m)
+    basis.append(j0)
+    x = np.zeros(n)
+    x[j0] = 1.0
+    return x, top, 0, 0
+
+
+def zero_pivot_solves(Ds: np.ndarray, bases: list) -> list:
+    """What `epigraph_simplex(D, ..., basis)` returns with 0 pivots, for a
+    stack Ds (S, m, n) and S basis lists at once: the pure point, or the
+    warm vertex of a full basis, checked by one stacked `warm_vertices`.
+    Entry i is None where seed i's solve needs pivots; its basis is then
+    left as it was."""
+    S, m, n = Ds.shape
+    col_max = Ds.max(axis=1)
+    j0s = col_max.argmin(axis=1).tolist()
+    tops = col_max.min(axis=1).tolist()
+    solves = [None] * S
+    warm = []
+    for i, (j0, top, basis) in enumerate(zip(j0s, tops, bases)):
+        if top <= 0.0:
+            solves[i] = _pure_point(basis, j0, top, m, n)
+        elif len(basis) == m + 1:
+            warm.append(i)
+    if warm:
+        vertices = warm_vertices(Ds[warm] if len(warm) < S else Ds,
+                                 [bases[i] for i in warm])
+        for i, vertex in zip(warm, vertices):
+            solves[i] = vertex
+    return solves
 
 
 def epigraph_simplex(D: np.ndarray, max_iter: int, basis: list | None = None):
@@ -120,21 +189,17 @@ def epigraph_simplex(D: np.ndarray, max_iter: int, basis: list | None = None):
     col_max = D.max(axis=0)
     j0 = int(col_max.argmin())
     if col_max[j0] <= 0.0:
-        basis[:] = range(n + 1, n + 1 + m)
-        basis.append(j0)
-        x = np.zeros(n)
-        x[j0] = 1.0
-        return x, float(col_max[j0]), 0, 0
+        return _pure_point(basis, j0, float(col_max[j0]), m, n)
+    if len(basis) == m + 1:
+        warm = warm_vertices(D[None], [basis])[0]
+        if warm is not None:
+            return warm
 
     ncol = n + 1 + m  # x vars, epigraph s, row slacks
     rows = m + 1
     template = _tableau_template(m, n)
     T = template.copy()
     T[:m, :n] = D
-    if len(basis) == rows:
-        warm = _warm_vertex(D, T, basis)
-        if warm is not None:
-            return warm
     # s enters where D x_j0 - delta is largest, so the first basis is
     # feasible for the perturbed rows
     i0 = int((D[:, j0] - template[:m, ncol]).argmax())

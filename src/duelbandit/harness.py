@@ -1,9 +1,15 @@
 """Experiment runner: seeded (algorithm x environment x horizon) runs.
 
-Every seed owns its learner, environment substreams and ledger; seeds fan
-out across processes when DUELBANDIT_THREADS > 1 and results merge in seed
-order, so output is deterministic either way. Round CSVs carry full-precision
-floats and reproduce byte-identically for a fixed config.
+Every seed owns its learner, environment substreams and ledger. Seeds run
+in lockstep groups of at most LOCKSTEP_SEEDS, round by round: when the
+learner class has a batched `prepare_round` (`CceDb`), one stacked call per
+round does the statistics and the zero-pivot simplex checks of every live
+seed of the group; other learners run one seed at a time. A seed gets the
+same bits in any group. Chunks of seeds fan out across processes when
+DUELBANDIT_THREADS > 1 and results merge in seed order, so output is
+deterministic either way. Round CSVs carry full-precision floats and
+reproduce byte-identically for a fixed config; a summary's wall time is
+its group's.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ import functools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -38,6 +43,10 @@ CSV_HEADER = ("seed,t,arm_a,arm_b,outcome,br_step,br_cum,"
               "fb_step,fb_cum,policy_cum,gamma,solver_iters")
 SUMMARY_HEADER = ("seed,horizon,final_br,final_fb,final_policy,"
                   "normalized_br,solver_iterations,confidence_violations,status")
+
+# Seeds one lockstep group runs at most: where the stacked solve's cost per
+# seed stops falling, and a bound on the round CSV rows held at once.
+LOCKSTEP_SEEDS = 50
 
 
 def _fmt(x: float) -> str:
@@ -114,6 +123,10 @@ class ExperimentConfig:
 
 @dataclass
 class RunSummary:
+    """One seed's outcome. `wall_clock_s` is the wall time of the lockstep
+    group the seed ran in, building included, so every seed of a group
+    reports the same time."""
+
     seed: int
     horizon: int
     final_br: float = 0.0
@@ -282,9 +295,18 @@ def resolve_q_star(benchmark: dict, env: Environment):
 def check_config(config: ExperimentConfig) -> None:
     """Build what every seed run builds first, so that a config no seed can
     run fails once, before any seed does: the environment, the learner and
-    the benchmark's q_star. Raises what those builders raise, and what
-    `worker_count` raises on a malformed DUELBANDIT_THREADS."""
+    the benchmark's q_star. Raises what those builders raise, what
+    `worker_count` raises on a malformed DUELBANDIT_THREADS, and
+    ValueError for an output_dir that cannot be a directory because it, or
+    the nearest part of its path that exists, is not one."""
     worker_count()
+    if config.output_dir is not None:
+        existing = os.path.abspath(config.output_dir)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ValueError(f"output_dir {config.output_dir!r} cannot be a "
+                             f"directory: {existing!r} is not one")
     env = build_environment(config.environment)
     build_learner(config.algorithm, env, config.horizon)
     if config.benchmark["q_star"] is not None:
@@ -312,7 +334,10 @@ def _diag_check_cce(learner, truth: PreferenceMatrix, joint) -> bool:
     return covered
 
 
-def _diag_check_minmaxdb(learner: MinMaxDb, truth: PreferenceMatrix) -> None:
+def _diag_check_minmaxdb(learner: MinMaxDb, truth: PreferenceMatrix,
+                         joint) -> bool:
+    """The per-round inequality of the inverse-gap program; returns True,
+    since the oracle learner has no coverage event to count."""
     p = learner.last_marginal
     y_hat = learner.last_prediction.entries
     f = truth.entries
@@ -325,58 +350,118 @@ def _diag_check_minmaxdb(learner: MinMaxDb, truth: PreferenceMatrix) -> None:
         raise DiagnosticFailure(
             f"per-round inequality broken: {lhs:.6g} > {rhs:.6g}"
         )
+    return True
+
+
+class _SeedRun:
+    """One seed of a lockstep group: its environment, learner, ledger and
+    random substreams, and what its rounds have booked so far."""
+
+    def __init__(self, config: ExperimentConfig, seed: int):
+        self.seed = seed
+        self.env = build_environment(config.environment)
+        self.learner = build_learner(config.algorithm, self.env, config.horizon)
+        q_star = resolve_q_star(config.benchmark, self.env) \
+            if config.benchmark["q_star"] is not None else None
+        policies = _make_policies(config.benchmark["policy_count"], self.env.k)
+        self.ledger = RegretLedger(q_star=q_star, policies=policies)
+        root = RngHandle(seed)
+        self.env_rng = root.substream("environment")
+        self.learner_rng = root.substream("learner")
+        self.outcome_rng = root.substream("outcome")
+        self.check = None
+        if config.diagnostic:
+            self.check = _diag_check_minmaxdb if isinstance(
+                self.learner, MinMaxDb) else _diag_check_cce
+        self.violations = 0
+        self.solver_iters = 0
+        # (arm_a, arm_b, outcome, solver_iters) per booked round
+        self.rows = [] if config.output_dir is not None else None
+        self.status = "ok"
+
+    def play(self, t: int) -> None:
+        """Round t: draw, select, duel, check, observe, book."""
+        learner = self.learner
+        x, truth = self.env.sample_round(self.env_rng)
+        joint, duel = learner.select(x, self.learner_rng)
+        a, b = duel
+        outcome = sample_outcome(truth.entries.item(a, b), self.outcome_rng)
+        if self.check is not None and not self.check(learner, truth, joint):
+            self.violations += 1
+        learner.observe(x, duel, outcome)
+        self.ledger.record(truth, x, joint, duel)
+        iters = learner.last_iterations
+        self.solver_iters += iters
+        if self.rows is not None:
+            self.rows.append((a, b, outcome, iters))
+
+    def result(self, config: ExperimentConfig, wall_clock_s: float):
+        """(RunSummary, RegretLedger, csv lines) of the rounds played."""
+        learner, ledger = self.learner, self.ledger
+        lines = [] if self.rows is None else _round_lines(
+            self.seed, learner.gamma, self.rows, ledger)
+        summary = RunSummary(
+            seed=self.seed, horizon=config.horizon,
+            final_br=ledger.final_br, final_fb=ledger.final_fb,
+            final_policy=ledger.final_policy,
+            normalized_br=_normalized_br(self.env, learner, ledger),
+            wall_clock_s=wall_clock_s, solver_iterations=self.solver_iters,
+            confidence_violations=(self.violations if config.diagnostic
+                                   else None),
+            status=self.status)
+        return summary, ledger, lines
+
+
+def run_seeds(config: ExperimentConfig, seeds: list[int]) -> list:
+    """Run `seeds` round by round in lockstep; returns one
+    (RunSummary, RegretLedger, csv lines) per seed, in seed order.
+
+    Seeds run in groups of at most LOCKSTEP_SEEDS when the learner class
+    has a batched `prepare_round`, which each round gives every live
+    learner of a group its statistics in one stacked pass; otherwise one
+    at a time. Each seed keeps its own substreams, so it gets the bits it
+    gets alone. A seed that raises DuelBanditError or DiagnosticFailure
+    stops at that round and the others run on. Every summary of a group
+    reports the group's wall time.
+    """
+    return [result for group in _lockstep_groups(config, seeds)
+            for result in group]
+
+
+def _lockstep_groups(config: ExperimentConfig, seeds: list[int]):
+    """Yield each lockstep group's results as soon as the group has run."""
+    rest = list(seeds)
+    while rest:
+        t_start = time.perf_counter()
+        runs = [_SeedRun(config, rest[0])]
+        prepare = getattr(type(runs[0].learner), "prepare_round", None)
+        size = 1 if prepare is None else LOCKSTEP_SEEDS
+        runs += [_SeedRun(config, seed) for seed in rest[1:size]]
+        rest = rest[size:]
+        live = runs
+        for t in range(1, config.horizon + 1):
+            if prepare is not None:
+                prepare([run.learner for run in live])
+            failed = False
+            for run in live:
+                try:
+                    run.play(t)
+                except (DuelBanditError, DiagnosticFailure) as exc:
+                    run.status = (f"failed: {type(exc).__name__} at round "
+                                  f"{t}: {exc}")
+                    failed = True
+            if failed:
+                live = [run for run in live if run.status == "ok"]
+                if not live:
+                    break
+        wall = time.perf_counter() - t_start
+        yield [run.result(config, wall) for run in runs]
 
 
 def run_single_seed(config: ExperimentConfig, seed: int):
-    """One seeded run; returns (RunSummary, RegretLedger, csv lines)."""
-    t_start = time.perf_counter()
-    env = build_environment(config.environment)
-    learner = build_learner(config.algorithm, env, config.horizon)
-    q_star = resolve_q_star(config.benchmark, env) \
-        if config.benchmark["q_star"] is not None else None
-    policies = _make_policies(config.benchmark["policy_count"], env.k)
-    ledger = RegretLedger(q_star=q_star, policies=policies)
-
-    root = RngHandle(seed)
-    env_rng = root.substream("environment")
-    learner_rng = root.substream("learner")
-    outcome_rng = root.substream("outcome")
-
-    summary = RunSummary(seed=seed, horizon=config.horizon)
-    keep_rows = config.output_dir is not None
-    rows = []  # (arm_a, arm_b, outcome, solver_iters) per booked round
-    violations = 0
-    solver_iters = 0
-    try:
-        for t in range(1, config.horizon + 1):
-            x, truth = env.sample_round(env_rng)
-            joint, duel = learner.select(x, learner_rng)
-            a, b = duel
-            outcome = sample_outcome(truth.entries.item(a, b), outcome_rng)
-            if config.diagnostic:
-                if isinstance(learner, (CceDb, CceLinDb)):
-                    if not _diag_check_cce(learner, truth, joint):
-                        violations += 1
-                elif isinstance(learner, MinMaxDb):
-                    _diag_check_minmaxdb(learner, truth)
-            learner.observe(x, duel, outcome)
-            ledger.record(truth, x, joint, duel)
-            iters = learner.last_iterations
-            solver_iters += iters
-            if keep_rows:
-                rows.append((a, b, outcome, iters))
-    except (DuelBanditError, DiagnosticFailure) as exc:
-        summary.status = f"failed: {type(exc).__name__} at round {t}: {exc}"
-
-    lines = _round_lines(seed, learner.gamma, rows, ledger) if keep_rows else []
-    summary.final_br = ledger.final_br
-    summary.final_fb = ledger.final_fb
-    summary.final_policy = ledger.final_policy
-    summary.solver_iterations = solver_iters
-    summary.confidence_violations = violations if config.diagnostic else None
-    summary.normalized_br = _normalized_br(env, learner, ledger)
-    summary.wall_clock_s = time.perf_counter() - t_start
-    return summary, ledger, lines
+    """One seeded run, a lockstep group of one; returns (RunSummary,
+    RegretLedger, csv lines)."""
+    return run_seeds(config, [seed])[0]
 
 
 def _round_lines(seed: int, gamma: float | None, rows: list,
@@ -407,14 +492,19 @@ def _normalized_br(env, learner, ledger) -> float:
     return float(ledger.final_br / (k * np.log(k * t) * np.sqrt(t)))
 
 
-def _run_and_write_seed(config: ExperimentConfig, seed: int):
-    """Run one seed and write its round CSV; returns (summary, ledger dict).
+def _run_and_write_seeds(config: ExperimentConfig, seeds: list[int]) -> list:
+    """Run `seeds` and write their round CSVs; returns (summary, ledger
+    dict) per seed, in seed order.
 
-    The one per-seed path, taken in-process and by pool workers alike.
+    The one path, taken in-process and by pool workers alike.
     """
-    summary, ledger, lines = run_single_seed(config, seed)
-    _write_rounds(config, seed, lines)
-    return summary, {"br_steps": ledger.br_steps, "fb_steps": ledger.fb_steps}
+    out = []
+    for group in _lockstep_groups(config, seeds):
+        for summary, ledger, lines in group:
+            _write_rounds(config, summary.seed, lines)
+            out.append((summary, {"br_steps": ledger.br_steps,
+                                  "fb_steps": ledger.fb_steps}))
+    return out
 
 
 def _write_rounds(config: ExperimentConfig, seed: int, lines: list[str]) -> None:
@@ -454,14 +544,21 @@ def run_experiment(config: ExperimentConfig, keep_ledgers: bool = False):
     `fb_steps` arrays; ledgers merge in seed order regardless of worker
     completion order.
     """
+    seeds = config.seeds
     # fork starts every worker at once: never more than there are seeds
-    workers = min(worker_count(), len(config.seeds))
+    workers = min(worker_count(), len(seeds))
+    # one chunk per worker, and none larger than a lockstep group, so that
+    # no more than a group's round CSV rows are held at once
+    size = min(LOCKSTEP_SEEDS, -(-len(seeds) // workers))
+    chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    run = functools.partial(_run_and_write_seeds, config)
     if workers > 1:
+        # imported here: the pool's modules cost a single-worker run time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                functools.partial(_run_and_write_seed, config), config.seeds))
+            results = [r for chunk in pool.map(run, chunks) for r in chunk]
     else:
-        results = [_run_and_write_seed(config, s) for s in config.seeds]
+        results = [r for chunk in map(run, chunks) for r in chunk]
     summaries = [summary for summary, _ in results]
     ledgers = [ledger for _, ledger in results] if keep_ledgers else None
 

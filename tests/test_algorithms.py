@@ -155,6 +155,57 @@ class TestCceDb:
                                                     outcome_rng))
         assert zero_pivot >= 0.75 * 2000
 
+    def test_prepared_batch_solves_once_and_select_never(self, monkeypatch):
+        # one stacked warm-vertex solve per round for the whole batch; a
+        # learner whose warm vertex failed pivots cold without solving its
+        # basis system again
+        env = build_environment({"kind": "fixed", "fixture": "condorcet",
+                                 "k": 5, "margin": 0.4})
+        learners = [build_learner({"kind": "ccedb"}, env, horizon=2000)
+                    for _ in range(4)]
+        streams = [[RngHandle(seed).substream(name) for name in
+                    ("environment", "learner", "outcome")]
+                   for seed in range(4)]
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        stacked_rounds = cold = 0
+        for t in range(400):
+            calls.clear()
+            CceDb.prepare_round(learners)
+            assert len(calls) <= 1, t
+            stacked_rounds += len(calls)
+            calls.clear()
+            for learner, (env_rng, learner_rng, outcome_rng) in zip(
+                    learners, streams):
+                x, truth = env.sample_round(env_rng)
+                _joint, duel = learner.select(x, learner_rng)
+                cold += learner.last_iterations > 0
+                learner.observe(x, duel, sample_outcome(
+                    truth.entries[duel], outcome_rng))
+            assert calls == [], t
+        assert stacked_rounds >= 300 and cold >= 20
+
+    def test_published_snapshots_stay_as_published(self, rng):
+        learners = [CceDb(4, 50) for _ in range(3)]
+        kept = []
+        for t in range(30):
+            CceDb.prepare_round(learners)
+            for i, learner in enumerate(learners):
+                _joint, duel = learner.select(None, rng)
+                snapshot = (learner.last_mean, learner.last_confidence,
+                            learner.last_upper)
+                kept.append((snapshot, [a.copy() for a in snapshot]))
+                learner.observe(None, duel, 1 if (t + i) % 3 else -1)
+        for published, copies in kept:
+            for array, copy in zip(published, copies):
+                assert array.tobytes() == copy.tobytes()
+
 
 class TestCceLinDb:
     def test_no_history_unit_features(self, rng):

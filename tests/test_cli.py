@@ -50,6 +50,15 @@ class TestSolveCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err
 
+    def test_solve_cce_json_without_entries_names_the_key(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"matrix": [[0, 1], [-1, 0]]}))
+        assert main(["solve-cce", "--matrix", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "needs the key 'entries'" in err and str(path) in err
+
     def test_solve_igw(self, rps_file, capsys):
         assert main(["solve-igw", "--matrix", rps_file, "--gamma", "12"]) == 0
         out = capsys.readouterr().out
@@ -144,6 +153,25 @@ class TestRunCommand:
         assert "output_dir" in captured.err
         assert "seed" not in captured.out
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["the-file", "under-the-file"])
+    def test_run_output_dir_on_an_existing_file_is_config_error(
+            self, tmp_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "sub" if under else taken
+        config = {"algorithm": {"kind": "ccedb"},
+                  "environment": {"kind": "fixed", "fixture": "rps3"},
+                  "horizon": 20, "seeds": [0, 1]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "output_dir" in captured.err and str(taken) in captured.err
+        assert "seed" not in captured.out
+        assert taken.read_text() == "not a directory\n"
 
     def test_run_contextual_nash_is_config_error(self, tmp_path, capsys):
         # the default q_star rule is nash, which a contextual environment
@@ -425,6 +453,17 @@ class TestRunCommand:
         assert main(["aggregate", "--in", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}:")
+
+    def test_aggregate_summary_without_a_column_names_it(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "summary.csv"
+        path.write_text("seed,horizon,final_fb,final_policy,normalized_br,"
+                        "solver_iterations,confidence_violations,status\n"
+                        "0,10,1.0,1.0,0.1,0,,ok\n")
+        assert main(["aggregate", "--in", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}:")
+        assert "'final_br'" in err and "lacks" in err
 
     def test_aggregate_empty_dir(self, tmp_path):
         assert main(["aggregate", "--in", str(tmp_path)]) == 1

@@ -204,6 +204,13 @@ class TestDeviationMatrix:
         want = np.concatenate([d1.reshape(k, k * k), d2.reshape(k, k * k)])
         assert np.array_equal(cce_deviation_matrix(u), want)
 
+    def test_stack_is_the_stack_of_matrices(self):
+        us = np.random.default_rng(7).uniform(-3, 3, (6, 5, 5))
+        stacked = cce_deviation_matrix(us)
+        assert stacked.shape == (6, 10, 25)
+        for u, dev in zip(us, stacked):
+            assert dev.tobytes() == cce_deviation_matrix(u).tobytes()
+
     def test_matches_loop_construction(self, make_skew):
         gen = np.random.default_rng(0)
         u = gen.uniform(-3, 3, (4, 4))
@@ -565,6 +572,122 @@ class TestWarmStart:
             if j < n:
                 point[j] = value
         assert np.array_equal(point, x)
+
+
+def _reference_warm_vertex(D, basis):
+    """The warm-vertex check of one basis, built from scratch: the basis
+    columns of the unpivoted tableau, one solve with a 1-D right-hand side,
+    then the kernel's acceptance tests. Returns (x, viol) or None."""
+    m, n = D.shape
+    tableau = np.zeros((m + 1, n + 1 + m))
+    tableau[:m, :n] = D
+    tableau[:m, n] = -1.0
+    tableau[:m, n + 1:] = np.eye(m)
+    tableau[m, :n] = 1.0
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    try:
+        values = np.linalg.solve(tableau[:, basis], rhs).tolist()
+    except np.linalg.LinAlgError:
+        return None
+    if min(values) < -1e-12:
+        return None
+    if n in basis and values[basis.index(n)] > 1e-15:
+        return None
+    x = np.zeros(n)
+    for j, value in zip(basis, values):
+        if j < n:
+            x[j] = 0.0 if value < 0.0 else value
+    total = x.sum()
+    if total > 0:
+        x /= total
+    viol = float((D @ x).max())
+    if not (total > 0 and viol <= 1e-12):
+        return None
+    return x, viol
+
+
+@pytest.fixture(scope="module")
+def warm_cases(learner_matrices):
+    """(D, basis) pairs of a CceDb run: each round's deviation matrix
+    without a pure-point exit, with the full basis the previous round's
+    solve left."""
+    kp = get_kernels()
+    basis, cases = [], []
+    for dev in learner_matrices["ccedb"]:
+        if basis and dev.max(axis=0).min() > 0.0:
+            cases.append((dev, list(basis)))
+        kp.epigraph_simplex(dev, 50_000, basis)
+    return cases
+
+
+class TestWarmVertices:
+    """`warm_vertices` checks a stack of bases with one stacked solve; every
+    seed must get what its basis gives alone, bit for bit."""
+
+    @staticmethod
+    def _assert_matches_reference(got, cases):
+        assert len(got) == len(cases)
+        for vertex, (dev, basis) in zip(got, cases):
+            want = _reference_warm_vertex(dev, basis)
+            if want is None:
+                assert vertex is None
+                continue
+            x, viol, pivots, status = vertex
+            assert x.tobytes() == want[0].tobytes()
+            assert np.float64(viol).tobytes() == np.float64(want[1]).tobytes()
+            assert (pivots, status) == (0, 0)
+
+    @pytest.mark.parametrize("size", [1, 4, 50])
+    def test_stacks_match_single_solves(self, warm_cases, size):
+        kp = get_kernels()
+        accepted = 0
+        for start in range(0, len(warm_cases), size):
+            chunk = warm_cases[start:start + size]
+            got = kp.warm_vertices(np.stack([d for d, _ in chunk]),
+                                   [b for _, b in chunk])
+            self._assert_matches_reference(got, chunk)
+            accepted += sum(v is not None for v in got)
+        assert 40 <= accepted < len(warm_cases)  # both verdicts are seen
+
+    def test_singular_basis_in_a_stack(self, warm_cases):
+        kp = get_kernels()
+        chunk = list(warm_cases[:6])
+        dev, basis = chunk[2]
+        chunk[2] = dev, [basis[0]] * len(basis)  # a repeated column
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.stack([np.eye(2), np.zeros((2, 2))]),
+                            np.ones((2, 2, 1)))
+        got = kp.warm_vertices(np.stack([d for d, _ in chunk]),
+                               [b for _, b in chunk])
+        assert got[2] is None
+        assert sum(v is not None for v in got) >= 3
+        self._assert_matches_reference(got, chunk)
+
+    def test_zero_pivot_solves_match_epigraph_simplex(self,
+                                                      learner_matrices):
+        # a run's matrices with the bases their rounds started from, in one
+        # stack: pure points, warm vertices and misses; each entry is what
+        # epigraph_simplex returns with 0 pivots, with the same basis left
+        kp = get_kernels()
+        devs = learner_matrices["ccedb"]
+        running, cases = [], []
+        for dev in devs:
+            cases.append((dev, list(running)))
+            kp.epigraph_simplex(dev, 50_000, running)
+        bases = [list(b) for _, b in cases]
+        got = kp.zero_pivot_solves(np.stack(devs), bases)
+        kinds = set()
+        for (dev, basis), solve, left in zip(cases, got, bases):
+            want = kp.epigraph_simplex(dev, 50_000, basis)
+            if solve is None:
+                assert want[2] > 0
+                kinds.add("pivots")
+                continue
+            _assert_same_solve(solve, want)
+            assert left == basis
+            kinds.add("pure" if dev.max(axis=0).min() <= 0.0 else "warm")
+        assert kinds == {"pure", "warm", "pivots"}
 
 
 class TestKlProjectFloored:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 from pathlib import Path
@@ -17,8 +18,10 @@ from duelbandit.harness import (
     check_config,
     resolve_q_star,
     run_experiment,
+    run_seeds,
     run_single_seed,
 )
+from duelbandit.errors import RangeViolation
 
 
 def base_config(**overrides):
@@ -208,7 +211,9 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        # run_experiment imports the pool class from here when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         monkeypatch.setenv("DUELBANDIT_THREADS", "64")
         summaries, _ = run_experiment(base_config(seeds=[0, 1]))
         assert started == [2]
@@ -367,3 +372,160 @@ class TestSingleSeedFailurePath:
         assert summary.status.startswith(
             f"failed: NotConverged at round {len(lines) + 1}: CCE solve")
         assert "after 1 pivots" in summary.status
+
+
+def _ccedb_config(**overrides):
+    """CceDb on Condorcet(5, 0.4): T=300 crosses the ledger's chunk of 256
+    and about one round in eight pivots cold."""
+    return base_config(**{
+        "environment": {"kind": "fixed", "fixture": "condorcet",
+                        "k": 5, "margin": 0.4},
+        "horizon": 300, **overrides})
+
+
+def _run_bytes(result):
+    """What one seed's run leaves: its ledger steps' bytes, its round CSV
+    lines and its summary without the wall time."""
+    summary, ledger, lines = result
+    fields = {**summary.__dict__, "wall_clock_s": None}
+    return (ledger.br_steps.tobytes(), ledger.fb_steps.tobytes(), lines,
+            fields)
+
+
+class TestLockstep:
+    """`run_seeds` runs a group's seeds round by round, with one stacked
+    `CceDb.prepare_round` per round; each seed must get the bits it gets
+    alone."""
+
+    SEEDS = [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("diagnostic", [False, True],
+                             ids=["plain", "diagnostic"])
+    @pytest.mark.parametrize("with_csv", [False, True],
+                             ids=["no-csv", "csv"])
+    def test_group_gives_each_seed_its_bytes_alone(self, tmp_path,
+                                                   diagnostic, with_csv):
+        config = _ccedb_config(
+            diagnostic=diagnostic,
+            output_dir=str(tmp_path) if with_csv else None)
+        together = run_seeds(config, self.SEEDS)
+        assert [r[0].seed for r in together] == self.SEEDS
+        for seed, result in zip(self.SEEDS, together):
+            alone = run_seeds(config, [seed])[0]
+            assert _run_bytes(result) == _run_bytes(alone), seed
+            assert result[0].status == "ok"
+            assert len(result[2]) == (300 if with_csv else 0)
+
+    def test_group_larger_than_lockstep_cap(self, monkeypatch):
+        config = _ccedb_config(horizon=60)
+        monkeypatch.setattr(harness, "LOCKSTEP_SEEDS", 3)
+        capped = run_seeds(config, list(range(7)))
+        monkeypatch.setattr(harness, "LOCKSTEP_SEEDS", 50)
+        whole = run_seeds(config, list(range(7)))
+        assert [_run_bytes(r) for r in capped] == [_run_bytes(r)
+                                                    for r in whole]
+
+    def test_failing_seed_drops_out_alone(self, tmp_path, monkeypatch):
+        config = _ccedb_config(output_dir=str(tmp_path))
+        full = run_seeds(config, self.SEEDS)
+        failing, round_ = 2, 137
+        draws = []
+        sample_outcome = harness.sample_outcome
+
+        def faulty(p_value, rng):
+            if rng.seed == failing:
+                draws.append(rng)
+                if len(draws) == round_:
+                    raise RangeViolation("injected")
+            return sample_outcome(p_value, rng)
+
+        monkeypatch.setattr(harness, "sample_outcome", faulty)
+        cut = run_seeds(config, self.SEEDS)
+        for seed, before, after in zip(self.SEEDS, full, cut):
+            if seed != failing:
+                assert _run_bytes(after) == _run_bytes(before), seed
+                continue
+            assert after[0].status == (
+                f"failed: RangeViolation at round {round_}: injected")
+            assert len(after[2]) == round_ - 1
+            kept = "\n".join(after[2]).encode()
+            assert "\n".join(before[2]).encode().startswith(kept)
+            assert after[1].br_steps.tobytes() == \
+                before[1].br_steps[:round_ - 1].tobytes()
+
+    def test_seeds_failing_in_the_solver_fail_as_alone(self, tmp_path,
+                                                       monkeypatch):
+        # one pivot is not enough for a cold simplex: each seed fails at
+        # its own first round that pivots more than once
+        monkeypatch.setattr(games, "MAX_ITERATIONS", 1)
+        config = _ccedb_config(output_dir=str(tmp_path))
+        together = run_seeds(config, self.SEEDS)
+        rounds = set()
+        for seed, result in zip(self.SEEDS, together):
+            alone = run_seeds(config, [seed])[0]
+            assert _run_bytes(result) == _run_bytes(alone), seed
+            assert result[0].status.startswith("failed: NotConverged at round")
+            rounds.add(len(result[2]))
+        assert len(rounds) > 1  # the seeds drop out at different rounds
+
+    def test_learner_without_batched_step_runs_alone(self, monkeypatch):
+        # MinMaxDb has no prepare_round: its seeds run one after another,
+        # each group its own wall time
+        config = ExperimentConfig.from_dict({
+            "algorithm": {"kind": "minmaxdb", "gamma": 30.0,
+                          "oracle": {"kind": "finite"}},
+            "environment": {"kind": "finite_class", "k": 3, "n_contexts": 2,
+                            "class_size": 4, "class_seed": 2},
+            "horizon": 50, "seeds": [0, 1],
+            "benchmark": {"q_star": None, "policy_count": 0},
+        })
+        built = []
+        build = harness.build_learner
+
+        def record(spec, env, horizon):
+            built.append(len(built))
+            return build(spec, env, horizon)
+
+        monkeypatch.setattr(harness, "build_learner", record)
+        plays = []
+        play = harness._SeedRun.play
+
+        def count(run, t):
+            plays.append((len(built), run.seed, t))
+            return play(run, t)
+
+        monkeypatch.setattr(harness._SeedRun, "play", count)
+        results = run_seeds(config, [0, 1])
+        # seed 1 is built only after seed 0 has played all its rounds
+        assert [p[:2] for p in plays] == [(1, 0)] * 50 + [(2, 1)] * 50
+        assert [r[0].status for r in results] == ["ok", "ok"]
+
+    def test_group_summaries_report_the_group_wall_time(self):
+        results = run_seeds(_ccedb_config(horizon=20), self.SEEDS)
+        walls = {r[0].wall_clock_s for r in results}
+        assert len(walls) == 1 and walls.pop() > 0.0
+
+
+class TestDiagnosticMovesNoBit:
+    def test_criterion_4_config_same_bytes_either_way(self, tmp_path):
+        # criterion 4's config, seeds 0-3: a batch run with diagnostics
+        # must be the batch run without them, byte for byte
+        runs = {}
+        for diagnostic in (False, True):
+            out = str(tmp_path / str(diagnostic))
+            config = ExperimentConfig.from_dict({
+                "algorithm": {"kind": "ccedb"},
+                "environment": {"kind": "fixed", "fixture": "condorcet",
+                                "k": 5, "margin": 0.4},
+                "horizon": 2000, "seeds": [0, 1, 2, 3],
+                "diagnostic": diagnostic, "output_dir": out,
+                "benchmark": {"q_star": "condorcet", "policy_count": 0},
+            })
+            summaries, ledgers = run_experiment(config, keep_ledgers=True)
+            assert [s.status for s in summaries] == ["ok"] * 4
+            csvs = [(Path(out) / f"rounds_seed{seed}.csv").read_bytes()
+                    for seed in range(4)]
+            steps = [(ledger["br_steps"].tobytes(),
+                      ledger["fb_steps"].tobytes()) for ledger in ledgers]
+            runs[diagnostic] = csvs, steps
+        assert runs[True] == runs[False]
