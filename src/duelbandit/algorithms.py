@@ -151,12 +151,7 @@ class CceDb:
             self.prepare_round([self])
         (mean, width, upper, report), self._prepared = self._prepared, None
         if report is None:
-            # neither the pure point nor the previous round's basis (which
-            # usually still gives a CCE, since the upper matrix moves
-            # little) serves: pivot from scratch, without trying the basis
-            # again
-            self._basis.clear()
-            report = solve_cce(upper, warm_start=self._basis)
+            report = solve_cce(upper, basis=self._basis)
         return _publish_cce(self, mean, width, upper, report, rng)
 
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:

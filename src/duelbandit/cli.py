@@ -60,7 +60,11 @@ def _cmd_run(args) -> int:
         with open(args.config) as fh:
             raw = json.load(fh)
         if args.seeds:
-            raw["seeds"] = [int(s) for s in args.seeds.split(",")]
+            try:
+                raw["seeds"] = [int(s) for s in args.seeds.split(",")]
+            except ValueError:
+                raise ValueError("--seeds takes comma-separated integers, "
+                                 f"got {args.seeds!r}") from None
         if args.out:
             raw["output_dir"] = args.out
         if args.diagnostic:
@@ -144,29 +148,41 @@ def _cmd_accept(args) -> int:
     return 3 if any_failed else 0
 
 
+# the summary.csv columns a RunSummary is read from, with their parsers
+_SUMMARY_COLUMNS = (
+    ("seed", int), ("horizon", int), ("final_br", float), ("final_fb", float),
+    ("final_policy", float), ("normalized_br", float),
+    ("solver_iterations", int),
+    ("confidence_violations", lambda v: int(v) if v else None),
+)
+
+
 def _parse_summary_csv(path: str) -> list[RunSummary]:
+    """The summaries of a summary.csv, skipping blank lines; a short or
+    unparsable row raises ValueError naming its line and column."""
     out = []
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        missing = [name for name in SUMMARY_HEADER.split(",")
-                   if name != "status" and name not in header]
+        missing = [name for name, _ in _SUMMARY_COLUMNS if name not in header]
         if missing:
             raise ValueError(f"header lacks the columns {missing}")
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
             parts = line.rstrip("\n").split(",")
+            if len(parts) < len(header):
+                name = header[len(parts)]
+                raise ValueError(f"line {number}, column {name!r}: the row "
+                                 "ends before it")
             row = dict(zip(header, parts))
-            out.append(RunSummary(
-                seed=int(row["seed"]),
-                horizon=int(row["horizon"]),
-                final_br=float(row["final_br"]),
-                final_fb=float(row["final_fb"]),
-                final_policy=float(row["final_policy"]),
-                normalized_br=float(row["normalized_br"]),
-                solver_iterations=int(row["solver_iterations"]),
-                confidence_violations=(int(row["confidence_violations"])
-                                       if row["confidence_violations"] else None),
-                status=row.get("status", "ok"),
-            ))
+            fields = {"status": row.get("status", "ok")}
+            for name, parse in _SUMMARY_COLUMNS:
+                try:
+                    fields[name] = parse(row[name])
+                except ValueError as exc:
+                    raise ValueError(f"line {number}, column {name!r}: "
+                                     f"{exc}") from None
+            out.append(RunSummary(**fields))
     return out
 
 

@@ -15,8 +15,8 @@ violation over a simplex. The inverse-gap program is convex (linear exposure
 plus 1/p_i penalty) and is solved by entropic mirror descent on a floored
 simplex. The hot loops live in the numpy kernels of `_kernels_py`; the
 solvers fetch the simplex and the descent through `get_kernels()` at call
-time. `zero_pivot_cces` runs the first stage of many CCE solves at once,
-one stacked basis solve for all of them, and calls its kernel directly.
+time. `zero_pivot_cces`, the only test of a basis held from an earlier
+solve, checks many CCE solves at once with one stacked basis solve.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def cce_violation(u, joint) -> float:
     return max(dev_row - value_row, dev_col - value_col)
 
 
-def solve_cce(u, warm_start: list | None = None) -> FeasibilityReport:
+def solve_cce(u, basis: list | None = None) -> FeasibilityReport:
     """Find a coarse correlated equilibrium of the general-sum matrix `u`.
 
     Solved as a linear feasibility problem over the joint simplex (minimize
@@ -131,10 +131,8 @@ def solve_cce(u, warm_start: list | None = None) -> FeasibilityReport:
     for a finite matrix, so NotConverged signals a solver bug.
     A matrix that is not square or has a non-finite entry raises ValueError.
 
-    `warm_start` is a list the caller keeps from solve to solve: the
-    kernel tries the simplex basis it holds first and leaves its final
-    basis in it. The returned joint is then often the previous solve's
-    vertex, not necessarily the one a cold solve finds.
+    `basis`, if given, is a list that receives the simplex's final basis;
+    what it holds on entry is never read, so every solve is a cold one.
     """
     ue = _as_square(_entries(u))
     if not np.isfinite(ue).all():
@@ -142,7 +140,7 @@ def solve_cce(u, warm_start: list | None = None) -> FeasibilityReport:
     k = ue.shape[0]
     dev = cce_deviation_matrix(ue)
     x, viol, iters, status = get_kernels().epigraph_simplex(
-        dev, MAX_ITERATIONS, warm_start
+        dev, MAX_ITERATIONS, basis
     )
     if status != 0 or viol > VIOLATION_TOLERANCE:
         raise NotConverged(
@@ -156,14 +154,13 @@ def solve_cce(u, warm_start: list | None = None) -> FeasibilityReport:
 
 
 def zero_pivot_cces(uppers: np.ndarray, bases: list) -> list:
-    """The first stage of `solve_cce(u, warm_start=basis)` for a stack of
-    finite matrices (S, K, K) at once, each with its own basis list.
+    """The CCE solves that need no simplex pivot, for a stack of finite
+    matrices (S, K, K) at once, each with the basis list its caller holds.
 
-    Entry i is the report `solve_cce` gives when the simplex needs no
-    pivot: the pure-point exit, or the vertex of the full basis held in
-    bases[i]. Either is a CCE within the tolerance. It is None otherwise;
-    `solve_cce` from an emptied basis then gives that matrix's report,
-    going straight to the cold pivots.
+    Entry i is the pure-point report `solve_cce` gives, or else the vertex
+    of the full basis held in bases[i] if it is still a CCE within the
+    tolerance; None otherwise, when `solve_cce(u, basis=bases[i])` pivots.
+    This is the only test of a held basis.
     """
     k = uppers.shape[-1]
     solves = _kernels_py.zero_pivot_solves(cce_deviation_matrix(uppers), bases)

@@ -2,8 +2,9 @@
 
   * epigraph_simplex -- minimize max_i (D x)_i over the simplex, i.e. the
     linear feasibility core behind CCE and zero-sum Nash solves,
-  * zero_pivot_solves -- its solves that need no pivot (the pure point or a
-    held basis's warm vertex) for a stack of matrices at once,
+  * zero_pivot_solves -- the solves that need no pivot, for a stack of
+    matrices at once: the pure point, or the warm vertex of a basis held
+    from an earlier solve (the only test of a held basis),
   * minmax_descent   -- entropic mirror descent for the inverse-gap
     feasibility program on the floored simplex.
 
@@ -62,20 +63,6 @@ def _pivot(T: np.ndarray, r: int, c: int, col: np.ndarray,
     col[r] = 0.0
     np.multiply(col[:, None], prow, out=outer)
     np.subtract(T, outer, out=T)
-
-
-def _basic_point(basis: list, values: list, n: int):
-    """The x part of a basic solution, clipped at 0 and renormalized, and
-    its sum before renormalizing."""
-    point = [0.0] * n
-    for j, value in zip(basis, values):
-        if j < n:
-            point[j] = 0.0 if value < 0.0 else value  # max(value, 0.0)
-    x = np.array(point)
-    total = x.sum()
-    if total > 0:
-        x /= total
-    return x, total
 
 
 def warm_vertices(Ds: np.ndarray, bases: list) -> list:
@@ -142,11 +129,11 @@ def _pure_point(basis: list, j0: int, top: float, m: int, n: int):
 
 
 def zero_pivot_solves(Ds: np.ndarray, bases: list) -> list:
-    """What `epigraph_simplex(D, ..., basis)` returns with 0 pivots, for a
-    stack Ds (S, m, n) and S basis lists at once: the pure point, or the
-    warm vertex of a full basis, checked by one stacked `warm_vertices`.
-    Entry i is None where seed i's solve needs pivots; its basis is then
-    left as it was."""
+    """The solves that need no pivot, for a stack Ds (S, m, n) and S basis
+    lists at once: `epigraph_simplex`'s pure-point exit, or else the warm
+    vertex of the full basis held in bases[i], checked by one stacked
+    `warm_vertices`; the only test of a held basis. Entry i is None where
+    seed i's solve needs pivots; its basis is then left as it was."""
     S, m, n = Ds.shape
     col_max = Ds.max(axis=1)
     j0s = col_max.argmin(axis=1).tolist()
@@ -175,12 +162,9 @@ def epigraph_simplex(D: np.ndarray, max_iter: int, basis: list | None = None):
     vertex for the true right-hand side. Returns
     (x, max_violation, pivots, status).
 
-    `basis`, if given, is a list of tableau columns, one per row (x vars,
-    then s, then the row slacks), and holds the final basis on return. When
-    it holds a full basis on entry, for instance the previous solve's on a
-    nearby D, and that basis's vertex already has s <= 1e-15 and
-    max(D x) <= 0, that vertex is returned with 0 pivots. Otherwise
-    the solve starts cold, exactly as without a basis.
+    `basis`, if given, is a list that receives the final basis: tableau
+    columns, one per row (x vars, then s, then the row slacks). What it
+    holds on entry is never read.
     """
     D = np.ascontiguousarray(D, dtype=np.float64)
     m, n = D.shape
@@ -190,10 +174,6 @@ def epigraph_simplex(D: np.ndarray, max_iter: int, basis: list | None = None):
     j0 = int(col_max.argmin())
     if col_max[j0] <= 0.0:
         return _pure_point(basis, j0, float(col_max[j0]), m, n)
-    if len(basis) == m + 1:
-        warm = warm_vertices(D[None], [basis])[0]
-        if warm is not None:
-            return warm
 
     ncol = n + 1 + m  # x vars, epigraph s, row slacks
     rows = m + 1
@@ -257,7 +237,14 @@ def epigraph_simplex(D: np.ndarray, max_iter: int, basis: list | None = None):
         elif r == srow:
             srow = -1
 
-    x, _ = _basic_point(basis, T[:, -1].tolist(), n)
+    point = [0.0] * n  # the x part, clipped at 0 and renormalized
+    for j, value in zip(basis, T[:, -1].tolist()):
+        if j < n:
+            point[j] = 0.0 if value < 0.0 else value  # max(value, 0.0)
+    x = np.array(point)
+    total = x.sum()
+    if total > 0:
+        x /= total
     return x, float((D @ x).max()), it, status
 
 

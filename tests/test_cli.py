@@ -6,6 +6,7 @@ import pytest
 
 import duelbandit.games as games
 from duelbandit.cli import load_matrix, main
+from duelbandit.harness import SUMMARY_HEADER
 
 RPS_TEXT = "0 1 -1\n-1 0 1\n1 -1 0\n"
 
@@ -402,6 +403,21 @@ class TestRunCommand:
         assert err.startswith("config error:") and message in err
         assert not out_dir.exists()
 
+    def test_run_bad_seeds_names_the_flag(self, tmp_path, capsys):
+        config = {"algorithm": {"kind": "ccedb"},
+                  "environment": {"kind": "fixed", "fixture": "rps3"},
+                  "horizon": 20, "seeds": [0]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--seeds", "0,a",
+                     "--out", str(out_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --seeds")
+        assert "'0,a'" in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
     def test_run_malformed_thread_count_is_config_error(self, tmp_path,
                                                         capsys, monkeypatch):
         config = {"algorithm": {"kind": "ccedb"},
@@ -464,6 +480,29 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}:")
         assert "'final_br'" in err and "lacks" in err
+
+    def test_aggregate_skips_blank_lines(self, tmp_path, capsys):
+        path = tmp_path / "summary.csv"
+        path.write_text(SUMMARY_HEADER + "\n0,10,1.0,1.0,1.0,0.1,0,,ok\n\n"
+                        "1,10,2.0,2.0,2.0,0.2,3,1,ok\n\n")
+        assert main(["aggregate", "--in", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["n_runs"] == 2
+
+    @pytest.mark.parametrize("row, where", [
+        ("0,10,1.5", "line 3, column 'final_fb'"),
+        ("0,10,1.0,1.0,1.0,0.1,0,", "line 3, column 'status'"),
+        ("0,x,1.0,1.0,1.0,0.1,0,,ok", "line 3, column 'horizon'"),
+        ("0,10,1.0,1.0,1.0,0.1,0,y,ok", "line 3, column "
+         "'confidence_violations'"),
+    ])
+    def test_aggregate_bad_row_names_its_line_and_column(self, tmp_path,
+                                                         capsys, row, where):
+        path = tmp_path / "summary.csv"
+        path.write_text(SUMMARY_HEADER + "\n0,10,1.0,1.0,1.0,0.1,0,,ok\n"
+                        + row + "\n")
+        assert main(["aggregate", "--in", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: {where}")
 
     def test_aggregate_empty_dir(self, tmp_path):
         assert main(["aggregate", "--in", str(tmp_path)]) == 1

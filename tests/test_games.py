@@ -17,6 +17,7 @@ from duelbandit.games import (
     solve_cce,
     solve_minmax_feasibility,
     solve_zero_sum_nash,
+    zero_pivot_cces,
 )
 from duelbandit.games._kernels_py import _COST_TOL, _PERTURBATION, _RATIO_EPS
 from duelbandit.games.grid_oracle import (
@@ -303,8 +304,8 @@ class TestSolveCceAgainstScipy:
             assert _linprog_value(cce_deviation_matrix(u)) <= 1e-9
 
     def test_ccedb_condorcet20_matrices_warm_and_cold(self):
-        # CceDb's own K=20 matrices, one by one: the solve it makes with
-        # the carried basis and a cold solve both reach a CCE, and the LP
+        # CceDb's own K=20 matrices, one by one: the solve it makes from
+        # the basis it holds and a cold solve both reach a CCE, and the LP
         # optimum they must reach is 0
         kp = get_kernels()
         algorithm, environment = LEARNER_SPECS["ccedb"]
@@ -314,9 +315,9 @@ class TestSolveCceAgainstScipy:
         warm_hits = pivoted = 0
         for u in uppers:
             dev = cce_deviation_matrix(u)
-            warm = kp.epigraph_simplex(dev, 50_000, basis)
+            warm = _ccedb_solve(kp, dev, basis)
             cold = kp.epigraph_simplex(dev, 50_000)
-            # a reused basis, not the pure-point exit
+            # a held basis's vertex, not the pure-point exit
             warm_hits += warm[2] == 0 and dev.max(axis=0).min() > 0.0
             pivoted += cold[2] > 0
             for x, _viol, _pivots, status in (warm, cold):
@@ -489,26 +490,45 @@ class TestNumpyKernelMatchesReference:
         _assert_kernel_value(dev, _linprog_value(dev))
 
 
-def _cold_and_warm(kp, dev, previous):
-    """One solve from a copy of `previous` and one cold; returns both
-    results and the basis each left behind."""
-    warm_basis, cold_basis = list(previous), []
-    warm = kp.epigraph_simplex(dev, 50_000, warm_basis)
-    cold = kp.epigraph_simplex(dev, 50_000, cold_basis)
-    return warm, cold, warm_basis, cold_basis
+def _ccedb_solve(kp, dev, basis):
+    """The solve CceDb makes of `dev` from the basis list it holds: stage
+    one (`zero_pivot_solves`), then the cold simplex on a miss. The list is
+    left holding the basis of the next round."""
+    solve = kp.zero_pivot_solves(dev[None], [basis])[0]
+    return kp.epigraph_simplex(dev, 50_000, basis) if solve is None else solve
+
+
+@pytest.fixture(scope="module")
+def ccedb_rounds(learner_matrices):
+    """(D, held basis) for each round of the `learner_matrices` CceDb run,
+    the basis being the one CceDb holds as the round starts."""
+    kp = get_kernels()
+    basis, rounds = [], []
+    for dev in learner_matrices["ccedb"]:
+        rounds.append((dev, list(basis)))
+        _ccedb_solve(kp, dev, basis)
+    return rounds
+
+
+@pytest.fixture(scope="module")
+def warm_cases(ccedb_rounds):
+    """The (D, held basis) rounds with a full basis and no pure-point exit:
+    those whose stage one runs `warm_vertices`."""
+    return [(dev, basis) for dev, basis in ccedb_rounds
+            if basis and dev.max(axis=0).min() > 0.0]
 
 
 class TestWarmStart:
-    """The numpy simplex takes the previous solve's basis and returns its
-    vertex with 0 pivots when that vertex is still a CCE, else the cold
-    solve exactly."""
+    """CceDb's warm start: stage one returns the held basis's vertex with 0
+    pivots when it is still a CCE; on a miss the cold simplex runs, which
+    never reads what the basis list holds."""
 
     def test_warm_returns_are_cce_points(self, learner_matrices):
         kp = get_kernels()
         basis = []
         warm = 0
         for dev in learner_matrices["ccedb"]:
-            x, viol, pivots, status = kp.epigraph_simplex(dev, 50_000, basis)
+            x, viol, pivots, status = _ccedb_solve(kp, dev, basis)
             assert status == 0
             assert len(basis) == dev.shape[0] + 1
             if pivots == 0 and dev.max(axis=0).min() > 0.0:
@@ -519,20 +539,49 @@ class TestWarmStart:
                 assert abs(x.sum() - 1.0) <= 1e-12
         assert warm >= 40
 
-    def test_stale_basis_gives_the_cold_solve(self, learner_matrices):
-        # fresh features every round: most previous bases are infeasible
+    def test_a_held_basis_is_not_read(self, warm_cases):
+        # bases whose vertex stage one accepts: a simplex that tried them
+        # would return that vertex with 0 pivots
         kp = get_kernels()
-        mats = learner_matrices["ccelindb"]
-        previous = []
-        rejected = 0
-        for dev in mats:
-            warm, cold, warm_basis, cold_basis = _cold_and_warm(kp, dev, previous)
-            if warm[2] > 0:
-                rejected += 1
-                _assert_same_solve(warm, cold)
-                assert warm_basis == cold_basis
-            previous = cold_basis
-        assert rejected >= 25
+        accepted = 0
+        for dev, held in warm_cases:
+            if kp.warm_vertices(dev[None], [held])[0] is None:
+                continue
+            accepted += 1
+            basis, cold_basis = list(held), []
+            cold = kp.epigraph_simplex(dev, 50_000, cold_basis)
+            assert cold[2] > 0
+            _assert_same_solve(kp.epigraph_simplex(dev, 50_000, basis), cold)
+            assert basis == cold_basis
+        assert accepted >= 40
+
+    def test_stale_basis_gives_the_cold_solve(self, ccedb_rounds):
+        # a CceDb run: a round whose held basis stage one rejects plays the
+        # cold solve of its upper matrix, bits, pivots and the basis left;
+        # the bases it holds are those `ccedb_rounds` rebuilds
+        algorithm, environment = LEARNER_SPECS["ccedb"]
+        env = build_environment(environment)
+        learner = build_learner(algorithm, env, horizon=2000)
+        root = RngHandle(3)
+        env_rng, learner_rng, outcome_rng = (
+            root.substream(name) for name in ("environment", "learner", "outcome"))
+        held, misses = [], 0
+        for _ in range(len(ccedb_rounds)):
+            held.append(list(learner._basis))
+            x, truth = env.sample_round(env_rng)
+            joint, duel = learner.select(x, learner_rng)
+            upper = learner.last_upper
+            if zero_pivot_cces(upper[None], [list(held[-1])])[0] is None:
+                misses += 1
+                basis = []
+                cold = solve_cce(upper, basis=basis)
+                assert joint.weights.tobytes() == cold.point.weights.tobytes()
+                assert learner.last_iterations == cold.iterations > 0
+                assert learner._basis == basis
+            learner.observe(x, duel, sample_outcome(truth.entries[duel],
+                                                    outcome_rng))
+        assert held == [basis for _, basis in ccedb_rounds]
+        assert misses >= 25
 
     @pytest.mark.parametrize("stale", ["repeated column", "no x column"])
     def test_singular_basis_gives_the_cold_solve(self, stale, learner_matrices):
@@ -543,10 +592,13 @@ class TestWarmStart:
             previous = [0] * (m + 1)
         else:
             previous = list(range(n, n + m + 1))  # s and the slacks
-        warm, cold, warm_basis, cold_basis = _cold_and_warm(kp, dev, previous)
+        basis, cold_basis = list(previous), []
+        assert kp.zero_pivot_solves(dev[None], [basis]) == [None]
+        assert basis == previous
+        cold = kp.epigraph_simplex(dev, 50_000, cold_basis)
         assert cold[2] > 0
-        _assert_same_solve(warm, cold)
-        assert warm_basis == cold_basis
+        _assert_same_solve(kp.epigraph_simplex(dev, 50_000, basis), cold)
+        assert basis == cold_basis
 
     def test_zero_pivot_exit_leaves_a_basis_of_its_point(self):
         u = np.array([[0.0, 0.3, 0.2], [-0.3, 0.0, 0.1], [-0.2, -0.1, 0.0]])
@@ -607,20 +659,6 @@ def _reference_warm_vertex(D, basis):
     return x, viol
 
 
-@pytest.fixture(scope="module")
-def warm_cases(learner_matrices):
-    """(D, basis) pairs of a CceDb run: each round's deviation matrix
-    without a pure-point exit, with the full basis the previous round's
-    solve left."""
-    kp = get_kernels()
-    basis, cases = [], []
-    for dev in learner_matrices["ccedb"]:
-        if basis and dev.max(axis=0).min() > 0.0:
-            cases.append((dev, list(basis)))
-        kp.epigraph_simplex(dev, 50_000, basis)
-    return cases
-
-
 class TestWarmVertices:
     """`warm_vertices` checks a stack of bases with one stacked solve; every
     seed must get what its basis gives alone, bit for bit."""
@@ -664,30 +702,32 @@ class TestWarmVertices:
         assert sum(v is not None for v in got) >= 3
         self._assert_matches_reference(got, chunk)
 
-    def test_zero_pivot_solves_match_epigraph_simplex(self,
-                                                      learner_matrices):
-        # a run's matrices with the bases their rounds started from, in one
-        # stack: pure points, warm vertices and misses; each entry is what
-        # epigraph_simplex returns with 0 pivots, with the same basis left
+    def test_zero_pivot_solves_match_epigraph_simplex(self, ccedb_rounds):
+        # a run's matrices with the bases CceDb holds as their rounds
+        # start, in one stack: pure points, which are epigraph_simplex's
+        # 0-pivot exit, warm vertices and misses, which leave the basis
         kp = get_kernels()
-        devs = learner_matrices["ccedb"]
-        running, cases = [], []
-        for dev in devs:
-            cases.append((dev, list(running)))
-            kp.epigraph_simplex(dev, 50_000, running)
-        bases = [list(b) for _, b in cases]
-        got = kp.zero_pivot_solves(np.stack(devs), bases)
+        bases = [list(basis) for _, basis in ccedb_rounds]
+        got = kp.zero_pivot_solves(np.stack([d for d, _ in ccedb_rounds]),
+                                   bases)
         kinds = set()
-        for (dev, basis), solve, left in zip(cases, got, bases):
-            want = kp.epigraph_simplex(dev, 50_000, basis)
-            if solve is None:
-                assert want[2] > 0
-                kinds.add("pivots")
+        for (dev, held), solve, left in zip(ccedb_rounds, got, bases):
+            if dev.max(axis=0).min() <= 0.0:
+                basis = []
+                _assert_same_solve(solve,
+                                   kp.epigraph_simplex(dev, 50_000, basis))
+                assert left == basis
+                kinds.add("pure")
                 continue
-            _assert_same_solve(solve, want)
-            assert left == basis
-            kinds.add("pure" if dev.max(axis=0).min() <= 0.0 else "warm")
-        assert kinds == {"pure", "warm", "pivots"}
+            assert left == held
+            want = held and _reference_warm_vertex(dev, held)
+            if solve is None:
+                assert not want
+                kinds.add("miss")
+                continue
+            _assert_same_solve(solve, (*want, 0, 0))
+            kinds.add("warm")
+        assert kinds == {"pure", "warm", "miss"}
 
 
 class TestKlProjectFloored:
@@ -776,7 +816,7 @@ class TestKernelSeam:
         solve_cce(u)
         assert len(calls) == 1
         basis = []
-        solve_cce(u, warm_start=basis)
+        solve_cce(u, basis=basis)
         assert len(calls) == 2
         assert len(basis) == 2 * 3 + 1
         solve_zero_sum_nash(RPS)
