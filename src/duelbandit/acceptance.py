@@ -2,9 +2,12 @@
 property suites, runnable from the CLI (`duelbandit accept`) and asserted
 one-to-one by tests/test_acceptance.py.
 
-Suites that share expensive simulation batches (the two scaling suites and
-the dominance suite) draw them from a per-process cache so each batch runs
-once regardless of invocation order.
+Suites that share expensive simulation batches draw them from one table,
+`_BATCHES`, through one memoized runner, `_batch`, so each batch runs once
+per process regardless of invocation order. Every batch runs seeds 0-49.
+The Condorcet(5, 0.4) T=2000 batch runs with diagnostics and serves
+criteria 4, 5 and 8, so criterion 4 simulates only seeds 50-199 itself:
+diagnostic mode moves no bit of a run.
 
 The paper's guarantee for the count-based learner is a worst-case upper
 bound, so criterion 5 asserts that bound, and a growth cap it implies, on
@@ -20,6 +23,7 @@ horizon-scaled family Condorcet(5, 0.4 * sqrt(2000 / T)) only.
 from __future__ import annotations
 
 import filecmp
+import functools
 import os
 import tempfile
 import time
@@ -29,7 +33,7 @@ import numpy as np
 
 from .core import JointActionDistribution, PreferenceMatrix, product_joint
 from .environments import hardness, make_finite_class
-from .evaluation import br_regret_step
+from .evaluation import RegretLedger, br_regret_step
 from .games import (
     cce_violation,
     minmax_rhs,
@@ -58,8 +62,6 @@ def _random_skew(k: int, gen: np.random.Generator, cap: float = 1.0) -> np.ndarr
     return upper - upper.T
 
 
-_CACHE: dict = {}
-
 # Condorcet(5, 0.4 * sqrt(2000 / T)) at T=8000 (see the module docstring).
 _GAP_SCALED_MARGIN = 0.4 * float(np.sqrt(2000 / 8000))
 
@@ -73,44 +75,39 @@ def _ccedb_config(margin: float) -> dict:
     }
 
 
-def _scaling_runs(which: str):
-    """Cached 50-seed scaling batches shared by criteria 5, 6 and 8.
+_MINMAXDB_CONFIG = {
+    "algorithm": {"kind": "minmaxdb", "gamma": "auto",
+                  "oracle": {"kind": "finite"}},
+    "environment": {"kind": "finite_class", "k": 3, "n_contexts": 1,
+                    "class_size": 16, "class_seed": 11},
+    "benchmark": {"q_star": "nash", "policy_count": 0},
+}
 
-    ``"ccedb"`` is the fixed Condorcet(5, 0.4) instance at T=2000 and
-    T=8000. ``"ccedb-gap-scaled"`` is Condorcet(5, 0.4 * sqrt(2000 / T)) at
-    T=8000 only (margin 0.2): at T=2000 that instance is the fixed one, whose
-    batch criterion 5 reuses. ``"minmaxdb"`` is the finite-class instance at
-    T=2500 and T=10000. Each maps horizon to ``run_experiment`` output.
-    """
-    if which in _CACHE:
-        return _CACHE[which]
-    if which == "ccedb":
-        configs = {h: _ccedb_config(0.4) for h in (2000, 8000)}
-    elif which == "ccedb-gap-scaled":
-        configs = {8000: _ccedb_config(_GAP_SCALED_MARGIN)}
-    elif which == "minmaxdb":
-        base = {
-            "algorithm": {"kind": "minmaxdb", "gamma": "auto",
-                          "oracle": {"kind": "finite"}},
-            "environment": {"kind": "finite_class", "k": 3, "n_contexts": 1,
-                            "class_size": 16, "class_seed": 11},
-            "benchmark": {"q_star": "nash", "policy_count": 0},
-        }
-        configs = {horizon: base for horizon in (2500, 10000)}
-    else:
-        raise ValueError(which)
-    out = {}
-    for horizon, base in configs.items():
-        config = ExperimentConfig.from_dict({
-            **base, "horizon": horizon, "seeds": list(range(50)),
-        })
-        out[horizon] = run_experiment(config, keep_ledgers=True)
-    _CACHE[which] = out
-    return out
+# (name, horizon) -> config of each cached batch; at T=2000 the gap-scaled
+# instance is the fixed one, so "ccedb-gap-scaled" has T=8000 only
+_BATCHES = {
+    ("ccedb", 2000): {**_ccedb_config(0.4), "diagnostic": True},
+    ("ccedb", 8000): _ccedb_config(0.4),
+    ("ccedb-gap-scaled", 8000): _ccedb_config(_GAP_SCALED_MARGIN),
+    ("minmaxdb", 2500): _MINMAXDB_CONFIG,
+    ("minmaxdb", 10000): _MINMAXDB_CONFIG,
+}
 
 
-def criterion_1() -> tuple[bool, str]:
-    """Inverse-gap feasibility: 1000 random targets, all K/gamma grids."""
+def _config(name: str, horizon: int, seeds) -> ExperimentConfig:
+    raw = {**_BATCHES[name, horizon], "horizon": horizon, "seeds": list(seeds)}
+    return ExperimentConfig.from_dict(raw)
+
+
+@functools.cache
+def _batch(name: str, horizon: int):
+    """``run_experiment`` output, ledgers kept, of a table entry's seeds 0-49."""
+    return run_experiment(_config(name, horizon, range(50)), keep_ledgers=True)
+
+
+@functools.cache
+def _criterion_1_solutions():
+    """Criterion 1's solves: (solutions, failures, worst excess)."""
     gen = np.random.default_rng(101)
     ks = (2, 3, 5, 10)
     factors = (2.0, 4.0, 10.0)
@@ -127,16 +124,19 @@ def criterion_1() -> tuple[bool, str]:
         if excess > 1e-6:
             failures += 1
         solutions.append((y, gamma, report.point.weights))
-    _CACHE["criterion1_solutions"] = solutions
+    return solutions, failures, worst
+
+
+def criterion_1() -> tuple[bool, str]:
+    """Inverse-gap feasibility: 1000 random targets, all K/gamma grids."""
+    _solutions, failures, worst = _criterion_1_solutions()
     ok = failures == 0
     return ok, f"failures={failures}/1000, worst excess over K/gamma={worst:.3e}"
 
 
 def criterion_2() -> tuple[bool, str]:
     """Per-round inequality for every feasible point from criterion 1."""
-    if "criterion1_solutions" not in _CACHE:
-        criterion_1()
-    solutions = _CACHE["criterion1_solutions"]
+    solutions, _failures, _worst = _criterion_1_solutions()
     gen = np.random.default_rng(202)
     violations = 0
     worst = -np.inf
@@ -184,15 +184,9 @@ def criterion_3() -> tuple[bool, str]:
 
 
 def criterion_4() -> tuple[bool, str]:
-    """Confidence coverage: violating seeds <= 5% of 200."""
-    config = ExperimentConfig.from_dict({
-        "algorithm": {"kind": "ccedb"},
-        "environment": {"kind": "fixed", "fixture": "condorcet",
-                        "k": 5, "margin": 0.4},
-        "horizon": 2000, "seeds": list(range(200)), "diagnostic": True,
-        "benchmark": {"q_star": "condorcet", "policy_count": 0},
-    })
-    summaries, _ = run_experiment(config)
+    """Confidence coverage: violating seeds <= 5% of 200, 0-49 cached."""
+    summaries = (_batch("ccedb", 2000)[0]
+                 + run_experiment(_config("ccedb", 2000, range(50, 200)))[0])
     failed_runs = [s for s in summaries if s.status != "ok"]
     violating = sum(1 for s in summaries if (s.confidence_violations or 0) > 0)
     ok = violating <= 10 and not failed_runs
@@ -209,17 +203,19 @@ def criterion_5() -> tuple[bool, str]:
     bound at T=8000, and growth ratio in the sqrt-T window [1.4, 2.8].
     """
     k = 5
-    fixed = _scaling_runs("ccedb")
-    gap_scaled = _scaling_runs("ccedb-gap-scaled")
-    batches = (  # (margin, horizon, batch); the first is shared by both ratios
-        (0.4, 2000, fixed[2000]),
-        (0.4, 8000, fixed[8000]),
-        (_GAP_SCALED_MARGIN, 8000, gap_scaled[8000]),
+    batches = (  # (margin, name, horizon); the first is shared by both ratios
+        (0.4, "ccedb", 2000),
+        (0.4, "ccedb", 8000),
+        (_GAP_SCALED_MARGIN, "ccedb-gap-scaled", 8000),
     )
     medians = []
     bounds_ok = True
     detail = []
-    for margin, horizon, (summaries, _ledgers) in batches:
+    not_ok = []
+    for margin, name, horizon in batches:
+        summaries, _ledgers = _batch(name, horizon)
+        not_ok += [f"margin={margin:g} T={horizon} seed {s.seed} {s.status}"
+                   for s in summaries if s.status != "ok"]
         med = float(np.median([s.final_br for s in summaries]))
         bound = 4.0 * k * np.log(k * horizon) * np.sqrt(horizon)
         medians.append(med)
@@ -228,21 +224,25 @@ def criterion_5() -> tuple[bool, str]:
                       f"bound={bound:.0f}")
     fixed_ratio = medians[1] / medians[0]
     scaled_ratio = medians[2] / medians[0]
-    ok = bounds_ok and fixed_ratio <= 2.8 and 1.4 <= scaled_ratio <= 2.8
+    ok = (bounds_ok and fixed_ratio <= 2.8 and 1.4 <= scaled_ratio <= 2.8
+          and not not_ok)
     detail.append(f"fixed ratio={fixed_ratio:.3f} cap 2.8")
     detail.append(f"gap-scaled ratio={scaled_ratio:.3f} target [1.4, 2.8]")
-    return ok, "; ".join(detail)
+    return ok, "; ".join(detail + not_ok)
 
 
 def criterion_6() -> tuple[bool, str]:
     """Oracle-based learner scaling: median bound and sqrt-T ratio window."""
-    runs = _scaling_runs("minmaxdb")
     k, class_size = 3, 16
     reg = regret_budget("finite", class_size=class_size)(0)
     medians = {}
     bounds_ok = True
     detail = []
-    for horizon, (summaries, _ledgers) in runs.items():
+    not_ok = []
+    for horizon in (2500, 10000):
+        summaries, _ledgers = _batch("minmaxdb", horizon)
+        not_ok += [f"T={horizon} seed {s.seed} {s.status}"
+                   for s in summaries if s.status != "ok"]
         med = float(np.median([s.final_br for s in summaries]))
         bound = 4.0 * np.sqrt(5.0 * k * horizon * reg)
         medians[horizon] = med
@@ -251,7 +251,7 @@ def criterion_6() -> tuple[bool, str]:
     ratio = medians[10000] / medians[2500]
     ratio_ok = 1.4 <= ratio <= 2.8
     detail.append(f"ratio={ratio:.3f} target [1.4, 2.8]")
-    return bounds_ok and ratio_ok, "; ".join(detail)
+    return bounds_ok and ratio_ok and not not_ok, "; ".join(detail + not_ok)
 
 
 def criterion_7() -> tuple[bool, str]:
@@ -303,16 +303,15 @@ def criterion_7() -> tuple[bool, str]:
 
 
 def criterion_8() -> tuple[bool, str]:
-    """Per-round dominance fb <= br across every cached scaling batch."""
+    """Per-round dominance fb <= br across every cached batch."""
     worst = -np.inf
     rounds = 0
-    for which in ("ccedb", "ccedb-gap-scaled", "minmaxdb"):
-        for _horizon, (_summaries, ledgers) in _scaling_runs(which).items():
-            for led in ledgers:
-                fb = np.asarray(led["fb_steps"])
-                br = np.asarray(led["br_steps"])
-                rounds += fb.size
-                worst = max(worst, float((fb - br).max()))
+    for key in _BATCHES:
+        for led in _batch(*key)[1]:
+            fb = np.asarray(led["fb_steps"])
+            br = np.asarray(led["br_steps"])
+            rounds += fb.size
+            worst = max(worst, float((fb - br).max()))
     ok = worst <= 1e-12
     return ok, f"worst fb-br gap={worst:.3e} over {rounds} rounds"
 
@@ -340,8 +339,6 @@ def criterion_10() -> tuple[bool, str]:
     cc[2, 2] = 1.0
     aa = np.zeros((k, k))
     aa[0, 0] = 1.0
-    from .evaluation import RegretLedger
-
     led_cc, led_aa = RegretLedger(), RegretLedger()
     j_cc, j_aa = JointActionDistribution(cc), JointActionDistribution(aa)
     for _ in range(horizon):
@@ -357,10 +354,7 @@ def criterion_11() -> tuple[bool, str]:
     """Byte-identical CSV replay for each learner kind."""
     specs = {
         "ccedb": {
-            "algorithm": {"kind": "ccedb"},
-            "environment": {"kind": "fixed", "fixture": "condorcet",
-                            "k": 5, "margin": 0.4},
-            "horizon": 250, "seeds": [0, 1],
+            **_ccedb_config(0.4), "horizon": 250, "seeds": [0, 1],
             "benchmark": {"q_star": "condorcet", "policy_count": 2},
         },
         "minmaxdb": {
@@ -417,21 +411,22 @@ CRITERIA = {
 _BY_NAME = {name: num for num, (name, _fn) in CRITERIA.items()}
 
 
-def run_criterion(key) -> CriterionResult:
-    if isinstance(key, str) and not key.isdigit():
-        number = _BY_NAME[key]
-    else:
-        number = int(key)
+def suite_numbers(selector: str) -> list[int]:
+    """The criteria `accept --suite` names: all, one number or one name."""
+    if selector == "all":
+        return sorted(CRITERIA)
+    number = (int(selector) if selector.isascii() and selector.isdigit()
+              else _BY_NAME.get(selector))
+    if number not in CRITERIA:
+        raise ValueError(
+            f"unknown suite {selector!r}: give all, a number 1-{len(CRITERIA)}"
+            f" or a name ({', '.join(_BY_NAME)})")
+    return [number]
+
+
+def run_criterion(number: int) -> CriterionResult:
     name, fn = CRITERIA[number]
     start = time.perf_counter()
     passed, detail = fn()
     return CriterionResult(number, name, passed, detail,
                            time.perf_counter() - start)
-
-
-def run_suites(selector: str = "all") -> list[CriterionResult]:
-    if selector == "all":
-        keys = sorted(CRITERIA)
-    else:
-        keys = [selector]
-    return [run_criterion(k) for k in keys]

@@ -136,11 +136,16 @@ def _cmd_solve_igw(args) -> int:
 
 
 def _cmd_accept(args) -> int:
-    from .acceptance import run_suites
+    from .acceptance import run_criterion, suite_numbers
 
-    results = run_suites(args.suite)
+    try:
+        numbers = suite_numbers(args.suite)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     any_failed = False
-    for res in results:
+    for number in numbers:
+        res = run_criterion(number)
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] criterion {res.number} ({res.name}) "
               f"[{res.seconds:.1f}s] {res.detail}")

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .algorithms import CceDb, CceLinDb, MinMaxDb, default_gamma
-from .core import PreferenceMatrix, sample_outcome
+from .core import ActionDistribution, PreferenceMatrix, sample_outcome
 from .environments import (
     Environment,
     FiniteClassEnvironment,
@@ -268,8 +268,6 @@ def _truth_matrix_for_benchmark(env: Environment) -> PreferenceMatrix:
 
 
 def resolve_q_star(benchmark: dict, env: Environment):
-    from .core import ActionDistribution
-
     rule = benchmark.get("q_star", "nash")
     if isinstance(rule, (list, tuple, np.ndarray)):
         q = ActionDistribution(np.asarray(rule, dtype=np.float64))

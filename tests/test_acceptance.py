@@ -15,9 +15,14 @@ in which regret of order K log T / gap or gap * T both grow like sqrt(T)
 up to log factors; the bound is asserted there at T=8000 too.
 """
 
+import functools
+
+import numpy as np
 import pytest
 
+from duelbandit import acceptance
 from duelbandit.acceptance import run_criterion
+from duelbandit.harness import RunSummary
 
 BUDGETS = {
     1: 60.0,
@@ -106,3 +111,71 @@ def test_criterion_10_hardness_closed_forms():
 def test_criterion_11_byte_identical_replay():
     res = _run_and_report(11)
     assert res.passed, res.detail
+
+
+# Stubbed batches: a fake `run_experiment` records each call and returns one
+# summary per requested seed, with a final regret that passes criteria 5 and
+# 6, and ledgers that pass criterion 8. Each test swaps in a fresh memo, so the
+# batches the real criteria above share are never cleared or filled.
+_STUB_BR = {(0.4, 2000): 100.0, (0.4, 8000): 110.0, (0.2, 8000): 220.0,
+            (None, 2500): 100.0, (None, 10000): 200.0}
+
+
+@pytest.fixture
+def stub_batches(monkeypatch):
+    calls = []
+    failing = {}  # (horizon, seed) -> status
+
+    def run_experiment(config, keep_ledgers=False):
+        margin = config.environment.get("margin")
+        calls.append((margin, config.seeds, config.horizon, config.diagnostic))
+        br = _STUB_BR[margin, config.horizon]
+        summaries = [
+            RunSummary(seed=seed, horizon=config.horizon, final_br=br,
+                       confidence_violations=0,
+                       status=failing.get((config.horizon, seed), "ok"))
+            for seed in config.seeds]
+        ledgers = [{"br_steps": np.ones(config.horizon),
+                    "fb_steps": np.zeros(config.horizon)}
+                   for _ in config.seeds] if keep_ledgers else None
+        return summaries, ledgers
+
+    monkeypatch.setattr(acceptance, "run_experiment", run_experiment)
+    monkeypatch.setattr(acceptance, "_batch",
+                        functools.cache(acceptance._batch.__wrapped__))
+    return calls, failing
+
+
+def test_criteria_4_5_8_share_one_diagnostic_batch(stub_batches):
+    calls, _failing = stub_batches
+    for number in (4, 5, 8):
+        res = run_criterion(number)
+        assert res.passed, res.detail
+    at_2000 = [call for call in calls if call[2] == 2000]
+    assert at_2000 == [(0.4, list(range(50)), 2000, True),
+                       (0.4, list(range(50, 200)), 2000, True)]
+    # every other batch runs once, seeds 0-49, without diagnostics
+    others = [call for call in calls if call[2] != 2000]
+    assert len(others) == 4
+    assert all(seeds == list(range(50)) and not diagnostic
+               for _margin, seeds, _horizon, diagnostic in others)
+
+
+@pytest.mark.parametrize("number, horizon, where", [
+    (5, 2000, "margin=0.4 T=2000 seed 7"),
+    (5, 8000, "T=8000 seed 7"),
+    (6, 10000, "T=10000 seed 7"),
+])
+def test_a_seed_not_ok_fails_the_scaling_criteria(stub_batches, number,
+                                                  horizon, where):
+    _calls, failing = stub_batches
+    res = run_criterion(number)
+    assert res.passed and "seed" not in res.detail, res.detail
+    assert res.detail.count("; ") == (4 if number == 5 else 2)
+
+    acceptance._batch.cache_clear()  # the fresh memo of this test
+    status = "failed: NotConverged at round 12: no CCE"
+    failing[horizon, 7] = status
+    res = run_criterion(number)
+    assert not res.passed
+    assert f"{where} {status}" in res.detail

@@ -517,3 +517,11 @@ class TestAcceptCommand:
     def test_suite_by_name(self, capsys):
         assert main(["accept", "--suite", "nash-zero-regret"]) == 0
         assert "criterion 9" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("suite", ["bogus", "12", "0", " 3", "3 "])
+    def test_unknown_suite_is_a_config_error(self, suite, capsys):
+        assert main(["accept", "--suite", suite]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: unknown suite {suite!r}")
+        assert "1-11" in captured.err and "nash-zero-regret" in captured.err
