@@ -1,9 +1,10 @@
 """The three learners as explicit step machines.
 
-Each exposes select(context, rng) -> (joint distribution, sampled duel) and
-observe(context, duel, outcome) -> state update. Production select/observe
-never see the ground truth; the harness runs its diagnostics from read-only
-snapshots the learners publish (last confidence matrix, last marginal, ...).
+A round is `select(context, rng) -> (joint, duel)`, then `observe(context,
+duel, outcome)`; neither sees the truth. `select` publishes a `last_*`
+snapshot, which `check_round(truth, joint)` tests against the truth in
+diagnostic runs; `regret_scale(k, t)` normalizes the regret, and an optional
+classmethod `prepare_round(learners)` batches a lockstep group's round.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from .core import (
     sample_pair,
     skew_complete,
 )
-from .errors import GammaTooSmall, HorizonTooShort
+from .errors import DiagnosticFailure, GammaTooSmall, HorizonTooShort
+from .evaluation import exposure
 from .games import (
+    minmax_rhs,
     minmax_slack,
     minmax_violation,
     solve_cce,
@@ -49,19 +52,46 @@ def default_gamma(k: int, horizon: int,
     return float(np.sqrt(20.0 * k * horizon / reg))
 
 
-def _publish_cce(learner, mean: np.ndarray, width: np.ndarray,
+class _CceLearner:
+    """The CCE learners' round tail, per-round check and regret scale; the
+    upper matrix is a skew `last_mean` plus a symmetric `last_confidence`."""
+
+    gamma = None
+    last_mean = last_confidence = last_upper = None
+    last_iterations = 0
+
+    def _publish(self, mean: np.ndarray, width: np.ndarray,
                  upper: np.ndarray, report, rng: RngHandle):
-    """The CCE learners' common round tail: publishes the round's snapshot
-    on `learner` and samples a duel from the joint of `report`."""
-    joint = report.point
-    learner.last_mean = mean
-    learner.last_confidence = width
-    learner.last_upper = upper
-    learner.last_iterations = report.iterations
-    return joint, sample_joint(joint, rng)
+        """Publish the snapshot; sample a duel from the joint of `report`."""
+        joint = report.point
+        self.last_mean = mean
+        self.last_confidence = width
+        self.last_upper = upper
+        self.last_iterations = report.iterations
+        return joint, sample_joint(joint, rng)
+
+    def check_round(self, truth, joint) -> bool:
+        """Whether the confidence set covers `truth`; if it does, regret
+        above 2 sum p * width raises DiagnosticFailure."""
+        mean, width = self.last_mean, self.last_confidence
+        covered = bool((np.abs(truth.entries - mean) <= width + 1e-12).all())
+        if covered:
+            lhs = float((truth.entries @ exposure(joint)).max())
+            c_eff = width.copy()
+            np.fill_diagonal(c_eff, 0.0)
+            rhs = 2.0 * float(np.sum(joint.weights * c_eff))
+            if lhs > rhs + 1e-8:
+                raise DiagnosticFailure("instantaneous-regret bound broken: "
+                                        f"{lhs:.6g} > {rhs:.6g}")
+        return covered
+
+    @staticmethod
+    def regret_scale(k: int, t: int) -> float:
+        """K log(KT) sqrt(T)."""
+        return k * np.log(k * t) * np.sqrt(t)
 
 
-class CceDb:
+class CceDb(_CceLearner):
     """Count-based learner: empirical preference estimates, per-pair
     confidence widths, and a coarse correlated equilibrium of the upper
     confidence matrix each round, at confidence level delta = 1/T.
@@ -72,17 +102,12 @@ class CceDb:
     """
 
     kind = "ccedb"
-    gamma = None
 
     def __init__(self, k: int, horizon: int):
         self.k = int(k)
         self.delta = 1.0 / horizon
         self.wins = np.zeros((k, k))
         self.t = 1
-        self.last_mean: np.ndarray | None = None
-        self.last_confidence: np.ndarray | None = None
-        self.last_upper: np.ndarray | None = None
-        self.last_iterations = 0
         self._basis: list[int] = []  # the last CCE solve's simplex basis
         self._row = 0  # the row of the stack that `wins` is a view of
         self._prepared = None  # this round's (mean, width, upper, report)
@@ -152,7 +177,7 @@ class CceDb:
         (mean, width, upper, report), self._prepared = self._prepared, None
         if report is None:
             report = solve_cce(upper, basis=self._basis)
-        return _publish_cce(self, mean, width, upper, report, rng)
+        return self._publish(mean, width, upper, report, rng)
 
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:
         if outcome not in (-1, 1):
@@ -164,7 +189,7 @@ class CceDb:
         self.t += 1
 
 
-class CceLinDb:
+class CceLinDb(_CceLearner):
     """Ridge-regression learner for feature-tensor contexts: linear point
     estimates and ellipsoidal confidence widths from one product with the
     ridge state's held inverse, CCE of the upper matrix. The widths scale by
@@ -172,7 +197,6 @@ class CceLinDb:
     delta = 1/T."""
 
     kind = "ccelindb"
-    gamma = None
 
     def __init__(self, dim: int, horizon: int):
         if dim < 1:
@@ -184,10 +208,6 @@ class CceLinDb:
             np.sqrt(dim * np.log((1.0 + horizon / RIDGE) / delta))
             + np.sqrt(RIDGE)
         )
-        self.last_mean: np.ndarray | None = None
-        self.last_confidence: np.ndarray | None = None
-        self.last_upper: np.ndarray | None = None
-        self.last_iterations = 0
 
     def select(self, context, rng: RngHandle):
         x = np.asarray(context, dtype=np.float64)
@@ -200,7 +220,7 @@ class CceLinDb:
         width *= self.width_multiplier  # the width the upper matrix adds
         upper = mean + width
         upper.flat[::k + 1] = 0.0  # the diagonal
-        return _publish_cce(self, mean, width, upper, solve_cce(upper), rng)
+        return self._publish(mean, width, upper, solve_cce(upper), rng)
 
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:
         if outcome not in (-1, 1):
@@ -267,6 +287,25 @@ class MinMaxDb:
             self.last_iterations = report.iterations
         p, joint = self._solved
         return joint, sample_pair(p, rng)
+
+    def check_round(self, truth, joint) -> bool:
+        """The inverse-gap program's per-round inequality, or DiagnosticFailure;
+        True, as the oracle learner has no coverage event to count."""
+        p = self.last_marginal
+        y_hat = self.last_prediction.entries
+        f = truth.entries
+        lhs = float((f @ p).max())
+        sq = float(p @ ((f - y_hat) ** 2) @ p)
+        rhs = (0.5 * self.gamma * sq + minmax_rhs(self.k, self.gamma)
+               + max(self.last_violation, 0.0))
+        if lhs > rhs + 1e-9:
+            raise DiagnosticFailure(
+                f"per-round inequality broken: {lhs:.6g} > {rhs:.6g}")
+        return True
+
+    def regret_scale(self, k: int, t: int) -> float:
+        """sqrt(K T RegSq(T)), with the oracle's declared budget."""
+        return np.sqrt(k * t * max(self.oracle.regret_budget()(t), 1e-12))
 
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:
         if outcome not in (-1, 1):

@@ -46,6 +46,10 @@ class NotConverged(DuelBanditError):
         super().__init__(message)
 
 
+class DiagnosticFailure(AssertionError):
+    """A per-round inequality that should always hold was violated."""
+
+
 class GammaTooSmall(DuelBanditError):
     """Exploration rate not finite, or below the 2K threshold the feasibility
     proof needs."""

@@ -2,9 +2,9 @@
 
 Every seed owns its learner, environment substreams and ledger. Seeds run
 in lockstep groups of at most LOCKSTEP_SEEDS, round by round: when the
-learner class has a batched `prepare_round` (`CceDb`), one stacked call per
-round does the statistics and the zero-pivot simplex checks of every live
-seed of the group; other learners run one seed at a time. A seed gets the
+learner class has a batched `prepare_round`, one stacked call per round
+does the statistics and the zero-pivot simplex checks of every live seed
+of the group; other learners run one seed at a time. A seed gets the
 same bits in any group. Chunks of seeds fan out across processes when
 DUELBANDIT_THREADS > 1 and results merge in seed order, so output is
 deterministic either way. Round CSVs carry full-precision floats and
@@ -33,9 +33,9 @@ from .environments import (
     make_linear_environment,
     named_fixture,
 )
-from .errors import DuelBanditError
-from .evaluation import RegretLedger, exposure
-from .games import minmax_rhs, solve_zero_sum_nash
+from .errors import DiagnosticFailure, DuelBanditError
+from .evaluation import RegretLedger
+from .games import solve_zero_sum_nash
 from .oracles import FiniteClassAggregator, OgdForecaster, VawForecaster
 from .rng import RngHandle
 
@@ -55,10 +55,6 @@ def _fmt(x: float) -> str:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-class DiagnosticFailure(AssertionError):
-    """A per-round inequality that should always hold was violated."""
 
 
 @dataclass
@@ -85,6 +81,9 @@ class ExperimentConfig:
             raise ValueError("seeds must be a non-empty list of integers >= 0, "
                              f"got {self.seeds!r}")
         self.seeds = list(self.seeds)
+        if len(set(self.seeds)) < len(self.seeds):
+            seed = next(s for s in self.seeds if self.seeds.count(s) > 1)
+            raise ValueError(f"seeds must not repeat: seed {seed} is repeated")
         if not isinstance(self.diagnostic, bool):
             raise ValueError(
                 f"diagnostic must be true or false, got {self.diagnostic!r}")
@@ -158,15 +157,18 @@ def _reject_unused(spec: dict, what: str, kind) -> None:
 _REQUIRED = object()
 
 
-def _pop_int(spec: dict, key: str, default=_REQUIRED) -> int:
+def _pop_int(spec: dict, key: str, default=_REQUIRED, minimum=0) -> int:
     """Pop the integer `key` from a spec, or `default` if it is absent; a
-    missing required key, or a value that is not an int or is a bool,
-    raises ValueError naming the key."""
+    missing required key, a value that is not an int or is a bool, or one
+    below `minimum` raises ValueError naming the key."""
     if default is _REQUIRED and key not in spec:
         raise ValueError(f"missing required key {key!r}")
     value = spec.pop(key, default)
     if not _is_int(value):
         raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{key} out of range: need {key} >= {minimum}, "
+                         f"got {value}")
     return value
 
 
@@ -180,6 +182,8 @@ def build_environment(spec: dict) -> Environment:
             matrix = PreferenceMatrix(np.asarray(entries, dtype=np.float64))
         elif "fixture" in spec:
             name = spec.pop("fixture")
+            if "k" in spec:  # the arm count of `condorcet`
+                spec["k"] = _pop_int(spec, "k", minimum=2)
             # the rest of the spec is the fixture's parameters
             matrix = named_fixture(name, **spec)
         else:
@@ -188,17 +192,17 @@ def build_environment(spec: dict) -> Environment:
         return FixedMatrixEnvironment(matrix)
     if kind == "finite_class":
         class_seed = _pop_int(spec, "class_seed", 0)
-        n_contexts = _pop_int(spec, "n_contexts", 1)
-        k, class_size = _pop_int(spec, "k"), _pop_int(spec, "class_size", 16)
+        n_contexts = _pop_int(spec, "n_contexts", 1, minimum=1)
+        k = _pop_int(spec, "k", minimum=2)
+        class_size = _pop_int(spec, "class_size", 16)
         _reject_unused(spec, "environment", kind)
         class_rng = RngHandle(class_seed).substream("class")
         return make_finite_class(n_contexts, k, class_size, class_rng)
     if kind == "linear":
-        k, dim = _pop_int(spec, "k"), _pop_int(spec, "dim")
+        k = _pop_int(spec, "k", minimum=2)
+        dim = _pop_int(spec, "dim", minimum=1)
         weight_seed = _pop_int(spec, "weight_seed", 0)
         _reject_unused(spec, "environment", kind)
-        if dim < 1:  # before the draw, which would reject it in numpy's words
-            raise ValueError(f"linear environment needs dim >= 1, got {dim}")
         weight_rng = RngHandle(weight_seed).substream("weight")
         return make_linear_environment(k, dim, weight_rng)
     raise ValueError(f"unknown environment kind {kind!r}")
@@ -315,42 +319,6 @@ def _make_policies(count: int, k: int) -> list:
     return [(lambda x, arm=j % k: arm) for j in range(count)]
 
 
-def _diag_check_cce(learner, truth: PreferenceMatrix, joint) -> bool:
-    """Coverage event + the instantaneous-regret inequality when covered; the
-    upper matrix is a skew `last_mean` plus a symmetric `last_confidence`."""
-    mean, width = learner.last_mean, learner.last_confidence
-    covered = bool((np.abs(truth.entries - mean) <= width + 1e-12).all())
-    if covered:
-        lhs = float((truth.entries @ exposure(joint)).max())
-        c_eff = width.copy()
-        np.fill_diagonal(c_eff, 0.0)
-        rhs = 2.0 * float(np.sum(joint.weights * c_eff))
-        if lhs > rhs + 1e-8:
-            raise DiagnosticFailure(
-                f"instantaneous-regret bound broken: {lhs:.6g} > {rhs:.6g}"
-            )
-    return covered
-
-
-def _diag_check_minmaxdb(learner: MinMaxDb, truth: PreferenceMatrix,
-                         joint) -> bool:
-    """The per-round inequality of the inverse-gap program; returns True,
-    since the oracle learner has no coverage event to count."""
-    p = learner.last_marginal
-    y_hat = learner.last_prediction.entries
-    f = truth.entries
-    gamma = learner.gamma
-    lhs = float((f @ p).max())
-    sq = float(p @ ((f - y_hat) ** 2) @ p)
-    rhs = (0.5 * gamma * sq + minmax_rhs(learner.k, gamma)
-           + max(learner.last_violation, 0.0))
-    if lhs > rhs + 1e-9:
-        raise DiagnosticFailure(
-            f"per-round inequality broken: {lhs:.6g} > {rhs:.6g}"
-        )
-    return True
-
-
 class _SeedRun:
     """One seed of a lockstep group: its environment, learner, ledger and
     random substreams, and what its rounds have booked so far."""
@@ -367,11 +335,7 @@ class _SeedRun:
         self.env_rng = root.substream("environment")
         self.learner_rng = root.substream("learner")
         self.outcome_rng = root.substream("outcome")
-        self.check = None
-        if config.diagnostic:
-            self.check = _diag_check_minmaxdb if isinstance(
-                self.learner, MinMaxDb) else _diag_check_cce
-        self.violations = 0
+        self.violations = 0 if config.diagnostic else None
         self.solver_iters = 0
         # (arm_a, arm_b, outcome, solver_iters) per booked round
         self.rows = [] if config.output_dir is not None else None
@@ -384,7 +348,8 @@ class _SeedRun:
         joint, duel = learner.select(x, self.learner_rng)
         a, b = duel
         outcome = sample_outcome(truth.entries.item(a, b), self.outcome_rng)
-        if self.check is not None and not self.check(learner, truth, joint):
+        if self.violations is not None and not learner.check_round(
+                truth, joint):
             self.violations += 1
         learner.observe(x, duel, outcome)
         self.ledger.record(truth, x, joint, duel)
@@ -402,10 +367,10 @@ class _SeedRun:
             seed=self.seed, horizon=config.horizon,
             final_br=ledger.final_br, final_fb=ledger.final_fb,
             final_policy=ledger.final_policy,
-            normalized_br=_normalized_br(self.env, learner, ledger),
+            normalized_br=float(ledger.final_br / learner.regret_scale(
+                self.env.k, max(ledger.rounds, 1))),
             wall_clock_s=wall_clock_s, solver_iterations=self.solver_iters,
-            confidence_violations=(self.violations if config.diagnostic
-                                   else None),
+            confidence_violations=self.violations,
             status=self.status)
         return summary, ledger, lines
 
@@ -479,15 +444,6 @@ def _round_lines(seed: int, gamma: float | None, rows: list,
                         iters)
             for t, (a, b, outcome, iters), br, br_cum, fb, fb_cum, policy
             in columns]
-
-
-def _normalized_br(env, learner, ledger) -> float:
-    t = max(ledger.rounds, 1)
-    k = env.k
-    if isinstance(learner, MinMaxDb):
-        reg = learner.oracle.regret_budget()(t)
-        return float(ledger.final_br / np.sqrt(k * t * max(reg, 1e-12)))
-    return float(ledger.final_br / (k * np.log(k * t) * np.sqrt(t)))
 
 
 def _run_and_write_seeds(config: ExperimentConfig, seeds: list[int]) -> list:

@@ -367,6 +367,25 @@ class TestRunCommand:
         ({"algorithm": {"kind": "ccelindb"},
           "environment": {"kind": "linear", "k": 3}},
          "missing required key 'dim'"),
+        # a fixture's k is an integer like any other k
+        ({"environment": {"kind": "fixed", "fixture": "condorcet",
+                          "k": "5", "margin": 0.4}}, "k must be an integer"),
+        ({"environment": {"kind": "fixed", "fixture": "condorcet",
+                          "k": 5.0, "margin": 0.4}}, "k must be an integer"),
+        ({"environment": {"kind": "fixed", "fixture": "condorcet",
+                          "k": True, "margin": 0.4}}, "k must be an integer"),
+        # out-of-range integer keys are named before numpy sees them
+        ({"environment": {"kind": "fixed", "fixture": "condorcet",
+                          "k": -2, "margin": 0.4}}, "k >= 2, got -2"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
+          "environment": {"kind": "finite_class", "k": -2}},
+         "k >= 2, got -2"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
+          "environment": {"kind": "finite_class", "k": 3, "n_contexts": -1}},
+         "n_contexts >= 1, got -1"),
+        ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
+          "environment": {"kind": "finite_class", "k": 3, "class_seed": -1}},
+         "class_seed >= 0, got -1"),
     ])
     def test_run_bad_value_is_config_error(self, tmp_path, capsys,
                                            overrides, message):
@@ -416,6 +435,21 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: --seeds")
         assert "'0,a'" in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
+    def test_run_repeated_seed_is_config_error(self, tmp_path, capsys):
+        config = {"algorithm": {"kind": "ccedb"},
+                  "environment": {"kind": "fixed", "fixture": "rps3"},
+                  "horizon": 20, "seeds": [0]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out_dir = tmp_path / "out"
+        code = main(["run", "--config", str(cfg_path), "--seeds", "1,1",
+                     "--out", str(out_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: seeds must not repeat")
+        assert "seed 1" in captured.err and captured.out == ""
         assert not out_dir.exists()
 
     def test_run_malformed_thread_count_is_config_error(self, tmp_path,

@@ -21,6 +21,8 @@ from duelbandit.harness import (
     run_seeds,
     run_single_seed,
 )
+from duelbandit.algorithms import CceDb, MinMaxDb
+from duelbandit.environments import condorcet
 from duelbandit.errors import RangeViolation
 
 
@@ -42,7 +44,7 @@ class TestConfigValidation:
         ("horizon", True), ("horizon", 2.5), ("horizon", "10"),
         ("horizon", 0),
         ("seeds", [True]), ("seeds", [-1]), ("seeds", []), ("seeds", (0,)),
-        ("seeds", "0"),
+        ("seeds", "0"), ("seeds", [3, 1, 3]),
         ("diagnostic", "no"), ("diagnostic", 1), ("diagnostic", None),
         ("output_dir", 5), ("output_dir", ""), ("output_dir", True),
         ("algorithm", "ccedb"),
@@ -529,3 +531,68 @@ class TestDiagnosticMovesNoBit:
                       ledger["fb_steps"].tobytes()) for ledger in ledgers]
             runs[diagnostic] = csvs, steps
         assert runs[True] == runs[False]
+
+
+def _break_cce_snapshot(learner):
+    """Exact means and zero widths: covered, so the regret bound is 0."""
+    truth = condorcet(5, 0.4).entries
+    learner.last_mean = truth
+    learner.last_confidence = np.zeros_like(truth)
+
+
+def _break_minmax_snapshot(learner):
+    """A point mass on arm 1, which arm 0 beats by 0.4, far above 5K/gamma
+    with the forecast exact."""
+    learner.last_marginal = np.array([0.0, 1.0, 0.0])
+
+
+class TestDiagnosticFailure:
+    """A snapshot that breaks the learner's per-round inequality stops its
+    seed at that round with DiagnosticFailure; the other seeds run on."""
+
+    SEEDS = [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("kind", ["ccedb", "minmaxdb"])
+    def test_broken_snapshot_fails_its_seed_alone(self, tmp_path,
+                                                  monkeypatch, kind):
+        if kind == "ccedb":
+            learner_cls, breaks = CceDb, _break_cce_snapshot
+            config = _ccedb_config(diagnostic=True, output_dir=str(tmp_path))
+            message = "instantaneous-regret bound broken: "
+        else:  # the one-hypothesis class forecasts the truth exactly
+            learner_cls, breaks = MinMaxDb, _break_minmax_snapshot
+            config = ExperimentConfig.from_dict({
+                "algorithm": {"kind": "minmaxdb", "gamma": 600.0,
+                              "oracle": {"kind": "finite", "class_size": 1}},
+                "environment": {"kind": "fixed", "fixture": "condorcet",
+                                "k": 3, "margin": 0.4},
+                "horizon": 300, "seeds": self.SEEDS, "diagnostic": True,
+                "output_dir": str(tmp_path),
+                "benchmark": {"q_star": None, "policy_count": 0},
+            })
+            message = "per-round inequality broken: "
+        full = run_seeds(config, self.SEEDS)
+        assert [r[0].status for r in full] == ["ok"] * 4
+        failing, round_ = 2, 137
+        calls = []
+        select = learner_cls.select
+
+        def broken(learner, context, rng):
+            out = select(learner, context, rng)
+            if rng.seed == failing:
+                calls.append(rng)
+                if len(calls) == round_:
+                    breaks(learner)
+            return out
+
+        monkeypatch.setattr(learner_cls, "select", broken)
+        cut = run_seeds(config, self.SEEDS)
+        for seed, before, after in zip(self.SEEDS, full, cut):
+            if seed != failing:
+                assert _run_bytes(after) == _run_bytes(before), seed
+                continue
+            assert after[0].status.startswith(
+                f"failed: DiagnosticFailure at round {round_}: {message}")
+            assert len(after[2]) == round_ - 1
+            kept = "\n".join(after[2]).encode()
+            assert "\n".join(before[2]).encode().startswith(kept)
