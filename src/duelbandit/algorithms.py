@@ -108,7 +108,7 @@ class CceDb(_CceLearner):
         self.delta = 1.0 / horizon
         self.wins = np.zeros((k, k))
         self.t = 1
-        self._basis: list[int] = []  # the last CCE solve's simplex basis
+        self._basis = ()  # the last CCE solve's simplex basis
         self._row = 0  # the row of the stack that `wins` is a view of
         self._prepared = None  # this round's (mean, width, upper, report)
 
@@ -176,7 +176,8 @@ class CceDb(_CceLearner):
             self.prepare_round([self])
         (mean, width, upper, report), self._prepared = self._prepared, None
         if report is None:
-            report = solve_cce(upper, basis=self._basis)
+            report = solve_cce(upper)
+        self._basis = report.basis
         return self._publish(mean, width, upper, report, rng)
 
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:

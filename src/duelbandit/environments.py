@@ -28,6 +28,8 @@ def rps3() -> PreferenceMatrix:
 
 def condorcet(k: int, margin: float) -> PreferenceMatrix:
     """Arm 0 beats every other arm by `margin`; remaining pairs tie."""
+    if isinstance(margin, bool) or not isinstance(margin, (int, float)):
+        raise ValueError(f"margin must be a number, got {margin!r}")
     if not 0 < margin <= 1:
         raise ValueError("margin must be in (0, 1]")
     m = np.zeros((k, k))
@@ -38,6 +40,8 @@ def condorcet(k: int, margin: float) -> PreferenceMatrix:
 
 def hardness(eps: float) -> PreferenceMatrix:
     """3-arm instance where estimating the near-optimal arm forces mistakes."""
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)):
+        raise ValueError(f"eps must be a number, got {eps!r}")
     if not 0 <= eps <= 1:
         raise ValueError("eps must be in [0, 1]")
     return PreferenceMatrix([[0, 1, 0], [-1, 0, eps], [0, -eps, 0]])

@@ -15,8 +15,8 @@ violation over a simplex. The inverse-gap program is convex (linear exposure
 plus 1/p_i penalty) and is solved by entropic mirror descent on a floored
 simplex. The hot loops live in the numpy kernels of `_kernels_py`; the
 solvers fetch the simplex and the descent through `get_kernels()` at call
-time. `zero_pivot_cces`, the only test of a basis held from an earlier
-solve, checks many CCE solves at once with one stacked basis solve.
+time. `zero_pivot_cces`, the only test of a basis an earlier solve
+reported, checks many CCE solves at once with one stacked basis solve.
 """
 
 from __future__ import annotations
@@ -65,12 +65,14 @@ def backend_name() -> str:
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Solver output: the point, its worst signed constraint violation
-    (<= 0 means strictly feasible) and the iterations used. A solver that
-    does not converge raises NotConverged instead."""
+    (<= 0 means strictly feasible), the iterations used and the simplex's
+    final basis (empty for the descent). A solver that does not converge
+    raises NotConverged instead."""
 
     point: object
     max_violation: float
     iterations: int
+    basis: tuple = ()
 
 
 def _entries(m) -> np.ndarray:
@@ -123,24 +125,22 @@ def cce_violation(u, joint) -> float:
     return max(dev_row - value_row, dev_col - value_col)
 
 
-def solve_cce(u, basis: list | None = None) -> FeasibilityReport:
+def solve_cce(u) -> FeasibilityReport:
     """Find a coarse correlated equilibrium of the general-sum matrix `u`.
 
     Solved as a linear feasibility problem over the joint simplex (minimize
     the max violation of the 2K deviation constraints). A CCE always exists
     for a finite matrix, so NotConverged signals a solver bug.
     A matrix that is not square or has a non-finite entry raises ValueError.
-
-    `basis`, if given, is a list that receives the simplex's final basis;
-    what it holds on entry is never read, so every solve is a cold one.
+    Every solve is a cold one; the report holds the simplex's final basis.
     """
     ue = _as_square(_entries(u))
     if not np.isfinite(ue).all():
         raise ValueError("matrix entries must be finite")
     k = ue.shape[0]
     dev = cce_deviation_matrix(ue)
-    x, viol, iters, status = get_kernels().epigraph_simplex(
-        dev, MAX_ITERATIONS, basis
+    x, viol, iters, status, basis = get_kernels().epigraph_simplex(
+        dev, MAX_ITERATIONS
     )
     if status != 0 or viol > VIOLATION_TOLERANCE:
         raise NotConverged(
@@ -150,23 +150,23 @@ def solve_cce(u, basis: list | None = None) -> FeasibilityReport:
             iterations=iters,
         )
     joint = JointActionDistribution._unchecked(x.reshape(k, k))
-    return FeasibilityReport(joint, viol, iters)
+    return FeasibilityReport(joint, viol, iters, basis)
 
 
 def zero_pivot_cces(uppers: np.ndarray, bases: list) -> list:
     """The CCE solves that need no simplex pivot, for a stack of finite
-    matrices (S, K, K) at once, each with the basis list its caller holds.
+    matrices (S, K, K) at once, each with the basis its caller holds.
 
     Entry i is the pure-point report `solve_cce` gives, or else the vertex
-    of the full basis held in bases[i] if it is still a CCE within the
-    tolerance; None otherwise, when `solve_cce(u, basis=bases[i])` pivots.
+    of the full basis bases[i] if it is still a CCE within the tolerance,
+    reported with that basis; None otherwise, when `solve_cce` pivots.
     This is the only test of a held basis.
     """
     k = uppers.shape[-1]
     solves = _kernels_py.zero_pivot_solves(cce_deviation_matrix(uppers), bases)
     return [None if solve is None else FeasibilityReport(
                 JointActionDistribution._unchecked(solve[0].reshape(k, k)),
-                solve[1], 0)
+                solve[1], 0, solve[4])
             for solve in solves]
 
 
@@ -180,7 +180,7 @@ def solve_zero_sum_nash(p) -> FeasibilityReport:
     if not isinstance(p, PreferenceMatrix):
         pe = PreferenceMatrix(pe).entries  # validates skew-symmetry
     # (q^T P)_j >= 0 for all j  <=>  (P q)_j <= 0 for all j, by skew-symmetry
-    q, viol, iters, status = get_kernels().epigraph_simplex(
+    q, viol, iters, status, basis = get_kernels().epigraph_simplex(
         pe.copy(), MAX_ITERATIONS
     )
     if status != 0 or viol > VIOLATION_TOLERANCE:
@@ -190,7 +190,7 @@ def solve_zero_sum_nash(p) -> FeasibilityReport:
             max_violation=viol,
             iterations=iters,
         )
-    return FeasibilityReport(ActionDistribution._unchecked(q), viol, iters)
+    return FeasibilityReport(ActionDistribution._unchecked(q), viol, iters, basis)
 
 
 def minmax_rhs(k: int, gamma: float) -> float:

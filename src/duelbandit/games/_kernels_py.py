@@ -1,7 +1,7 @@
 """Pure-numpy solver kernels, the hot loops behind the solvers:
 
-  * epigraph_simplex -- minimize max_i (D x)_i over the simplex, i.e. the
-    linear feasibility core behind CCE and zero-sum Nash solves,
+  * epigraph_simplex -- minimize max_i (D x)_i over the simplex, the core
+    of CCE and zero-sum Nash solves; it returns its final basis too,
   * zero_pivot_solves -- the solves that need no pivot, for a stack of
     matrices at once: the pure point, or the warm vertex of a basis held
     from an earlier solve (the only test of a held basis),
@@ -69,8 +69,8 @@ def warm_vertices(Ds: np.ndarray, bases: list) -> list:
     """The vertex of each full basis in its unpivoted tableau, as a finished
     solve, for a stack Ds of shape (S, m, n) and S bases of m + 1 columns.
 
-    Seed i gets (x, max_violation, 0, 0) if its vertex is primal feasible
-    with s <= 1e-15 and its point meets max(D_i x) <= 0, and None otherwise.
+    Seed i gets (x, max_violation, 0, 0, bases[i]) if its vertex is primal
+    feasible with s <= 1e-15 and its point meets max(D_i x) <= 0, or None.
     The basis systems are solved by one stacked `np.linalg.solve`; if one
     of them is singular, each is solved alone and the singular ones get
     None. The checks run on the whole stack too: a stacked solve, row sum
@@ -113,27 +113,25 @@ def warm_vertices(Ds: np.ndarray, bases: list) -> list:
     vertices = [None] * S
     # the point itself is checked: a NaN that reaches x fails here
     for j in np.flatnonzero(positive & (viol <= _WARM_TOL)).tolist():
-        vertices[int(kept[j])] = x[j], float(viol[j]), 0, 0
+        vertices[kept[j]] = x[j], float(viol[j]), 0, 0, bases[kept[j]]
     return vertices
 
 
-def _pure_point(basis: list, j0: int, top: float, m: int, n: int):
+def _pure_point(j0: int, top: float, m: int, n: int):
     """The pure point e_j0 as a finished solve, when column j0's largest
-    entry `top` is the smallest column maximum and is <= 0; the basis
-    becomes the row slacks and j0."""
-    basis[:] = range(n + 1, n + 1 + m)
-    basis.append(j0)
+    entry `top` is the smallest column maximum and is <= 0; its basis is
+    the row slacks and j0."""
     x = np.zeros(n)
     x[j0] = 1.0
-    return x, top, 0, 0
+    return x, top, 0, 0, (*range(n + 1, n + 1 + m), j0)
 
 
 def zero_pivot_solves(Ds: np.ndarray, bases: list) -> list:
-    """The solves that need no pivot, for a stack Ds (S, m, n) and S basis
-    lists at once: `epigraph_simplex`'s pure-point exit, or else the warm
-    vertex of the full basis held in bases[i], checked by one stacked
+    """The solves that need no pivot, for a stack Ds (S, m, n) and S held
+    bases at once: `epigraph_simplex`'s pure-point exit, or else the warm
+    vertex of the full basis bases[i], checked by one stacked
     `warm_vertices`; the only test of a held basis. Entry i is None where
-    seed i's solve needs pivots; its basis is then left as it was."""
+    seed i's solve needs pivots."""
     S, m, n = Ds.shape
     col_max = Ds.max(axis=1)
     j0s = col_max.argmin(axis=1).tolist()
@@ -142,7 +140,7 @@ def zero_pivot_solves(Ds: np.ndarray, bases: list) -> list:
     warm = []
     for i, (j0, top, basis) in enumerate(zip(j0s, tops, bases)):
         if top <= 0.0:
-            solves[i] = _pure_point(basis, j0, top, m, n)
+            solves[i] = _pure_point(j0, top, m, n)
         elif len(basis) == m + 1:
             warm.append(i)
     if warm:
@@ -153,27 +151,22 @@ def zero_pivot_solves(Ds: np.ndarray, bases: list) -> list:
     return solves
 
 
-def epigraph_simplex(D: np.ndarray, max_iter: int, basis: list | None = None):
+def epigraph_simplex(D: np.ndarray, max_iter: int):
     """Minimize s subject to D x <= s 1, sum x = 1, x >= 0, s >= 0.
 
     Dantzig pivoting with first-index tie breaks on the perturbed
     right-hand side of `_tableau_template`; stops once the basic solution
     reaches s <= 1e-15. The returned point is the final basis's
-    vertex for the true right-hand side. Returns
-    (x, max_violation, pivots, status).
-
-    `basis`, if given, is a list that receives the final basis: tableau
-    columns, one per row (x vars, then s, then the row slacks). What it
-    holds on entry is never read.
+    vertex for the true right-hand side. Returns (x, max_violation, pivots,
+    status, basis), the basis a tuple of tableau columns, one per row (x
+    vars, then s, then the row slacks).
     """
     D = np.ascontiguousarray(D, dtype=np.float64)
     m, n = D.shape
-    if basis is None:
-        basis = []
     col_max = D.max(axis=0)
     j0 = int(col_max.argmin())
     if col_max[j0] <= 0.0:
-        return _pure_point(basis, j0, float(col_max[j0]), m, n)
+        return _pure_point(j0, float(col_max[j0]), m, n)
 
     ncol = n + 1 + m  # x vars, epigraph s, row slacks
     rows = m + 1
@@ -188,8 +181,7 @@ def epigraph_simplex(D: np.ndarray, max_iter: int, basis: list | None = None):
     ratios = np.empty(rows)
     pos = np.empty(rows, dtype=bool)
     rhs = T[:, ncol]  # perturbed
-    basis[:] = range(n + 1, n + 1 + m)
-    basis.append(j0)
+    basis = [*range(n + 1, n + 1 + m), j0]
     basis[i0] = n
     srow = i0  # the row where s is basic, -1 once it leaves
 
@@ -245,7 +237,7 @@ def epigraph_simplex(D: np.ndarray, max_iter: int, basis: list | None = None):
     total = x.sum()
     if total > 0:
         x /= total
-    return x, float((D @ x).max()), it, status
+    return x, float((D @ x).max()), it, status, tuple(basis)
 
 
 def kl_project_floored(w: np.ndarray, floor: float) -> np.ndarray:

@@ -553,14 +553,16 @@ def aggregate(summaries: list[RunSummary]) -> dict:
             continue
         lo = np.array([g.final_br for g in by_horizon[horizon]])
         hi = np.array([g.final_br for g in by_horizon[upper]])
-        ratio = float(np.median(hi) / np.median(lo))
+        lo_median = np.median(lo)  # a ratio over 0 is reported as null
+        ratio = float(np.median(hi) / lo_median) if lo_median else None
         boots = []
         for _ in range(1000):
             bl = rng.choice(lo, lo.size, replace=True)
             bh = rng.choice(hi, hi.size, replace=True)
-            boots.append(np.median(bh) / np.median(bl))
-        lo_ci, hi_ci = np.percentile(boots, [2.5, 97.5])
+            boots.append((np.median(bl), np.median(bh)))
+        boot_lo, boot_hi = np.array(boots).T
+        ci95 = (np.percentile(boot_hi / boot_lo, [2.5, 97.5]).tolist()
+                if boot_lo.all() else None)
         report["scaling_ratios"][f"{horizon}->{upper}"] = {
-            "ratio": ratio, "ci95": [float(lo_ci), float(hi_ci)],
-        }
+            "ratio": ratio, "ci95": ci95}
     return report

@@ -386,6 +386,17 @@ class TestRunCommand:
         ({"algorithm": {"kind": "minmaxdb", "gamma": 30.0},
           "environment": {"kind": "finite_class", "k": 3, "class_seed": -1}},
          "class_seed >= 0, got -1"),
+        # a fixture's float parameter is a number, not a string, bool or null
+        ({"environment": {"kind": "fixed", "fixture": "condorcet",
+                          "k": 3, "margin": "0.4"}},
+         "margin must be a number, got '0.4'"),
+        ({"environment": {"kind": "fixed", "fixture": "condorcet",
+                          "k": 3, "margin": True}},
+         "margin must be a number, got True"),
+        ({"environment": {"kind": "fixed", "fixture": "hardness",
+                          "eps": "0.2"}}, "eps must be a number, got '0.2'"),
+        ({"environment": {"kind": "fixed", "fixture": "hardness",
+                          "eps": None}}, "eps must be a number, got None"),
     ])
     def test_run_bad_value_is_config_error(self, tmp_path, capsys,
                                            overrides, message):

@@ -89,7 +89,8 @@ def _reference_epigraph_simplex(D, stop_at, max_iter):
     """Dense reference for the numpy kernel: the same pivot rule on the
     same perturbed right-hand side, carrying the true one along, with the
     reduced costs recomputed as c - c_B T and the basis searched for s at
-    every pivot. Returns the kernel's (x, max_violation, pivots, status)."""
+    every pivot. Returns the kernel's (x, max_violation, pivots, status,
+    basis)."""
     D = np.ascontiguousarray(D, dtype=np.float64)
     m, n = D.shape
     col_max = D.max(axis=0)
@@ -97,7 +98,7 @@ def _reference_epigraph_simplex(D, stop_at, max_iter):
     if col_max[j0] <= stop_at:
         x = np.zeros(n)
         x[j0] = 1.0
-        return x, float(col_max[j0]), 0, 0
+        return x, float(col_max[j0]), 0, 0, (*range(n + 1, n + 1 + m), j0)
     delta = _PERTURBATION * np.arange(1, m + 1) / m
     i0 = int(np.argmax(D[:, j0] - delta))
 
@@ -158,7 +159,7 @@ def _reference_epigraph_simplex(D, stop_at, max_iter):
     total = x.sum()
     if total > 0:
         x /= total
-    return x, float((D @ x).max()), it, status
+    return x, float((D @ x).max()), it, status, tuple(basis.tolist())
 
 
 def _linprog_value(D):
@@ -181,17 +182,17 @@ def _linprog_value(D):
 def _assert_kernel_value(D, value):
     """The kernel solves D to `value`, the optimum of the epigraph program,
     within 1e-9, with status 0 and its point on the simplex."""
-    x, viol, _pivots, status = get_kernels().epigraph_simplex(D, 50_000)
+    x, viol, _pivots, status, _basis = get_kernels().epigraph_simplex(D, 50_000)
     assert status == 0
     assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12
     assert abs(max(viol, 0.0) - value) <= 1e-9
 
 
 def _assert_same_solve(got, want):
-    x, viol, pivots, status = got
+    x, viol, pivots, status, basis = got
     assert x.tobytes() == want[0].tobytes()
     assert np.float64(viol).tobytes() == np.float64(want[1]).tobytes()
-    assert (pivots, status) == (want[2], want[3])
+    assert (pivots, status, basis) == tuple(want[2:])
 
 
 class TestDeviationMatrix:
@@ -268,7 +269,7 @@ class TestSolveCce:
         for i in range(60):
             k = 2 + (i % 9)
             u = gen.uniform(-3, 3, (k, k))
-            x, viol, iters, status = get_kernels().epigraph_simplex(
+            x, viol, iters, status, _basis = get_kernels().epigraph_simplex(
                 cce_deviation_matrix(u), 50_000
             )
             assert status == 0
@@ -311,16 +312,17 @@ class TestSolveCceAgainstScipy:
         algorithm, environment = LEARNER_SPECS["ccedb"]
         uppers = _learner_uppers(algorithm, {**environment, "k": 20}, 0,
                                  150, 1000)
-        basis = []
+        basis = ()
         warm_hits = pivoted = 0
         for u in uppers:
             dev = cce_deviation_matrix(u)
             warm = _ccedb_solve(kp, dev, basis)
+            basis = warm[4]
             cold = kp.epigraph_simplex(dev, 50_000)
             # a held basis's vertex, not the pure-point exit
             warm_hits += warm[2] == 0 and dev.max(axis=0).min() > 0.0
             pivoted += cold[2] > 0
-            for x, _viol, _pivots, status in (warm, cold):
+            for x, _viol, _pivots, status, _basis in (warm, cold):
                 assert status == 0
                 assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12
                 assert (dev @ x).max() <= 1e-8
@@ -491,11 +493,11 @@ class TestNumpyKernelMatchesReference:
 
 
 def _ccedb_solve(kp, dev, basis):
-    """The solve CceDb makes of `dev` from the basis list it holds: stage
-    one (`zero_pivot_solves`), then the cold simplex on a miss. The list is
-    left holding the basis of the next round."""
+    """The solve CceDb makes of `dev` from the basis it holds: stage one
+    (`zero_pivot_solves`), then the cold simplex on a miss. The solve's
+    basis is the one CceDb holds in the next round."""
     solve = kp.zero_pivot_solves(dev[None], [basis])[0]
-    return kp.epigraph_simplex(dev, 50_000, basis) if solve is None else solve
+    return kp.epigraph_simplex(dev, 50_000) if solve is None else solve
 
 
 @pytest.fixture(scope="module")
@@ -503,10 +505,10 @@ def ccedb_rounds(learner_matrices):
     """(D, held basis) for each round of the `learner_matrices` CceDb run,
     the basis being the one CceDb holds as the round starts."""
     kp = get_kernels()
-    basis, rounds = [], []
+    basis, rounds = (), []
     for dev in learner_matrices["ccedb"]:
-        rounds.append((dev, list(basis)))
-        _ccedb_solve(kp, dev, basis)
+        rounds.append((dev, basis))
+        basis = _ccedb_solve(kp, dev, basis)[4]
     return rounds
 
 
@@ -520,15 +522,14 @@ def warm_cases(ccedb_rounds):
 
 class TestWarmStart:
     """CceDb's warm start: stage one returns the held basis's vertex with 0
-    pivots when it is still a CCE; on a miss the cold simplex runs, which
-    never reads what the basis list holds."""
+    pivots when it is still a CCE; on a miss the cold simplex runs."""
 
     def test_warm_returns_are_cce_points(self, learner_matrices):
         kp = get_kernels()
-        basis = []
+        basis = ()
         warm = 0
         for dev in learner_matrices["ccedb"]:
-            x, viol, pivots, status = _ccedb_solve(kp, dev, basis)
+            x, viol, pivots, status, basis = _ccedb_solve(kp, dev, basis)
             assert status == 0
             assert len(basis) == dev.shape[0] + 1
             if pivots == 0 and dev.max(axis=0).min() > 0.0:
@@ -538,22 +539,6 @@ class TestWarmStart:
                 assert x.min() >= 0.0
                 assert abs(x.sum() - 1.0) <= 1e-12
         assert warm >= 40
-
-    def test_a_held_basis_is_not_read(self, warm_cases):
-        # bases whose vertex stage one accepts: a simplex that tried them
-        # would return that vertex with 0 pivots
-        kp = get_kernels()
-        accepted = 0
-        for dev, held in warm_cases:
-            if kp.warm_vertices(dev[None], [held])[0] is None:
-                continue
-            accepted += 1
-            basis, cold_basis = list(held), []
-            cold = kp.epigraph_simplex(dev, 50_000, cold_basis)
-            assert cold[2] > 0
-            _assert_same_solve(kp.epigraph_simplex(dev, 50_000, basis), cold)
-            assert basis == cold_basis
-        assert accepted >= 40
 
     def test_stale_basis_gives_the_cold_solve(self, ccedb_rounds):
         # a CceDb run: a round whose held basis stage one rejects plays the
@@ -567,17 +552,16 @@ class TestWarmStart:
             root.substream(name) for name in ("environment", "learner", "outcome"))
         held, misses = [], 0
         for _ in range(len(ccedb_rounds)):
-            held.append(list(learner._basis))
+            held.append(learner._basis)
             x, truth = env.sample_round(env_rng)
             joint, duel = learner.select(x, learner_rng)
             upper = learner.last_upper
-            if zero_pivot_cces(upper[None], [list(held[-1])])[0] is None:
+            if zero_pivot_cces(upper[None], [held[-1]])[0] is None:
                 misses += 1
-                basis = []
-                cold = solve_cce(upper, basis=basis)
+                cold = solve_cce(upper)
                 assert joint.weights.tobytes() == cold.point.weights.tobytes()
                 assert learner.last_iterations == cold.iterations > 0
-                assert learner._basis == basis
+                assert learner._basis == cold.basis
             learner.observe(x, duel, sample_outcome(truth.entries[duel],
                                                     outcome_rng))
         assert held == [basis for _, basis in ccedb_rounds]
@@ -592,31 +576,19 @@ class TestWarmStart:
             previous = [0] * (m + 1)
         else:
             previous = list(range(n, n + m + 1))  # s and the slacks
-        basis, cold_basis = list(previous), []
+        basis = list(previous)
         assert kp.zero_pivot_solves(dev[None], [basis]) == [None]
-        assert basis == previous
-        cold = kp.epigraph_simplex(dev, 50_000, cold_basis)
-        assert cold[2] > 0
-        _assert_same_solve(kp.epigraph_simplex(dev, 50_000, basis), cold)
-        assert basis == cold_basis
+        assert basis == previous  # read, not written
+        assert kp.epigraph_simplex(dev, 50_000)[2] > 0
 
     def test_zero_pivot_exit_leaves_a_basis_of_its_point(self):
         u = np.array([[0.0, 0.3, 0.2], [-0.3, 0.0, 0.1], [-0.2, -0.1, 0.0]])
         dev = cce_deviation_matrix(u)
-        m, n = dev.shape
-        basis = [7] * (m + 1)
-        x, viol, pivots, status = get_kernels().epigraph_simplex(
-            dev, 50_000, basis)
+        n = dev.shape[1]
+        x, viol, pivots, status, basis = get_kernels().epigraph_simplex(
+            dev, 50_000)
         assert (pivots, status) == (0, 0) and x.max() == 1.0
-        # the tableau's columns: x, then s, then the row slacks; its last
-        # row is sum x = 1
-        tableau = np.zeros((m + 1, n + 1 + m))
-        tableau[:m, :n] = dev
-        tableau[:m, n] = -1.0
-        tableau[:m, n + 1:] = np.eye(m)
-        tableau[m, :n] = 1.0
-        rhs = np.zeros(m + 1)
-        rhs[m] = 1.0
+        tableau, rhs = _unpivoted_tableau(dev)
         z = np.linalg.solve(tableau[:, basis], rhs)
         assert z.min() >= 0.0 and n not in basis
         point = np.zeros(n)
@@ -626,10 +598,9 @@ class TestWarmStart:
         assert np.array_equal(point, x)
 
 
-def _reference_warm_vertex(D, basis):
-    """The warm-vertex check of one basis, built from scratch: the basis
-    columns of the unpivoted tableau, one solve with a 1-D right-hand side,
-    then the kernel's acceptance tests. Returns (x, viol) or None."""
+def _unpivoted_tableau(D):
+    """The epigraph program's tableau, its columns x, then s, then the row
+    slacks and its last row sum x = 1, and its true right-hand side."""
     m, n = D.shape
     tableau = np.zeros((m + 1, n + 1 + m))
     tableau[:m, :n] = D
@@ -638,6 +609,15 @@ def _reference_warm_vertex(D, basis):
     tableau[m, :n] = 1.0
     rhs = np.zeros(m + 1)
     rhs[m] = 1.0
+    return tableau, rhs
+
+
+def _reference_warm_vertex(D, basis):
+    """The warm-vertex check of one basis, built from scratch: the basis
+    columns of the unpivoted tableau, one solve with a 1-D right-hand side,
+    then the kernel's acceptance tests. Returns (x, viol) or None."""
+    m, n = D.shape
+    tableau, rhs = _unpivoted_tableau(D)
     try:
         values = np.linalg.solve(tableau[:, basis], rhs).tolist()
     except np.linalg.LinAlgError:
@@ -659,6 +639,56 @@ def _reference_warm_vertex(D, basis):
     return x, viol
 
 
+def _assert_basis_of_point(D, solve, cce):
+    """The solve's basis is m + 1 distinct tableau columns whose vertex for
+    the true right-hand side, clipped at 0 and renormalized, is the solve's
+    x within 1e-12; on a CCE matrix that vertex also has s <= 1e-15."""
+    m, n = D.shape
+    basis = solve[4]
+    assert len(set(basis)) == len(basis) == m + 1
+    tableau, rhs = _unpivoted_tableau(D)
+    values = np.linalg.solve(tableau[:, basis], rhs)
+    point = np.zeros(n)
+    for j, value in zip(basis, values):
+        if j < n:
+            point[j] = max(value, 0.0)
+    point /= point.sum()
+    assert np.abs(point - solve[0]).max() <= 1e-12
+    if cce and n in basis:
+        assert values[basis.index(n)] <= 1e-15
+
+
+class TestReturnedBasis:
+    """Every basis a simplex solve returns is the basis of its point: the
+    basis CceDb holds is the one whose vertex it played."""
+
+    @pytest.mark.parametrize("kind", sorted(LEARNER_SPECS))
+    def test_cold_solves_of_learner_matrices(self, kind, learner_matrices):
+        kp = get_kernels()
+        for dev in learner_matrices[kind]:
+            _assert_basis_of_point(dev, kp.epigraph_simplex(dev, 50_000), True)
+
+    def test_solves_of_a_ccedb_run(self, ccedb_rounds):
+        # the pure points, held bases and cold solves CceDb makes
+        kp = get_kernels()
+        kinds = set()
+        for dev, held in ccedb_rounds:
+            solve = _ccedb_solve(kp, dev, held)
+            _assert_basis_of_point(dev, solve, True)
+            if solve[2] > 0:
+                kinds.add("cold")
+            else:
+                kinds.add("held" if solve[4] is held else "pure")
+        assert kinds == {"pure", "held", "cold"}
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
+    def test_degenerate_instances(self, case):
+        D = DEGENERATE_CASES[case]()
+        solve = get_kernels().epigraph_simplex(D, 50_000)
+        assert solve[2] > 0
+        _assert_basis_of_point(D, solve, False)
+
+
 class TestWarmVertices:
     """`warm_vertices` checks a stack of bases with one stacked solve; every
     seed must get what its basis gives alone, bit for bit."""
@@ -671,10 +701,10 @@ class TestWarmVertices:
             if want is None:
                 assert vertex is None
                 continue
-            x, viol, pivots, status = vertex
+            x, viol, pivots, status, held = vertex
             assert x.tobytes() == want[0].tobytes()
             assert np.float64(viol).tobytes() == np.float64(want[1]).tobytes()
-            assert (pivots, status) == (0, 0)
+            assert (pivots, status) == (0, 0) and held is basis
 
     @pytest.mark.parametrize("size", [1, 4, 50])
     def test_stacks_match_single_solves(self, warm_cases, size):
@@ -705,27 +735,24 @@ class TestWarmVertices:
     def test_zero_pivot_solves_match_epigraph_simplex(self, ccedb_rounds):
         # a run's matrices with the bases CceDb holds as their rounds
         # start, in one stack: pure points, which are epigraph_simplex's
-        # 0-pivot exit, warm vertices and misses, which leave the basis
+        # 0-pivot exit, warm vertices, which return the held basis itself,
+        # and misses
         kp = get_kernels()
-        bases = [list(basis) for _, basis in ccedb_rounds]
         got = kp.zero_pivot_solves(np.stack([d for d, _ in ccedb_rounds]),
-                                   bases)
+                                   [basis for _, basis in ccedb_rounds])
         kinds = set()
-        for (dev, held), solve, left in zip(ccedb_rounds, got, bases):
+        for (dev, held), solve in zip(ccedb_rounds, got):
             if dev.max(axis=0).min() <= 0.0:
-                basis = []
-                _assert_same_solve(solve,
-                                   kp.epigraph_simplex(dev, 50_000, basis))
-                assert left == basis
+                _assert_same_solve(solve, kp.epigraph_simplex(dev, 50_000))
                 kinds.add("pure")
                 continue
-            assert left == held
             want = held and _reference_warm_vertex(dev, held)
             if solve is None:
                 assert not want
                 kinds.add("miss")
                 continue
-            _assert_same_solve(solve, (*want, 0, 0))
+            _assert_same_solve(solve, (*want, 0, 0, held))
+            assert solve[4] is held
             kinds.add("warm")
         assert kinds == {"pure", "warm", "miss"}
 
@@ -813,13 +840,12 @@ class TestKernelSeam:
 
         monkeypatch.setattr(games, "get_kernels", counting)
         u = np.array([[0.0, 0.5, -0.2], [0.1, 0.0, 0.3], [-0.4, 0.2, 0.0]])
-        solve_cce(u)
+        assert len(solve_cce(u).basis) == 2 * 3 + 1
         assert len(calls) == 1
-        basis = []
-        solve_cce(u, basis=basis)
+        with pytest.raises(TypeError):
+            solve_cce(u, basis=[])  # the basis is returned, never passed
+        assert len(solve_zero_sum_nash(RPS).basis) == 3 + 1
         assert len(calls) == 2
-        assert len(basis) == 2 * 3 + 1
-        solve_zero_sum_nash(RPS)
+        report = solve_minmax_feasibility(PreferenceMatrix(0.5 * RPS), 10.0)
+        assert report.basis == ()
         assert len(calls) == 3
-        solve_minmax_feasibility(PreferenceMatrix(0.5 * RPS), 10.0)
-        assert len(calls) == 4

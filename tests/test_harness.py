@@ -344,6 +344,20 @@ class TestAggregate:
         assert pair["ratio"] == pytest.approx(204.5 / 104.5)
         assert pair["ci95"][0] <= pair["ratio"] <= pair["ci95"][1]
 
+    @pytest.mark.parametrize("lower, want", [
+        # a lower median of 0: no ratio and no interval
+        ([0.0, 0.0, 0.0], {"ratio": None, "ci95": None}),
+        # some resamples of the lower horizon have median 0: no interval
+        ([0.0, 1.0, 2.0], {"ratio": 2.0, "ci95": None}),
+    ])
+    def test_ratio_over_a_zero_median_is_null(self, lower, want):
+        sums = [RunSummary(seed=seed, horizon=horizon, final_br=br)
+                for horizon, brs in ((100, lower), (400, [1.0, 2.0, 3.0]))
+                for seed, br in enumerate(brs)]
+        report = aggregate(sums)
+        json.dumps(report, allow_nan=False)
+        assert report["scaling_ratios"]["100->400"] == want
+
 
 class TestSingleSeedFailurePath:
     def test_solver_failure_recorded_not_raised(self, monkeypatch):

@@ -77,9 +77,15 @@ for name, ((learner_cls, env_cls, oracle_cls), config, csv) in runs.items():
     finally:
         undo()
     names = [tracer.names[code] for code in tracer.name]
+    values = {}  # summed per span; a span that records no value holds NaN
+    for span, v in zip(names, tracer.value):
+        if v == v:
+            values[span] = values.get(span, 0.0) + v
     report[name] = {
         "status": [s.status for s in summaries],
         "spans": {n: names.count(n) for n in set(names)},
+        "values": values,
+        "solver_iterations": sum(s.solver_iterations for s in summaries),
         "restored": [vars(owner).keys() == was.keys() and all(
                          vars(owner)[key] is value
                          for key, value in was.items())
@@ -132,3 +138,17 @@ def test_traced_workloads_fire_every_layer_and_undo_restores_it(traced_runs):
 def test_traced_minmaxdb_runs_with_each_linear_oracle(traced_runs):
     for kind in ("vaw", "ogd"):
         _assert_fires_and_restores(kind, traced_runs[kind])
+
+
+def test_traced_solver_values_are_the_solver_iterations(traced_runs):
+    # the tracer reads a kernel's iteration count at index 2 of what it
+    # returns; summed over a run, the learners' solver spans give the
+    # summaries' count. A MinMaxDb run builds its nash q_star with the
+    # simplex too, so only its descent spans are summed.
+    for name, run in traced_runs.items():
+        span = ("games.epigraph_simplex" if name.startswith("cce")
+                else "games.minmax_descent")
+        assert run["values"].get(span, 0.0) == run["solver_iterations"], (
+            name, run["values"], run["solver_iterations"])
+    assert traced_runs["ccedb-condorcet5"]["solver_iterations"] > 0
+    assert traced_runs["ccelindb-linear5"]["solver_iterations"] > 0
