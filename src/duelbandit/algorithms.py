@@ -3,8 +3,10 @@
 A round is `select(context, rng) -> (joint, duel)`, then `observe(context,
 duel, outcome)`; neither sees the truth. `select` publishes a `last_*`
 snapshot, which `check_round(truth, joint)` tests against the truth in
-diagnostic runs; `regret_scale(k, t)` normalizes the regret, and an optional
-classmethod `prepare_round(learners)` batches a lockstep group's round.
+diagnostic runs; `regret_scale(k, t)` normalizes the regret. The
+classmethod `prepare_round(learners, contexts)` of `CceDb` and `MinMaxDb`
+does a lockstep group's round up to the per-seed solve in one stacked pass,
+with the bits each learner gets alone; `CceLinDb` has none.
 """
 
 from __future__ import annotations
@@ -14,17 +16,21 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    PreferenceMatrix,
+    clamp_forecasts,
     product_joint,
     sample_joint,
     sample_pair,
-    skew_complete,
 )
+# no learner calls `skew_complete` since MinMaxDb clamps in stacks, but
+# perfbench wraps it by this name in this module
+from .core import skew_complete  # noqa: F401
 from .errors import DiagnosticFailure, GammaTooSmall, HorizonTooShort
 from .evaluation import exposure
 from .games import (
     minmax_rhs,
     minmax_slack,
-    minmax_violation,
+    minmax_violations,
     solve_cce,
     solve_minmax_feasibility,
     zero_pivot_cces,
@@ -131,10 +137,11 @@ class CceDb(_CceLearner):
         return stack
 
     @classmethod
-    def prepare_round(cls, learners: list) -> None:
+    def prepare_round(cls, learners: list, contexts: list) -> None:
         """Give every learner (all of one K) its round's mean, width and
         upper matrices and the CCE solve that needs no pivot, if there is
         one, in one stacked pass; each learner's next `select` uses them.
+        The count learner reads no context, so `contexts` goes unused.
 
         A pair duelled n > 0 times has mean 2 wins / n - 1 and width
         sqrt(log_term / n); an unexplored pair has mean 0 and width
@@ -173,7 +180,7 @@ class CceDb(_CceLearner):
     def select(self, context, rng: RngHandle):
         """Solve the CCE of the current upper matrix and sample a duel."""
         if self._prepared is None:
-            self.prepare_round([self])
+            self.prepare_round([self], [context])
         (mean, width, upper, report), self._prepared = self._prepared, None
         if report is None:
             report = solve_cce(upper)
@@ -233,7 +240,13 @@ class CceLinDb(_CceLearner):
 class MinMaxDb:
     """Oracle-based learner: query all-pairs predictions, assemble them into
     a skew matrix, solve the inverse-gap feasibility program, and duel two
-    iid draws from the resulting marginal."""
+    iid draws from the resulting marginal.
+
+    `prepare_round` asks the oracles for a round's forecasts and tests the
+    held marginals against those that changed for many learners at once;
+    `select` uses what it left and runs as a batch of one when it left
+    nothing.
+    """
 
     kind = "minmaxdb"
 
@@ -246,10 +259,65 @@ class MinMaxDb:
         self._stop_violation = minmax_slack(self.k, self.gamma) / 2.0
         self._forecast = None    # the oracle forecast last seen
         self._solved = None      # the held (marginal, joint)
+        # the held marginal, its penalties (2/gamma) / p and the budget
+        # 5K/gamma as the rows of one (3, K) array, for the stacked test
+        self._held = None
+        self._prepared = False   # whether this round's forecast is in
         self.last_prediction = None
         self.last_marginal: np.ndarray | None = None
         self.last_violation = np.inf  # the held marginal's, last forecast
         self.last_iterations = 0
+
+    @classmethod
+    def prepare_round(cls, learners: list, contexts: list) -> None:
+        """Ask each learner's oracle for its forecast of the learner's
+        context, once; for the learners whose forecast object changed,
+        publish the clamped prediction and the held marginal's violation
+        under it, in one stacked pass. Each learner's next `select` uses
+        them.
+
+        An oracle class with a stacked `prepare_forecasts` (the finite
+        class) computes the forecasts it does not hold in one pass first.
+        The clamp is `clamp_forecasts`, and the violations are
+        `minmax_violations`, whose rows have the bits of a stack of one, so
+        a learner gets the same bits in any batch.
+        """
+        prepare_forecasts = getattr(type(learners[0].oracle),
+                                    "prepare_forecasts", None)
+        if prepare_forecasts is not None:
+            prepare_forecasts([learner.oracle for learner in learners],
+                              contexts)
+        changed, forecasts = [], []
+        for learner, x in zip(learners, contexts):
+            forecast = learner.oracle.predict_matrix(x)
+            learner._prepared = True
+            if forecast is not learner._forecast:
+                learner._forecast = forecast
+                changed.append(learner)
+                forecasts.append(forecast)
+        if not changed:
+            return
+        y_hats = clamp_forecasts(np.array(forecasts))
+        for learner, y_hat in zip(
+                changed, PreferenceMatrix._unchecked_rows(y_hats)):
+            learner.last_prediction = y_hat
+        held = [learner for learner in changed if learner._held is not None]
+        if not held:
+            return
+        if len(held) < len(changed):
+            y_hats = np.array([learner.last_prediction.entries
+                               for learner in held])
+        rows = np.array([learner._held for learner in held])
+        violations = minmax_violations(y_hats, rows[:, 0], rows[:, 1],
+                                       rows[:, 2, 0])
+        for learner, violation in zip(held, violations.tolist()):
+            learner.last_violation = violation
+
+    def _hold(self, marginal: np.ndarray) -> None:
+        """Hold `marginal`, the weights of a solve's point."""
+        self.last_marginal = marginal
+        self._held = np.array([marginal, (2.0 / self.gamma) / marginal,
+                               np.full(self.k, minmax_rhs(self.k, self.gamma))])
 
     def select(self, context, rng: RngHandle):
         """Play a marginal that meets the inverse-gap program of the forecast.
@@ -261,19 +329,14 @@ class MinMaxDb:
         (the held marginal lies on the floored simplex, so the solve's
         projection copies it), and a solve that meets the test there
         returns it after 0 iterations: keeping it gives the bits of solving
-        every round. The violation is computed once per forecast object,
-        so an unchanged object (the finite oracle hands it back until an
-        update or a change of context) reuses it. A NaN violation fails
-        the test, and the solver raises NotConverged.
+        every round. `prepare_round` computes the violation once per
+        forecast object, so an unchanged object (the finite oracle hands it
+        back until an update or a change of context) reuses it. A NaN
+        violation fails the test, and the solver raises NotConverged.
         """
-        forecast = self.oracle.predict_matrix(context)
-        if forecast is not self._forecast:
-            y_hat = skew_complete(forecast)
-            self._forecast = forecast
-            self.last_prediction = y_hat
-            if self.last_marginal is not None:
-                self.last_violation = minmax_violation(
-                    y_hat, self.gamma, self.last_marginal)
+        if not self._prepared:
+            self.prepare_round([self], [context])
+        self._prepared = False
         if self.last_violation <= self._stop_violation:
             self.last_iterations = 0
         else:
@@ -283,7 +346,7 @@ class MinMaxDb:
             )
             p = report.point
             self._solved = p, product_joint(p)
-            self.last_marginal = p.weights
+            self._hold(p.weights)
             self.last_violation = report.max_violation
             self.last_iterations = report.iterations
         p, joint = self._solved

@@ -11,6 +11,7 @@ import functools
 import logging
 import math
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -83,6 +84,17 @@ class PreferenceMatrix:
         m.entries = entries
         return m
 
+    @classmethod
+    def _unchecked_rows(cls, stack: np.ndarray) -> list[PreferenceMatrix]:
+        """`_unchecked` for each matrix of an (S, K, K) stack, frozen once."""
+        stack.setflags(write=False)
+        rows = []
+        for entries in stack:
+            m = cls.__new__(cls)
+            m.entries = entries
+            rows.append(m)
+        return rows
+
     @property
     def k(self) -> int:
         return self.entries.shape[0]
@@ -109,15 +121,20 @@ def _clean_weights(raw, shape_name: str) -> np.ndarray:
 
 
 class ActionDistribution:
-    """Point of the K-simplex (arm marginal or adversary response)."""
+    """Point of the K-simplex (arm marginal or adversary response).
 
-    __slots__ = ("weights",)
+    The weights are frozen, so their running sums, which `sample_pair`
+    draws from, are computed once per distribution.
+    """
+
+    __slots__ = ("weights", "_cumulative")
 
     def __init__(self, weights):
         w = _clean_weights(weights, "distribution")
         if w.ndim != 1 or w.shape[0] < 1:
             raise ValueError(f"expected a weight vector, got shape {w.shape}")
         self.weights = w
+        self._cumulative = None
 
     @classmethod
     def _unchecked(cls, weights: np.ndarray) -> ActionDistribution:
@@ -127,6 +144,7 @@ class ActionDistribution:
         d = cls.__new__(cls)
         weights.setflags(write=False)
         d.weights = weights
+        d._cumulative = None
         return d
 
     @property
@@ -181,27 +199,38 @@ def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def clamp_forecasts(forecasts: np.ndarray) -> np.ndarray:
+    """A stack (S, K, K) of skew forecasts, each clamped into [-1, 1].
+
+    A matrix whose maximum is above 1 (for a skew matrix, its largest
+    absolute entry), or NaN, takes the clamp, which keeps it skew, and each
+    clamp is logged. The stack itself is returned when no matrix takes the
+    clamp, else a copy; the values of every matrix are those of `np.clip`.
+    """
+    if forecasts.max() <= 1.0:
+        return forecasts
+    clamp = ~(forecasts.max(axis=(1, 2)) <= 1.0)
+    out = forecasts.copy()
+    out[clamp] = np.clip(forecasts[clamp], -1.0, 1.0)
+    k = forecasts.shape[1]
+    # each pair is counted twice; NaN != NaN counts as clamped
+    counts = np.count_nonzero(out != forecasts, axis=(1, 2)) // 2
+    for n_clamped in counts[clamp].tolist():
+        log.debug("skew_complete clamped %d of %d predictions into [-1, 1]",
+                  n_clamped, k * (k - 1) // 2)
+    return out
+
+
 def skew_complete(forecast) -> PreferenceMatrix:
     """The preference matrix of an oracle's K x K skew forecast.
 
     The forecast must be exactly skew with a zero diagonal, as every
-    oracle's `predict_matrix` returns it; only its shape is checked. Values
-    outside [-1, 1] (online regressors may overshoot) are clamped, which
-    keeps the matrix skew, and the clamp is logged. A forecast already in
-    [-1, 1] (a skew matrix's maximum is its largest absolute entry) is
-    wrapped as a read-only view, not copied; NaN fails that test and takes
-    the clamp.
+    oracle's `predict_matrix` returns it; only its shape is checked. It is
+    clamped as `clamp_forecasts` clamps a stack of one. A forecast already
+    in [-1, 1] is wrapped as a read-only view, not copied.
     """
     m = _as_square(forecast)
-    if m.max() <= 1.0:
-        return PreferenceMatrix._unchecked(m.view())
-    clamped = np.clip(m, -1.0, 1.0)
-    n_clamped = int(np.count_nonzero(clamped != m)) // 2  # each pair twice
-    if n_clamped:
-        k = m.shape[0]
-        log.debug("skew_complete clamped %d of %d predictions into [-1, 1]",
-                  n_clamped, k * (k - 1) // 2)
-    return PreferenceMatrix._unchecked(clamped)
+    return PreferenceMatrix._unchecked(clamp_forecasts(m[None])[0])
 
 
 def sample_outcome(p_value: float, rng: RngHandle) -> int:
@@ -211,17 +240,21 @@ def sample_outcome(p_value: float, rng: RngHandle) -> int:
     return 1 if rng.random() < (p_value + 1.0) / 2.0 else -1
 
 
-def _draw_categorical(cumulative: np.ndarray, rng: RngHandle) -> int:
+def _draw_categorical(cumulative, rng: RngHandle) -> int:
+    """An index drawn from running sums, a list of floats or an array."""
     # inverse-CDF draw; independent of numpy's choice() internals. The
     # cumulative sums never decrease, so bisect_right finds the index
     # np.searchsorted(side="right") would, without a numpy call.
     u = rng.random() * cumulative[-1]
-    return min(bisect_right(cumulative, u), cumulative.size - 1)
+    return min(bisect_right(cumulative, u), len(cumulative) - 1)
 
 
 def sample_pair(dist: ActionDistribution, rng: RngHandle) -> tuple[int, int]:
     """Two iid draws from the same marginal (product measure p x p)."""
-    cum = dist.weights.cumsum()
+    cum = dist._cumulative
+    if cum is None:
+        # as floats, the bits of `cumsum`, which adds one by one too
+        cum = dist._cumulative = list(accumulate(dist.weights.tolist()))
     return _draw_categorical(cum, rng), _draw_categorical(cum, rng)
 
 

@@ -203,13 +203,26 @@ def minmax_slack(k: int, gamma: float) -> float:
     return k / gamma
 
 
+def minmax_violations(y_hats: np.ndarray, points: np.ndarray,
+                      penalties: np.ndarray, budgets) -> np.ndarray:
+    """Signed worst violation of the inverse-gap constraints, for a stack:
+    (S, K, K) predictions, (S, K) points with their (S, K) penalties
+    (2/gamma) / p and their budgets 5K/gamma give (S,).
+
+    Each matrix-vector product is one (K, K) @ (K, 1) `np.matmul`, which
+    gives the bits of the descent's `Y @ p` at its start.
+    """
+    g = np.matmul(y_hats, points[:, :, None])[:, :, 0]
+    g += penalties
+    return g.max(axis=1) - budgets
+
+
 def minmax_violation(y_hat, gamma: float, point) -> float:
     """Signed worst violation of the inverse-gap constraints at `point`."""
     ye = _entries(y_hat)
     pw = point.weights if isinstance(point, ActionDistribution) else np.asarray(point)
-    k = ye.shape[0]
-    g = ye @ pw + (2.0 / gamma) / pw
-    return float(g.max() - minmax_rhs(k, gamma))
+    return float(minmax_violations(ye[None], pw[None], ((2.0 / gamma) / pw)[None],
+                                   minmax_rhs(ye.shape[0], gamma))[0])
 
 
 def solve_minmax_feasibility(

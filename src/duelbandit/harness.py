@@ -2,10 +2,12 @@
 
 Every seed owns its learner, environment substreams and ledger. Seeds run
 in lockstep groups of at most LOCKSTEP_SEEDS, round by round: when the
-learner class has a batched `prepare_round`, one stacked call per round
-does the statistics and the zero-pivot simplex checks of every live seed
-of the group; other learners run one seed at a time. A seed gets the
-same bits in any group. Chunks of seeds fan out across processes when
+learner class has a batched `prepare_round`, every live seed of the group
+draws its context, then one stacked call per round does the learners'
+work up to the per-seed solve (`CceDb`'s statistics and zero-pivot
+simplex checks, `MinMaxDb`'s oracle forecasts and held-marginal tests);
+`CceLinDb` runs one seed at a time. A seed gets the same bits in any
+group. Chunks of seeds fan out across processes when
 DUELBANDIT_THREADS > 1 and results merge in seed order, so output is
 deterministic either way. Round CSVs carry full-precision floats and
 reproduce byte-identically for a fixed config; a summary's wall time is
@@ -18,6 +20,7 @@ import functools
 import json
 import os
 import time
+from array import array
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -337,14 +340,19 @@ class _SeedRun:
         self.outcome_rng = root.substream("outcome")
         self.violations = 0 if config.diagnostic else None
         self.solver_iters = 0
-        # (arm_a, arm_b, outcome, solver_iters) per booked round
-        self.rows = [] if config.output_dir is not None else None
+        # arm_a, arm_b, outcome and solver_iters of each booked round, flat
+        self.rows = array("q") if config.output_dir is not None else None
         self.status = "ok"
+        self.context = self.truth = None  # the round's draw
 
-    def play(self, t: int) -> None:
-        """Round t: draw, select, duel, check, observe, book."""
-        learner = self.learner
-        x, truth = self.env.sample_round(self.env_rng)
+    def draw(self) -> None:
+        """The first step of a round: draw its context and truth."""
+        self.context, self.truth = self.env.sample_round(self.env_rng)
+
+    def play(self) -> None:
+        """The rest of a round on its draw: select, duel, check, observe,
+        book."""
+        learner, x, truth = self.learner, self.context, self.truth
         joint, duel = learner.select(x, self.learner_rng)
         a, b = duel
         outcome = sample_outcome(truth.entries.item(a, b), self.outcome_rng)
@@ -356,13 +364,15 @@ class _SeedRun:
         iters = learner.last_iterations
         self.solver_iters += iters
         if self.rows is not None:
-            self.rows.append((a, b, outcome, iters))
+            self.rows.fromlist([a, b, outcome, iters])
 
     def result(self, config: ExperimentConfig, wall_clock_s: float):
-        """(RunSummary, RegretLedger, csv lines) of the rounds played."""
+        """(RunSummary, RegretLedger, csv lines) of the rounds played; the
+        round rows are released once formatted."""
         learner, ledger = self.learner, self.ledger
         lines = [] if self.rows is None else _round_lines(
             self.seed, learner.gamma, self.rows, ledger)
+        self.rows = None
         summary = RunSummary(
             seed=self.seed, horizon=config.horizon,
             final_br=ledger.final_br, final_fb=ledger.final_fb,
@@ -380,19 +390,20 @@ def run_seeds(config: ExperimentConfig, seeds: list[int]) -> list:
     (RunSummary, RegretLedger, csv lines) per seed, in seed order.
 
     Seeds run in groups of at most LOCKSTEP_SEEDS when the learner class
-    has a batched `prepare_round`, which each round gives every live
-    learner of a group its statistics in one stacked pass; otherwise one
-    at a time. Each seed keeps its own substreams, so it gets the bits it
-    gets alone. A seed that raises DuelBanditError or DiagnosticFailure
-    stops at that round and the others run on. Every summary of a group
-    reports the group's wall time.
+    has a batched `prepare_round` (`CceDb`, `MinMaxDb`), which each round
+    takes every live seed's drawn context and does the learners' work up to
+    the per-seed solve in one stacked pass; otherwise one at a time. Each
+    seed keeps its own substreams, so it gets the bits it gets alone. A
+    seed that raises DuelBanditError or DiagnosticFailure, in its draw or
+    in the rest of its round, stops at that round and the others run on.
+    Every summary of a group reports the group's wall time.
     """
-    return [result for group in _lockstep_groups(config, seeds)
-            for result in group]
+    return list(_lockstep_groups(config, seeds))
 
 
 def _lockstep_groups(config: ExperimentConfig, seeds: list[int]):
-    """Yield each lockstep group's results as soon as the group has run."""
+    """Yield each seed's result, a group's seeds in turn as soon as the
+    group has run, so that one seed's round CSV lines are held at a time."""
     rest = list(seeds)
     while rest:
         t_start = time.perf_counter()
@@ -403,22 +414,30 @@ def _lockstep_groups(config: ExperimentConfig, seeds: list[int]):
         rest = rest[size:]
         live = runs
         for t in range(1, config.horizon + 1):
-            if prepare is not None:
-                prepare([run.learner for run in live])
-            failed = False
-            for run in live:
-                try:
-                    run.play(t)
-                except (DuelBanditError, DiagnosticFailure) as exc:
-                    run.status = (f"failed: {type(exc).__name__} at round "
-                                  f"{t}: {exc}")
-                    failed = True
-            if failed:
-                live = [run for run in live if run.status == "ok"]
-                if not live:
-                    break
+            live = _stage(live, t, _SeedRun.draw)
+            if prepare is not None and live:
+                prepare([run.learner for run in live],
+                        [run.context for run in live])
+            live = _stage(live, t, _SeedRun.play)
+            if not live:
+                break
         wall = time.perf_counter() - t_start
-        yield [run.result(config, wall) for run in runs]
+        for run in runs:
+            yield run.result(config, wall)
+
+
+def _stage(runs: list, t: int, step) -> list:
+    """Run `step` of round t on each run; returns the runs that did not
+    fail in it. A run that raises DuelBanditError or DiagnosticFailure
+    records where it failed."""
+    failed = False
+    for run in runs:
+        try:
+            step(run)
+        except (DuelBanditError, DiagnosticFailure) as exc:
+            run.status = f"failed: {type(exc).__name__} at round {t}: {exc}"
+            failed = True
+    return [run for run in runs if run.status == "ok"] if failed else runs
 
 
 def run_single_seed(config: ExperimentConfig, seed: int):
@@ -427,16 +446,17 @@ def run_single_seed(config: ExperimentConfig, seed: int):
     return run_seeds(config, [seed])[0]
 
 
-def _round_lines(seed: int, gamma: float | None, rows: list,
+def _round_lines(seed: int, gamma: float | None, rows: array,
                  ledger: RegretLedger) -> list[str]:
-    """The round CSV's rows, one per booked round, formatted after the run.
+    """The round CSV's rows, one per booked round, formatted after the run
+    from the flat (arm_a, arm_b, outcome, solver_iters) `rows`.
 
     Each float goes through "%.17g", the format `_fmt` applies; integers
     through str.
     """
     template = (f"{seed},%s,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,"
                 f"{_fmt(0.0 if gamma is None else gamma)},%s")
-    columns = zip(range(1, len(rows) + 1), rows,
+    columns = zip(range(1, len(rows) // 4 + 1), zip(*[iter(rows)] * 4),
                   ledger.br_steps.tolist(), ledger.br_cum.tolist(),
                   ledger.fb_steps.tolist(), ledger.fb_cum.tolist(),
                   ledger.policy_cum.tolist())
@@ -453,11 +473,11 @@ def _run_and_write_seeds(config: ExperimentConfig, seeds: list[int]) -> list:
     The one path, taken in-process and by pool workers alike.
     """
     out = []
-    for group in _lockstep_groups(config, seeds):
-        for summary, ledger, lines in group:
-            _write_rounds(config, summary.seed, lines)
-            out.append((summary, {"br_steps": ledger.br_steps,
-                                  "fb_steps": ledger.fb_steps}))
+    for summary, ledger, lines in _lockstep_groups(config, seeds):
+        _write_rounds(config, summary.seed, lines)
+        del lines  # not held while the next seed's lines are formatted
+        out.append((summary, {"br_steps": ledger.br_steps,
+                              "fb_steps": ledger.fb_steps}))
     return out
 
 
@@ -468,9 +488,8 @@ def _write_rounds(config: ExperimentConfig, seed: int, lines: list[str]) -> None
     path = os.path.join(config.output_dir, f"rounds_seed{seed}.csv")
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
+        # line by line: the joined file is never held in memory
+        fh.writelines(line + "\n" for line in lines)
 
 
 def worker_count() -> int:

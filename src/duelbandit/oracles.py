@@ -64,23 +64,40 @@ def regret_budget(
     return lambda t: float(scale * np.sqrt(t))
 
 
+def exp_weights(log_weights: np.ndarray) -> np.ndarray:
+    """The normalized exponential weights of each row of an (S, |F|) stack
+    of log-weights; a row's max and sum run along it alone, so it gets the
+    bits it gets as a stack of one."""
+    w = log_weights - log_weights.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
+
+
 class FiniteClassAggregator:
     """Exponentially weighted average over a finite set of hypotheses.
 
     Hypotheses are precomputed prediction tables of shape
     (|F|, n_contexts, K, K); contexts are integer ids. The forecast is the
     weight-weighted mean of hypothesis predictions, computed once per
-    context between updates and held read-only.
+    context between updates and held read-only. `prepare_forecasts`
+    computes the missing forecasts of many aggregators in one stacked pass.
     """
 
     def __init__(self, tables: np.ndarray):
         tables = np.asarray(tables, dtype=np.float64)
         if tables.ndim != 4:
             raise ValueError("tables must have shape (|F|, n_contexts, K, K)")
-        self.tables = tables
+        # one contiguous (|F|, K, K) block per context, which the stacked
+        # pass copies; `tables` is the (|F|, n_contexts, K, K) view of them
+        self._by_context = np.ascontiguousarray(tables.transpose(1, 0, 2, 3))
+        self.tables = self._by_context.transpose(1, 0, 2, 3)
         self.log_weights = np.zeros(tables.shape[0])
         self._n_updates = 0
         self._forecasts: dict[int, np.ndarray] = {}  # context id -> forecast
+        # (context id, a, b, y) -> the scaled losses of an update with a
+        # label in {-1, +1}: at most twice the tables
+        self._losses: dict[tuple, np.ndarray] = {}
 
     @property
     def class_size(self) -> int:
@@ -88,8 +105,7 @@ class FiniteClassAggregator:
 
     @property
     def weights(self) -> np.ndarray:
-        w = np.exp(self.log_weights - self.log_weights.max())
-        return w / w.sum()
+        return exp_weights(self.log_weights[None])[0]
 
     def _context(self, context) -> int:
         x = int(context)
@@ -97,20 +113,50 @@ class FiniteClassAggregator:
             raise DimensionMismatch(f"context id {x} outside table")
         return x
 
+    @classmethod
+    def prepare_forecasts(cls, oracles: list, contexts: list) -> None:
+        """Hold each oracle's forecast for its context, computing those it
+        does not hold in one stacked pass.
+
+        A forecast is `einsum("sf,sfij->sij")` of the weights and the
+        stacked context tables: each entry sums over f in the same order as
+        one oracle's `einsum("f,fij->ij")`, so an oracle gets the same bits
+        in any stack. The tables are exactly skew, so the mean is too.
+        """
+        missing, ids = [], []
+        for oracle, context in zip(oracles, contexts):
+            x = oracle._context(context)
+            if x not in oracle._forecasts:
+                missing.append(oracle)
+                ids.append(x)
+        if not missing:
+            return
+        weights = exp_weights(np.array([oracle.log_weights
+                                        for oracle in missing]))
+        tables = np.array([oracle._by_context[x]
+                           for oracle, x in zip(missing, ids)])
+        forecasts = np.einsum("sf,sfij->sij", weights, tables)
+        forecasts.flags.writeable = False
+        for oracle, x, forecast in zip(missing, ids, forecasts):
+            oracle._forecasts[x] = forecast
+
     def predict_matrix(self, context) -> np.ndarray:
         x = self._context(context)
         m = self._forecasts.get(x)
         if m is None:
-            # each entry sums over f in the same order, and the tables are
-            # exactly skew, so the mean is too
-            m = np.einsum("f,fij->ij", self.weights, self.tables[:, x])
-            m.flags.writeable = False
-            self._forecasts[x] = m
+            self.prepare_forecasts([self], [x])
+            m = self._forecasts[x]
         return m
 
     def update(self, context, a: int, b: int, y: float) -> None:
-        preds = self.tables[:, self._context(context), a, b]
-        self.log_weights = self.log_weights - EXP_WEIGHTS_ETA * (preds - y) ** 2
+        key = (self._context(context), a, b, y)
+        loss = self._losses.get(key)
+        if loss is None:
+            preds = self.tables[:, key[0], a, b]
+            loss = EXP_WEIGHTS_ETA * (preds - y) ** 2
+            if y in (-1.0, 1.0):  # the labels a duel gives
+                self._losses[key] = loss
+        self.log_weights = self.log_weights - loss
         self._forecasts = {}
         self._n_updates += 1
         if self._n_updates % 512 == 0:

@@ -23,6 +23,7 @@ from duelbandit.harness import build_environment, build_learner
 from duelbandit.oracles import (
     FiniteClassAggregator,
     VawForecaster,
+    exp_weights,
 )
 from duelbandit.rng import RngHandle
 
@@ -177,7 +178,7 @@ class TestCceDb:
         stacked_rounds = cold = 0
         for t in range(400):
             calls.clear()
-            CceDb.prepare_round(learners)
+            CceDb.prepare_round(learners, [None] * len(learners))
             assert len(calls) <= 1, t
             stacked_rounds += len(calls)
             calls.clear()
@@ -195,7 +196,7 @@ class TestCceDb:
         learners = [CceDb(4, 50) for _ in range(3)]
         kept = []
         for t in range(30):
-            CceDb.prepare_round(learners)
+            CceDb.prepare_round(learners, [None] * len(learners))
             for i, learner in enumerate(learners):
                 _joint, duel = learner.select(None, rng)
                 snapshot = (learner.last_mean, learner.last_confidence,
@@ -526,6 +527,119 @@ class TestMinMaxDbReuse:
             learner.select(0, rng)
         with pytest.raises(NotConverged):
             learner.select(0, rng)
+
+
+def _record_minmax_rounds(oracle, environment, seeds, rounds):
+    """Run MinMaxDb, gamma "auto" for T=400, on each seed for `rounds`
+    rounds; returns the environment, gamma and, per round, what the
+    round's `prepare_round` read: the oracle's log-weights (a copy; None
+    for a linear oracle), the context, the held marginal (None at the
+    first round) and the forecast the learner got."""
+    env = build_environment(environment)
+    algorithm = {"kind": "minmaxdb", "gamma": "auto", "oracle": oracle}
+    recorded = []
+    for seed in seeds:
+        learner = build_learner(algorithm, env, 400)
+        root = RngHandle(seed)
+        env_rng, learner_rng, outcome_rng = (
+            root.substream(name) for name in ("environment", "learner", "outcome"))
+        for _ in range(rounds):
+            x, truth = env.sample_round(env_rng)
+            log_weights = getattr(learner.oracle, "log_weights", None)
+            held = learner.last_marginal
+            _joint, duel = learner.select(x, learner_rng)
+            recorded.append((None if log_weights is None else log_weights.copy(),
+                             x, held, learner._forecast))
+            learner.observe(x, duel, sample_outcome(truth.entries.item(*duel),
+                                                    outcome_rng))
+    return env, learner.gamma, recorded
+
+
+def _stacks(recorded, seed):
+    """The recorded rounds, shuffled, in stacks of 1 to 8."""
+    gen = np.random.default_rng(seed)
+    order = gen.permutation(len(recorded)).tolist()
+    while order:
+        size = int(gen.integers(1, 9))
+        yield [recorded[i] for i in order[:size]]
+        order = order[size:]
+
+
+class TestMinMaxDbStackedPass:
+    """`MinMaxDb.prepare_round` on stacks of recorded rounds gives each
+    learner what an independent per-seed reference gives, bit for bit: the
+    exponential weights of its log-weights and their `einsum` with its
+    context's tables, the forecast clipped into [-1, 1] when its maximum is
+    not <= 1, and the held marginal's violation from a (K, K) @ (K,)
+    product."""
+
+    @staticmethod
+    def _assert_prediction_and_violation(learner, forecast, held, gamma):
+        k = forecast.shape[0]
+        y = forecast if forecast.max() <= 1.0 else np.clip(forecast, -1.0, 1.0)
+        assert learner.last_prediction.entries.tobytes() == y.tobytes()
+        if held is None:
+            assert learner.last_violation == np.inf
+        else:
+            g = y @ held + (2.0 / gamma) / held
+            violation = float(g.max() - 5.0 * k / gamma)
+            assert learner.last_violation == violation or (
+                np.isnan(learner.last_violation) and np.isnan(violation))
+
+    @pytest.mark.parametrize("n_contexts", [1, 2])
+    def test_finite_class_stacks_match_the_reference(self, n_contexts):
+        env, gamma, recorded = _record_minmax_rounds(
+            {"kind": "finite"},
+            {"kind": "finite_class", "k": 3, "n_contexts": n_contexts,
+             "class_size": 16, "class_seed": 11}, range(3), 300)
+        tables = env.tables
+        for stack in _stacks(recorded, n_contexts):
+            learners = []
+            for s, (log_weights, x, held, _) in enumerate(stack):
+                oracle = FiniteClassAggregator(tables)
+                oracle.log_weights = log_weights.copy()
+                if s % 3 == 2:  # holds its forecast: the stacked pass skips it
+                    oracle.predict_matrix(x)
+                learner = MinMaxDb(3, gamma, oracle)
+                if held is not None:
+                    learner._hold(held)
+                learners.append(learner)
+            MinMaxDb.prepare_round(learners, [x for _, x, _, _ in stack])
+            weights = exp_weights(np.stack([lw for lw, _, _, _ in stack]))
+            for learner, w, (log_weights, x, held, seen) in zip(
+                    learners, weights, stack):
+                reference = np.exp(log_weights - log_weights.max())
+                reference = reference / reference.sum()
+                assert w.tobytes() == reference.tobytes()
+                forecast = np.einsum("f,fij->ij", reference, tables[:, x])
+                assert learner._forecast.tobytes() == forecast.tobytes()
+                assert seen.tobytes() == forecast.tobytes()
+                self._assert_prediction_and_violation(learner, forecast, held,
+                                                      gamma)
+
+    def test_linear_forecasts_match_the_reference(self):
+        # vaw overshoots [-1, 1] on 14 of seed 0's 400 rounds here (and
+        # on none of seeds 1-2's); one forecast is made NaN, which takes
+        # the clamp too
+        env, gamma, recorded = _record_minmax_rounds(
+            {"kind": "vaw"},
+            {"kind": "linear", "k": 5, "dim": 4, "weight_seed": 5},
+            range(3), 400)
+        assert sum(seen.max() > 1.0 for *_, seen in recorded) == 14
+        nan = recorded[5][3].copy()
+        nan[0, 1], nan[1, 0] = np.nan, np.nan
+        recorded[5] = recorded[5][:3] + (nan,)
+        for stack in _stacks(recorded, 0):
+            learners = []
+            for _, _, held, seen in stack:
+                learner = MinMaxDb(5, gamma, _Scripted(seen))
+                if held is not None:
+                    learner._hold(held)
+                learners.append(learner)
+            MinMaxDb.prepare_round(learners, [x for _, x, _, _ in stack])
+            for learner, (_, _, held, seen) in zip(learners, stack):
+                self._assert_prediction_and_violation(learner, seen, held,
+                                                      gamma)
 
 
 class TestDefaultGamma:

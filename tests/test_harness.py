@@ -408,10 +408,38 @@ def _run_bytes(result):
             fields)
 
 
+# MinMaxDb with gamma "auto" at T=400 (the finite class needs T >= 267):
+# the finite-class workload's instance, whose held marginal always meets the
+# stop test; its two-context form, where the descent iterates; and `vaw` on
+# the linear K=5, d=4 instance, whose forecasts are new arrays every round
+# and take the clamp on 14 of seed 0's rounds
+MINMAXDB_INSTANCES = {
+    "finite-1ctx": ({"kind": "finite"},
+                    {"kind": "finite_class", "k": 3, "n_contexts": 1,
+                     "class_size": 16, "class_seed": 11},
+                    {"q_star": "nash", "policy_count": 3}),
+    "finite-2ctx": ({"kind": "finite"},
+                    {"kind": "finite_class", "k": 3, "n_contexts": 2,
+                     "class_size": 16, "class_seed": 11},
+                    {"q_star": None, "policy_count": 0}),
+    "vaw": ({"kind": "vaw"},
+            {"kind": "linear", "k": 5, "dim": 4, "weight_seed": 5},
+            {"q_star": None, "policy_count": 0}),
+}
+
+
+def _minmaxdb_config(instance, **overrides):
+    oracle, environment, benchmark = MINMAXDB_INSTANCES[instance]
+    return base_config(**{
+        "algorithm": {"kind": "minmaxdb", "gamma": "auto", "oracle": oracle},
+        "environment": environment, "benchmark": benchmark,
+        "horizon": 400, **overrides})
+
+
 class TestLockstep:
     """`run_seeds` runs a group's seeds round by round, with one stacked
-    `CceDb.prepare_round` per round; each seed must get the bits it gets
-    alone."""
+    `CceDb.prepare_round` or `MinMaxDb.prepare_round` per round; each seed
+    must get the bits it gets alone."""
 
     SEEDS = [0, 1, 2, 3]
 
@@ -485,13 +513,12 @@ class TestLockstep:
         assert len(rounds) > 1  # the seeds drop out at different rounds
 
     def test_learner_without_batched_step_runs_alone(self, monkeypatch):
-        # MinMaxDb has no prepare_round: its seeds run one after another,
+        # CceLinDb has no prepare_round: its seeds run one after another,
         # each group its own wall time
         config = ExperimentConfig.from_dict({
-            "algorithm": {"kind": "minmaxdb", "gamma": 30.0,
-                          "oracle": {"kind": "finite"}},
-            "environment": {"kind": "finite_class", "k": 3, "n_contexts": 2,
-                            "class_size": 4, "class_seed": 2},
+            "algorithm": {"kind": "ccelindb"},
+            "environment": {"kind": "linear", "k": 3, "dim": 2,
+                            "weight_seed": 1},
             "horizon": 50, "seeds": [0, 1],
             "benchmark": {"q_star": None, "policy_count": 0},
         })
@@ -506,15 +533,88 @@ class TestLockstep:
         plays = []
         play = harness._SeedRun.play
 
-        def count(run, t):
-            plays.append((len(built), run.seed, t))
-            return play(run, t)
+        def count(run):
+            plays.append((len(built), run.seed))
+            return play(run)
 
         monkeypatch.setattr(harness._SeedRun, "play", count)
         results = run_seeds(config, [0, 1])
         # seed 1 is built only after seed 0 has played all its rounds
-        assert [p[:2] for p in plays] == [(1, 0)] * 50 + [(2, 1)] * 50
+        assert plays == [(1, 0)] * 50 + [(2, 1)] * 50
         assert [r[0].status for r in results] == ["ok", "ok"]
+
+    @pytest.mark.parametrize("with_csv", [False, True],
+                             ids=["no-csv", "csv"])
+    @pytest.mark.parametrize("instance", sorted(MINMAXDB_INSTANCES))
+    def test_minmaxdb_group_gives_each_seed_its_bytes_alone(
+            self, tmp_path, monkeypatch, instance, with_csv):
+        config = _minmaxdb_config(
+            instance, output_dir=str(tmp_path) if with_csv else None)
+        groups = []
+        prepare = MinMaxDb.prepare_round.__func__
+
+        def record(cls, learners, contexts):
+            groups.append(len(learners))
+            return prepare(cls, learners, contexts)
+
+        monkeypatch.setattr(MinMaxDb, "prepare_round", classmethod(record))
+        together = run_seeds(config, self.SEEDS)
+        # one stacked step per round, for the whole group
+        assert groups == [4] * 400
+        assert [r[0].seed for r in together] == self.SEEDS
+        iterations = 0
+        for seed, result in zip(self.SEEDS, together):
+            alone = run_seeds(config, [seed])[0]
+            assert _run_bytes(result) == _run_bytes(alone), seed
+            assert result[0].status == "ok"
+            assert len(result[2]) == (400 if with_csv else 0)
+            iterations += result[0].solver_iterations
+        assert (iterations > 0) == (instance != "finite-1ctx")
+
+    @pytest.mark.parametrize("where", ["draw", "outcome"])
+    @pytest.mark.parametrize("instance", sorted(MINMAXDB_INSTANCES))
+    def test_minmaxdb_failing_seed_drops_out_alone(self, tmp_path,
+                                                   monkeypatch, instance,
+                                                   where):
+        # a failed draw counts as its seed's round, as a failed duel does
+        config = _minmaxdb_config(instance, output_dir=str(tmp_path))
+        full = run_seeds(config, self.SEEDS)
+        failing, round_ = 2, 137
+        calls = []
+        if where == "draw":
+            env_cls = type(build_environment(config.environment))
+            owner, name = env_cls, "sample_round"
+            original = env_cls.sample_round
+
+            def faulty(env, rng):
+                if rng.seed == failing:
+                    calls.append(rng)
+                    if len(calls) == round_:
+                        raise RangeViolation("injected")
+                return original(env, rng)
+        else:
+            owner, name = harness, "sample_outcome"
+            original = harness.sample_outcome
+
+            def faulty(p_value, rng):
+                if rng.seed == failing:
+                    calls.append(rng)
+                    if len(calls) == round_:
+                        raise RangeViolation("injected")
+                return original(p_value, rng)
+
+        monkeypatch.setattr(owner, name, faulty)
+        cut = run_seeds(config, self.SEEDS)
+        for seed, before, after in zip(self.SEEDS, full, cut):
+            if seed != failing:
+                assert _run_bytes(after) == _run_bytes(before), seed
+                continue
+            assert after[0].status == (
+                f"failed: RangeViolation at round {round_}: injected")
+            assert len(after[2]) == round_ - 1
+            assert after[2] == before[2][:round_ - 1]
+            assert after[1].br_steps.tobytes() == \
+                before[1].br_steps[:round_ - 1].tobytes()
 
     def test_group_summaries_report_the_group_wall_time(self):
         results = run_seeds(_ccedb_config(horizon=20), self.SEEDS)

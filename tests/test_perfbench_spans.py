@@ -2,8 +2,9 @@
 
 `perfbench/spans.py` wraps the entry points of every layer by name, on the
 learner, environment and oracle classes of each benchmark workload. The
-checks run `instrument` on those pairings, and on `MinMaxDb` with each
-linear oracle, for a short run each: the spans of the learner and its
+checks run `instrument` on those pairings, on `MinMaxDb` with each
+linear oracle and on its finite-class instance with two contexts, for a
+short run each: the spans of the learner and its
 solver, and of the simplex kernel under a CCE learner, must fire, and the
 undo must put back every attribute it replaced. A name that perfbench patches and the program renames or deletes
 fails here. They run in a fresh interpreter, so a patch that `instrument`
@@ -52,6 +53,13 @@ runs = {
         ("ccelindb-linear5", (CceLinDb, LinearRealizableEnvironment, None)),
     )
 }
+# the finite-class instance with two contexts, where the descent iterates
+runs["finite-ctx2"] = (
+    (MinMaxDb, FiniteClassEnvironment, FiniteClassAggregator),
+    dict(WORKLOADS["minmaxdb-finite3-csv"].config, horizon=HORIZON,
+         environment={"kind": "finite_class", "k": 3, "n_contexts": 2,
+                      "class_size": 16, "class_seed": 11},
+         benchmark={"q_star": None}), False)
 for kind, oracle_cls in (("vaw", VawForecaster), ("ogd", OgdForecaster)):
     runs[kind] = (
         (MinMaxDb, LinearRealizableEnvironment, oracle_cls),
@@ -140,6 +148,10 @@ def test_traced_minmaxdb_runs_with_each_linear_oracle(traced_runs):
         _assert_fires_and_restores(kind, traced_runs[kind])
 
 
+def test_traced_minmaxdb_runs_with_two_contexts(traced_runs):
+    _assert_fires_and_restores("finite-ctx2", traced_runs["finite-ctx2"])
+
+
 def test_traced_solver_values_are_the_solver_iterations(traced_runs):
     # the tracer reads a kernel's iteration count at index 2 of what it
     # returns; summed over a run, the learners' solver spans give the
@@ -152,3 +164,5 @@ def test_traced_solver_values_are_the_solver_iterations(traced_runs):
             name, run["values"], run["solver_iterations"])
     assert traced_runs["ccedb-condorcet5"]["solver_iterations"] > 0
     assert traced_runs["ccelindb-linear5"]["solver_iterations"] > 0
+    # the one traced MinMaxDb run whose descent iterates
+    assert traced_runs["finite-ctx2"]["solver_iterations"] > 0
