@@ -5,8 +5,9 @@ duel, outcome)`; neither sees the truth. `select` publishes a `last_*`
 snapshot, which `check_round(truth, joint)` tests against the truth in
 diagnostic runs; `regret_scale(k, t)` normalizes the regret. The
 classmethod `prepare_round(learners, contexts)` of `CceDb` and `MinMaxDb`
-does a lockstep group's round up to the per-seed solve in one stacked pass,
-with the bits each learner gets alone; `CceLinDb` has none.
+does a lockstep group's round up to the per-seed solve in one stacked pass
+gathered from each learner's own state, with the bits each learner gets
+alone; `CceLinDb` has none.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .games import (
     solve_minmax_feasibility,
     zero_pivot_cces,
 )
-from .oracles import RIDGE, _RidgeState
+from .oracles import RIDGE, _features, _RidgeState
 from .rng import RngHandle
 
 UNEXPLORED_WIDTH_CAP = 2.0  # diameter of the payoff range [-1, 1]
@@ -115,26 +116,10 @@ class CceDb(_CceLearner):
         self.wins = np.zeros((k, k))
         self.t = 1
         self._basis = ()  # the last CCE solve's simplex basis
-        self._row = 0  # the row of the stack that `wins` is a view of
         self._prepared = None  # this round's (mean, width, upper, report)
 
     def counts(self) -> np.ndarray:
         return self.wins + self.wins.T
-
-    @staticmethod
-    def _stacked_wins(learners: list) -> np.ndarray:
-        """The learners' win counts as one (S, K, K) array whose rows their
-        `wins` are views of; stacked again only when the learners are not
-        the rows of the last call's stack, in order."""
-        stack = learners[0].wins.base
-        if stack is None or len(stack) != len(learners) or not all(
-                learner.wins.base is stack and learner._row == row
-                for row, learner in enumerate(learners)):
-            stack = np.stack([learner.wins for learner in learners])
-            for row, learner in enumerate(learners):
-                learner.wins = stack[row]
-                learner._row = row
-        return stack
 
     @classmethod
     def prepare_round(cls, learners: list, contexts: list) -> None:
@@ -155,11 +140,12 @@ class CceDb(_CceLearner):
           because CAP = 2 is a power of two.
 
         Subtracting the boolean `explored` takes 1 off the explored means.
-        Every operation acts on each learner's K x K block alone, so a
-        learner gets the same bits in any batch. Each round's arrays are
-        new, so a published snapshot is never overwritten.
+        The pass stacks each learner's own `wins` afresh and acts on each
+        K x K block alone, so a learner gets the same bits in any batch.
+        Each round's arrays are new, so a published snapshot is never
+        overwritten.
         """
-        wins = cls._stacked_wins(learners)
+        wins = np.array([learner.wins for learner in learners])
         n = wins + wins.transpose(0, 2, 1)
         explored = n > 0
         log_term = np.log([learner.k * learner.k * learner.t * learner.t
@@ -218,10 +204,8 @@ class CceLinDb(_CceLearner):
         )
 
     def select(self, context, rng: RngHandle):
-        x = np.asarray(context, dtype=np.float64)
+        x = _features(context, self.dim)
         k = x.shape[0]
-        if x.ndim != 3 or x.shape[2] != self.dim:
-            raise ValueError(f"context must be (K, K, {self.dim}) features")
         mean, quad = self.state.predict(x.reshape(k * k, self.dim))
         mean = mean.reshape(k, k)
         width = np.sqrt(np.maximum(quad, 0.0, out=quad), out=quad).reshape(k, k)
@@ -233,7 +217,7 @@ class CceLinDb(_CceLearner):
     def observe(self, context, duel: tuple[int, int], outcome: int) -> None:
         if outcome not in (-1, 1):
             raise ValueError(f"outcome must be -1 or +1, got {outcome}")
-        x = np.asarray(context, dtype=np.float64)[duel[0], duel[1]]
+        x = _features(context, self.dim)[duel[0], duel[1]]
         self.state.add(x, float(outcome))
 
 
@@ -278,9 +262,10 @@ class MinMaxDb:
 
         An oracle class with a stacked `prepare_forecasts` (the finite
         class) computes the forecasts it does not hold in one pass first.
-        The clamp is `clamp_forecasts`, and the violations are
-        `minmax_violations`, whose rows have the bits of a stack of one, so
-        a learner gets the same bits in any batch.
+        The changed forecasts are stacked for `clamp_forecasts`, each
+        learner's prediction is a read-only view of its row, and the
+        violations are `minmax_violations`, whose rows have the bits of a
+        stack of one, so a learner gets the same bits in any batch.
         """
         prepare_forecasts = getattr(type(learners[0].oracle),
                                     "prepare_forecasts", None)
@@ -298,9 +283,8 @@ class MinMaxDb:
         if not changed:
             return
         y_hats = clamp_forecasts(np.array(forecasts))
-        for learner, y_hat in zip(
-                changed, PreferenceMatrix._unchecked_rows(y_hats)):
-            learner.last_prediction = y_hat
+        for learner, y_hat in zip(changed, y_hats):
+            learner.last_prediction = PreferenceMatrix._unchecked(y_hat)
         held = [learner for learner in changed if learner._held is not None]
         if not held:
             return

@@ -84,17 +84,6 @@ class PreferenceMatrix:
         m.entries = entries
         return m
 
-    @classmethod
-    def _unchecked_rows(cls, stack: np.ndarray) -> list[PreferenceMatrix]:
-        """`_unchecked` for each matrix of an (S, K, K) stack, frozen once."""
-        stack.setflags(write=False)
-        rows = []
-        for entries in stack:
-            m = cls.__new__(cls)
-            m.entries = entries
-            rows.append(m)
-        return rows
-
     @property
     def k(self) -> int:
         return self.entries.shape[0]
@@ -202,22 +191,19 @@ def pair_indices(k: int) -> tuple[np.ndarray, np.ndarray]:
 def clamp_forecasts(forecasts: np.ndarray) -> np.ndarray:
     """A stack (S, K, K) of skew forecasts, each clamped into [-1, 1].
 
-    A matrix whose maximum is above 1 (for a skew matrix, its largest
-    absolute entry), or NaN, takes the clamp, which keeps it skew, and each
-    clamp is logged. The stack itself is returned when no matrix takes the
-    clamp, else a copy; the values of every matrix are those of `np.clip`.
+    The stack itself is returned when every entry is in [-1, 1], else its
+    `np.clip`, which keeps each matrix skew and leaves an entry in range
+    as it is. Each matrix with an entry out of range, or NaN, is logged.
     """
     if forecasts.max() <= 1.0:
         return forecasts
-    clamp = ~(forecasts.max(axis=(1, 2)) <= 1.0)
-    out = forecasts.copy()
-    out[clamp] = np.clip(forecasts[clamp], -1.0, 1.0)
+    out = np.clip(forecasts, -1.0, 1.0)
     k = forecasts.shape[1]
     # each pair is counted twice; NaN != NaN counts as clamped
-    counts = np.count_nonzero(out != forecasts, axis=(1, 2)) // 2
-    for n_clamped in counts[clamp].tolist():
+    changed = np.count_nonzero(out != forecasts, axis=(1, 2))
+    for n_changed in changed[changed > 0].tolist():
         log.debug("skew_complete clamped %d of %d predictions into [-1, 1]",
-                  n_clamped, k * (k - 1) // 2)
+                  n_changed // 2, k * (k - 1) // 2)
     return out
 
 

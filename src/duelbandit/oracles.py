@@ -78,21 +78,18 @@ class FiniteClassAggregator:
     """Exponentially weighted average over a finite set of hypotheses.
 
     Hypotheses are precomputed prediction tables of shape
-    (|F|, n_contexts, K, K); contexts are integer ids. The forecast is the
-    weight-weighted mean of hypothesis predictions, computed once per
-    context between updates and held read-only. `prepare_forecasts`
-    computes the missing forecasts of many aggregators in one stacked pass.
+    (|F|, n_contexts, K, K), held as a private copy; contexts are integer
+    ids. The forecast is the weight-weighted mean of hypothesis
+    predictions, computed once per context between updates and held
+    read-only. `prepare_forecasts` computes the missing forecasts of many
+    aggregators in one stacked pass.
     """
 
     def __init__(self, tables: np.ndarray):
-        tables = np.asarray(tables, dtype=np.float64)
-        if tables.ndim != 4:
+        self.tables = np.array(tables, dtype=np.float64)
+        if self.tables.ndim != 4:
             raise ValueError("tables must have shape (|F|, n_contexts, K, K)")
-        # one contiguous (|F|, K, K) block per context, which the stacked
-        # pass copies; `tables` is the (|F|, n_contexts, K, K) view of them
-        self._by_context = np.ascontiguousarray(tables.transpose(1, 0, 2, 3))
-        self.tables = self._by_context.transpose(1, 0, 2, 3)
-        self.log_weights = np.zeros(tables.shape[0])
+        self.log_weights = np.zeros(self.class_size)
         self._n_updates = 0
         self._forecasts: dict[int, np.ndarray] = {}  # context id -> forecast
         # (context id, a, b, y) -> the scaled losses of an update with a
@@ -119,7 +116,7 @@ class FiniteClassAggregator:
         does not hold in one stacked pass.
 
         A forecast is `einsum("sf,sfij->sij")` of the weights and the
-        stacked context tables: each entry sums over f in the same order as
+        gathered `tables[:, x]`: each entry sums over f in the same order as
         one oracle's `einsum("f,fij->ij")`, so an oracle gets the same bits
         in any stack. The tables are exactly skew, so the mean is too.
         """
@@ -133,7 +130,7 @@ class FiniteClassAggregator:
             return
         weights = exp_weights(np.array([oracle.log_weights
                                         for oracle in missing]))
-        tables = np.array([oracle._by_context[x]
+        tables = np.array([oracle.tables[:, x]
                            for oracle, x in zip(missing, ids)])
         forecasts = np.einsum("sf,sfij->sij", weights, tables)
         forecasts.flags.writeable = False
@@ -167,9 +164,9 @@ class FiniteClassAggregator:
 
 
 def _features(context, dim: int) -> np.ndarray:
-    """A linear context: the (K, K, dim) tensor of pair features."""
+    """A linear context as its (K, K, dim) tensor, or DimensionMismatch."""
     x = np.asarray(context, dtype=np.float64)
-    if x.ndim != 3 or x.shape[2] != dim:
+    if x.ndim != 3 or x.shape[1] != x.shape[0] or x.shape[2] != dim:
         raise DimensionMismatch(
             f"context has shape {x.shape}, expected (K, K, {dim})")
     return x

@@ -11,7 +11,12 @@ from duelbandit.core import (
     sample_pair,
     skew_complete,
 )
-from duelbandit.errors import GammaTooSmall, HorizonTooShort, NotConverged
+from duelbandit.errors import (
+    DimensionMismatch,
+    GammaTooSmall,
+    HorizonTooShort,
+    NotConverged,
+)
 from duelbandit.games import (
     cce_deviation_matrix,
     cce_violation,
@@ -192,6 +197,44 @@ class TestCceDb:
             assert calls == [], t
         assert stacked_rounds >= 300 and cold >= 20
 
+    def test_bits_do_not_depend_on_the_group(self):
+        # the groups change order and membership between rounds: [a, b],
+        # [b, a], b alone (a prepares itself in its select) and [a, b, c],
+        # which c joins fresh; each learner gets the bits it gets alone
+        env = build_environment({"kind": "fixed", "fixture": "condorcet",
+                                 "k": 5, "margin": 0.4})
+
+        def streams(seed):
+            return [RngHandle(seed).substream(name) for name in
+                    ("environment", "learner", "outcome")]
+
+        def play(learner, rngs):
+            env_rng, learner_rng, outcome_rng = rngs
+            x, truth = env.sample_round(env_rng)
+            joint, duel = learner.select(x, learner_rng)
+            learner.observe(x, duel, sample_outcome(truth.entries[duel],
+                                                    outcome_rng))
+            return (joint.weights.tobytes(), duel,
+                    learner.last_upper.tobytes(), learner.last_iterations)
+
+        learners = {"a": (CceDb(5, 2000), streams(0)),
+                    "b": (CceDb(5, 2000), streams(1))}
+        got = {"a": [], "b": [], "c": []}
+        for t in range(120):
+            group = [["a", "b"], ["b", "a"], ["b"], ["a", "b", "c"]][t % 4]
+            if "c" in group and "c" not in learners:
+                learners["c"] = (CceDb(5, 2000), streams(2))
+            CceDb.prepare_round([learners[name][0] for name in group],
+                                [None] * len(group))
+            for name, (learner, rngs) in learners.items():
+                got[name].append(play(learner, rngs))
+        iterations = [r[3] for rounds in got.values() for r in rounds]
+        assert 0 in iterations and max(iterations) > 0  # warm and cold
+        for seed, name in enumerate("abc"):
+            learner, rngs = CceDb(5, 2000), streams(seed)
+            alone = [play(learner, rngs) for _ in got[name]]
+            assert got[name] == alone, name
+
     def test_published_snapshots_stay_as_published(self, rng):
         learners = [CceDb(4, 50) for _ in range(3)]
         kept = []
@@ -295,6 +338,14 @@ class TestCceLinDb:
         expected = float(np.sqrt(4 * np.log((1.0 + 2000 / 1.0) / (1.0 / 2000)))
                          + np.sqrt(1.0))
         assert CceLinDb(4, horizon=2000).width_multiplier == expected
+
+    def test_malformed_context(self, bad_linear_context, rng):
+        learner = CceLinDb(2, horizon=100)
+        with pytest.raises(DimensionMismatch):
+            learner.select(bad_linear_context, rng)
+        with pytest.raises(DimensionMismatch):
+            learner.observe(bad_linear_context, (0, 1), 1)
+        assert np.array_equal(learner.state.gram, np.eye(2))
 
 
 class TestMinMaxDb:

@@ -190,6 +190,13 @@ class TestVawForecaster:
         with pytest.raises(DimensionMismatch):
             oracle.update(pair_context([1.0, 2.0, 3.0]), 0, 1, 1.0)
 
+    def test_malformed_context(self, bad_linear_context):
+        oracle = VawForecaster(2)
+        with pytest.raises(DimensionMismatch):
+            oracle.predict_matrix(bad_linear_context)
+        with pytest.raises(DimensionMismatch):
+            oracle.update(bad_linear_context, 0, 1, 1.0)
+
     def test_predict_matrix_is_skew_with_the_pair_row_bits(self):
         # the upper triangle is mean / (1 + quad) computed on the pair rows
         # x[triu] alone, the lower one its exact negation
@@ -267,6 +274,13 @@ class TestOgdForecaster:
             oracle.predict_matrix(pair_context([1.0, 2.0, 3.0]))
         with pytest.raises(DimensionMismatch):
             oracle.update(pair_context([1.0, 2.0, 3.0]), 0, 1, 1.0)
+
+    def test_malformed_context(self, bad_linear_context):
+        oracle = OgdForecaster(2, horizon=16)
+        with pytest.raises(DimensionMismatch):
+            oracle.predict_matrix(bad_linear_context)
+        with pytest.raises(DimensionMismatch):
+            oracle.update(bad_linear_context, 0, 1, 1.0)
 
     def test_iterates_stay_in_ball(self):
         gen = np.random.default_rng(3)
