@@ -7,7 +7,7 @@ diagnostic runs; `regret_scale(k, t)` normalizes the regret. The
 classmethod `prepare_round(learners, contexts)` of `CceDb` and `MinMaxDb`
 does a lockstep group's round up to the per-seed solve in one stacked pass
 gathered from each learner's own state, with the bits each learner gets
-alone; `CceLinDb` has none.
+alone; a group's learners are built from one config. `CceLinDb` has none.
 """
 
 from __future__ import annotations
@@ -226,10 +226,10 @@ class MinMaxDb:
     a skew matrix, solve the inverse-gap feasibility program, and duel two
     iid draws from the resulting marginal.
 
-    `prepare_round` asks the oracles for a round's forecasts and tests the
-    held marginals against those that changed for many learners at once;
-    `select` uses what it left and runs as a batch of one when it left
-    nothing.
+    The held marginal starts uniform. `prepare_round` asks the oracles for
+    a round's forecasts and tests the held marginals against them for many
+    learners at once; `select` uses what it left and runs as a batch of
+    one when it left nothing.
     """
 
     kind = "minmaxdb"
@@ -241,87 +241,63 @@ class MinMaxDb:
         self.gamma = float(gamma)
         self.oracle = oracle
         self._stop_violation = minmax_slack(self.k, self.gamma) / 2.0
-        self._forecast = None    # the oracle forecast last seen
-        self._solved = None      # the held (marginal, joint)
-        # the held marginal, its penalties (2/gamma) / p and the budget
-        # 5K/gamma as the rows of one (3, K) array, for the stacked test
-        self._held = None
+        self._solved = None      # the last solve's (point, product joint)
         self._prepared = False   # whether this round's forecast is in
         self.last_prediction = None
-        self.last_marginal: np.ndarray | None = None
+        self.last_marginal = np.full(self.k, 1.0 / self.k)
         self.last_violation = np.inf  # the held marginal's, last forecast
         self.last_iterations = 0
 
     @classmethod
     def prepare_round(cls, learners: list, contexts: list) -> None:
-        """Ask each learner's oracle for its forecast of the learner's
-        context, once; for the learners whose forecast object changed,
-        publish the clamped prediction and the held marginal's violation
-        under it, in one stacked pass. Each learner's next `select` uses
-        them.
+        """Give every learner (all of one K and one gamma) its clamped
+        forecast of its context and the held marginal's violation under
+        it, in one stacked pass; each learner's next `select` uses them.
 
         An oracle class with a stacked `prepare_forecasts` (the finite
-        class) computes the forecasts it does not hold in one pass first.
-        The changed forecasts are stacked for `clamp_forecasts`, each
-        learner's prediction is a read-only view of its row, and the
-        violations are `minmax_violations`, whose rows have the bits of a
-        stack of one, so a learner gets the same bits in any batch.
+        class) computes the forecasts it does not hold in one pass first;
+        then each oracle's `predict_matrix` is asked once. The forecasts
+        are stacked for `clamp_forecasts`, each learner's prediction is a
+        read-only view of its row, and the violations are
+        `minmax_violations`, whose rows have the bits of a stack of one,
+        so a learner gets the same bits in any batch.
         """
         prepare_forecasts = getattr(type(learners[0].oracle),
                                     "prepare_forecasts", None)
         if prepare_forecasts is not None:
             prepare_forecasts([learner.oracle for learner in learners],
                               contexts)
-        changed, forecasts = [], []
-        for learner, x in zip(learners, contexts):
-            forecast = learner.oracle.predict_matrix(x)
-            learner._prepared = True
-            if forecast is not learner._forecast:
-                learner._forecast = forecast
-                changed.append(learner)
-                forecasts.append(forecast)
-        if not changed:
-            return
-        y_hats = clamp_forecasts(np.array(forecasts))
-        for learner, y_hat in zip(changed, y_hats):
+        y_hats = clamp_forecasts(np.array([
+            learner.oracle.predict_matrix(x)
+            for learner, x in zip(learners, contexts)]))
+        violations = minmax_violations(
+            y_hats, np.array([learner.last_marginal for learner in learners]),
+            learners[0].gamma)
+        for learner, y_hat, violation in zip(learners, y_hats,
+                                             violations.tolist()):
             learner.last_prediction = PreferenceMatrix._unchecked(y_hat)
-        held = [learner for learner in changed if learner._held is not None]
-        if not held:
-            return
-        if len(held) < len(changed):
-            y_hats = np.array([learner.last_prediction.entries
-                               for learner in held])
-        rows = np.array([learner._held for learner in held])
-        violations = minmax_violations(y_hats, rows[:, 0], rows[:, 1],
-                                       rows[:, 2, 0])
-        for learner, violation in zip(held, violations.tolist()):
             learner.last_violation = violation
-
-    def _hold(self, marginal: np.ndarray) -> None:
-        """Hold `marginal`, the weights of a solve's point."""
-        self.last_marginal = marginal
-        self._held = np.array([marginal, (2.0 / self.gamma) / marginal,
-                               np.full(self.k, minmax_rhs(self.k, self.gamma))])
+            learner._prepared = True
 
     def select(self, context, rng: RngHandle):
         """Play a marginal that meets the inverse-gap program of the forecast.
 
         Any marginal within the descent's stop test serves the round, so
-        the held marginal is kept while it meets that test under the
-        current forecast, and solved again, warm-started from itself, only
-        when it misses. Its violation is what a solve finds at iteration 0
-        (the held marginal lies on the floored simplex, so the solve's
-        projection copies it), and a solve that meets the test there
-        returns it after 0 iterations: keeping it gives the bits of solving
-        every round. `prepare_round` computes the violation once per
-        forecast object, so an unchanged object (the finite oracle hands it
-        back until an update or a change of context) reuses it. A NaN
-        violation fails the test, and the solver raises NotConverged.
+        the held marginal of the last solve is kept while it meets that
+        test under the current forecast, and solved again, warm-started
+        from itself, only when it misses. Its violation is what a solve
+        finds at iteration 0 (the held marginal lies on the floored
+        simplex, so the solve's projection copies it), and a solve that
+        meets the test there returns it after 0 iterations: keeping it
+        gives the bits of solving every round. The first round solves from
+        the uniform marginal, where a cold descent starts. A NaN violation
+        fails the test, and the solver raises NotConverged.
         """
         if not self._prepared:
             self.prepare_round([self], [context])
         self._prepared = False
-        if self.last_violation <= self._stop_violation:
+        if (self._solved is not None
+                and self.last_violation <= self._stop_violation):
             self.last_iterations = 0
         else:
             report = solve_minmax_feasibility(
@@ -330,7 +306,7 @@ class MinMaxDb:
             )
             p = report.point
             self._solved = p, product_joint(p)
-            self._hold(p.weights)
+            self.last_marginal = p.weights
             self.last_violation = report.max_violation
             self.last_iterations = report.iterations
         p, joint = self._solved

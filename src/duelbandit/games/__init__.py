@@ -204,25 +204,23 @@ def minmax_slack(k: int, gamma: float) -> float:
 
 
 def minmax_violations(y_hats: np.ndarray, points: np.ndarray,
-                      penalties: np.ndarray, budgets) -> np.ndarray:
-    """Signed worst violation of the inverse-gap constraints, for a stack:
-    (S, K, K) predictions, (S, K) points with their (S, K) penalties
-    (2/gamma) / p and their budgets 5K/gamma give (S,).
+                      gamma: float) -> np.ndarray:
+    """Signed worst violation of the inverse-gap constraints
+    (Y p)_i + (2/gamma) / p_i <= 5K/gamma, for a stack: (S, K, K)
+    predictions Y and (S, K) points p give (S,).
 
     Each matrix-vector product is one (K, K) @ (K, 1) `np.matmul`, which
     gives the bits of the descent's `Y @ p` at its start.
     """
     g = np.matmul(y_hats, points[:, :, None])[:, :, 0]
-    g += penalties
-    return g.max(axis=1) - budgets
+    g += (2.0 / gamma) / points
+    return g.max(axis=1) - minmax_rhs(points.shape[1], gamma)
 
 
 def minmax_violation(y_hat, gamma: float, point) -> float:
     """Signed worst violation of the inverse-gap constraints at `point`."""
-    ye = _entries(y_hat)
     pw = point.weights if isinstance(point, ActionDistribution) else np.asarray(point)
-    return float(minmax_violations(ye[None], pw[None], ((2.0 / gamma) / pw)[None],
-                                   minmax_rhs(ye.shape[0], gamma))[0])
+    return float(minmax_violations(_entries(y_hat)[None], pw[None], gamma)[0])
 
 
 def solve_minmax_feasibility(

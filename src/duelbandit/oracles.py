@@ -4,10 +4,10 @@ Every oracle answers two calls. `predict_matrix(context)` returns the K x K
 skew matrix of its forecasts for every pair of the context and changes no
 state. `update(context, a, b, y)` folds in the label y of the pair (a, b).
 A forecast is exactly skew with a zero diagonal, and callers must not
-write to it: the finite-class oracle memoizes it read-only, and hands back
-the same object for a context until its next `update`, so a caller may
-keep what it computed from an object while it gets that object back. The
-linear oracles build a fresh array on every call.
+write to it: the finite-class oracle memoizes it read-only per context
+until its next `update`, which is how its stacked `prepare_forecasts`
+hands each forecast to `predict_matrix`. The linear oracles build a fresh
+array on every call.
 Labels are the raw duel outcomes in {-1, +1}, whose conditional mean is
 exactly the ground-truth preference entry, so no recentering is applied.
 A finite-class context is an integer id; a linear context is the

@@ -407,6 +407,56 @@ class TestMinMaxDb:
         b.observe(0, (1, 0), -1)
         assert np.allclose(a.oracle.weights, b.oracle.weights)
 
+    @pytest.mark.parametrize("environment, oracle", [
+        ({"kind": "finite_class", "k": 3, "n_contexts": 2, "class_size": 16,
+          "class_seed": 11}, {"kind": "finite"}),
+        ({"kind": "linear", "k": 3, "dim": 2, "weight_seed": 1},
+         {"kind": "vaw"}),
+    ], ids=["finite-ctx2", "vaw"])
+    def test_bits_do_not_depend_on_the_group(self, environment, oracle):
+        # the groups change order and membership between rounds: [a, b],
+        # [b, a], b alone (a prepares itself in its select) and [a, b, c],
+        # which c joins fresh among held marginals; each learner gets the
+        # bits it gets alone. Each seed has its own environment, as in a
+        # run: an environment draws ahead in blocks from one handle
+        algorithm = {"kind": "minmaxdb", "gamma": "auto", "oracle": oracle}
+
+        def fresh(seed):
+            env = build_environment(environment)
+            return env, build_learner(algorithm, env, 400), [
+                RngHandle(seed).substream(name)
+                for name in ("environment", "learner", "outcome")]
+
+        def play(learner, rngs, x, truth):
+            joint, duel = learner.select(x, rngs[1])
+            played = (joint.weights.tobytes(), duel,
+                      learner.last_prediction.entries.tobytes(),
+                      learner.last_marginal.tobytes(), learner.last_violation,
+                      learner.last_iterations)
+            learner.observe(x, duel, sample_outcome(truth.entries.item(*duel),
+                                                    rngs[2]))
+            return played
+
+        runs = {"a": fresh(0), "b": fresh(1)}
+        got = {"a": [], "b": [], "c": []}
+        for t in range(120):
+            group = [["a", "b"], ["b", "a"], ["b"], ["a", "b", "c"]][t % 4]
+            if "c" in group and "c" not in runs:
+                runs["c"] = fresh(2)
+            drawn = {name: env.sample_round(rngs[0])
+                     for name, (env, _, rngs) in runs.items()}
+            MinMaxDb.prepare_round([runs[name][1] for name in group],
+                                   [drawn[name][0] for name in group])
+            for name, (_, learner, rngs) in runs.items():
+                got[name].append(play(learner, rngs, *drawn[name]))
+        iterations = [r[-1] for rounds in got.values() for r in rounds]
+        assert 0 in iterations and max(iterations) > 0  # held and solved
+        for seed, name in enumerate("abc"):
+            env, learner, rngs = fresh(seed)
+            alone = [play(learner, rngs, *env.sample_round(rngs[0]))
+                     for _ in got[name]]
+            assert got[name] == alone, name
+
     def test_select_with_vaw_oracle(self, rng):
         gen = np.random.default_rng(3)
         k, d = 3, 2
@@ -585,7 +635,8 @@ def _record_minmax_rounds(oracle, environment, seeds, rounds):
     rounds; returns the environment, gamma and, per round, what the
     round's `prepare_round` read: the oracle's log-weights (a copy; None
     for a linear oracle), the context, the held marginal (None at the
-    first round) and the forecast the learner got."""
+    first round, where a fresh learner holds uniform) and the oracle's
+    forecast, asked for again after `select`."""
     env = build_environment(environment)
     algorithm = {"kind": "minmaxdb", "gamma": "auto", "oracle": oracle}
     recorded = []
@@ -594,13 +645,13 @@ def _record_minmax_rounds(oracle, environment, seeds, rounds):
         root = RngHandle(seed)
         env_rng, learner_rng, outcome_rng = (
             root.substream(name) for name in ("environment", "learner", "outcome"))
-        for _ in range(rounds):
+        for t in range(rounds):
             x, truth = env.sample_round(env_rng)
             log_weights = getattr(learner.oracle, "log_weights", None)
-            held = learner.last_marginal
+            held = learner.last_marginal if t else None
             _joint, duel = learner.select(x, learner_rng)
             recorded.append((None if log_weights is None else log_weights.copy(),
-                             x, held, learner._forecast))
+                             x, held, learner.oracle.predict_matrix(x)))
             learner.observe(x, duel, sample_outcome(truth.entries.item(*duel),
                                                     outcome_rng))
     return env, learner.gamma, recorded
@@ -622,20 +673,25 @@ class TestMinMaxDbStackedPass:
     exponential weights of its log-weights and their `einsum` with its
     context's tables, the forecast clipped into [-1, 1] when its maximum is
     not <= 1, and the held marginal's violation from a (K, K) @ (K,)
-    product."""
+    product; a fresh learner's held marginal is uniform."""
+
+    @staticmethod
+    def _fresh(k, gamma, oracle, held):
+        learner = MinMaxDb(k, gamma, oracle)
+        if held is not None:
+            learner.last_marginal = held
+        return learner
 
     @staticmethod
     def _assert_prediction_and_violation(learner, forecast, held, gamma):
         k = forecast.shape[0]
         y = forecast if forecast.max() <= 1.0 else np.clip(forecast, -1.0, 1.0)
         assert learner.last_prediction.entries.tobytes() == y.tobytes()
-        if held is None:
-            assert learner.last_violation == np.inf
-        else:
-            g = y @ held + (2.0 / gamma) / held
-            violation = float(g.max() - 5.0 * k / gamma)
-            assert learner.last_violation == violation or (
-                np.isnan(learner.last_violation) and np.isnan(violation))
+        p = np.full(k, 1.0 / k) if held is None else held
+        g = y @ p + (2.0 / gamma) / p
+        violation = float(g.max() - 5.0 * k / gamma)
+        assert learner.last_violation == violation or (
+            np.isnan(learner.last_violation) and np.isnan(violation))
 
     @pytest.mark.parametrize("n_contexts", [1, 2])
     def test_finite_class_stacks_match_the_reference(self, n_contexts):
@@ -645,25 +701,25 @@ class TestMinMaxDbStackedPass:
              "class_size": 16, "class_seed": 11}, range(3), 300)
         tables = env.tables
         for stack in _stacks(recorded, n_contexts):
-            learners = []
+            learners, memos = [], []
             for s, (log_weights, x, held, _) in enumerate(stack):
                 oracle = FiniteClassAggregator(tables)
                 oracle.log_weights = log_weights.copy()
-                if s % 3 == 2:  # holds its forecast: the stacked pass skips it
-                    oracle.predict_matrix(x)
-                learner = MinMaxDb(3, gamma, oracle)
-                if held is not None:
-                    learner._hold(held)
-                learners.append(learner)
+                # one in three holds its forecast already: the stacked pass
+                # computes none for it and reads the one it holds
+                memos.append(oracle.predict_matrix(x) if s % 3 == 2 else None)
+                learners.append(self._fresh(3, gamma, oracle, held))
             MinMaxDb.prepare_round(learners, [x for _, x, _, _ in stack])
             weights = exp_weights(np.stack([lw for lw, _, _, _ in stack]))
-            for learner, w, (log_weights, x, held, seen) in zip(
-                    learners, weights, stack):
+            for learner, memo, w, (log_weights, x, held, seen) in zip(
+                    learners, memos, weights, stack):
                 reference = np.exp(log_weights - log_weights.max())
                 reference = reference / reference.sum()
                 assert w.tobytes() == reference.tobytes()
                 forecast = np.einsum("f,fij->ij", reference, tables[:, x])
-                assert learner._forecast.tobytes() == forecast.tobytes()
+                held_forecast = learner.oracle.predict_matrix(x)
+                assert held_forecast.tobytes() == forecast.tobytes()
+                assert memo is None or held_forecast is memo
                 assert seen.tobytes() == forecast.tobytes()
                 self._assert_prediction_and_violation(learner, forecast, held,
                                                       gamma)
@@ -681,12 +737,8 @@ class TestMinMaxDbStackedPass:
         nan[0, 1], nan[1, 0] = np.nan, np.nan
         recorded[5] = recorded[5][:3] + (nan,)
         for stack in _stacks(recorded, 0):
-            learners = []
-            for _, _, held, seen in stack:
-                learner = MinMaxDb(5, gamma, _Scripted(seen))
-                if held is not None:
-                    learner._hold(held)
-                learners.append(learner)
+            learners = [self._fresh(5, gamma, _Scripted(seen), held)
+                        for _, _, held, seen in stack]
             MinMaxDb.prepare_round(learners, [x for _, x, _, _ in stack])
             for learner, (_, _, held, seen) in zip(learners, stack):
                 self._assert_prediction_and_violation(learner, seen, held,

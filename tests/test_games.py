@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duelbandit.games as games
-from duelbandit.core import ActionDistribution, PreferenceMatrix, sample_outcome
+from duelbandit.algorithms import MinMaxDb
+from duelbandit.core import (
+    ActionDistribution,
+    PreferenceMatrix,
+    product_joint,
+    sample_outcome,
+)
 from duelbandit.errors import GammaTooSmall, NotConverged
 from duelbandit.games import (
     FeasibilityReport,
@@ -13,7 +19,9 @@ from duelbandit.games import (
     cce_violation,
     get_kernels,
     minmax_rhs,
+    minmax_slack,
     minmax_violation,
+    minmax_violations,
     solve_cce,
     solve_minmax_feasibility,
     solve_zero_sum_nash,
@@ -25,6 +33,7 @@ from duelbandit.games.grid_oracle import (
     minmax_grid_min_violation,
 )
 from duelbandit.harness import build_environment, build_learner
+from duelbandit.oracles import FiniteClassAggregator
 from duelbandit.rng import RngHandle
 
 RPS = np.array([[0.0, 1, -1], [-1, 0, 1], [1, -1, 0]])
@@ -410,6 +419,41 @@ class TestSolveMinmaxFeasibility:
         for gamma in (5.0, np.nan, np.inf):  # below 2K, or not finite
             with pytest.raises(GammaTooSmall):
                 solve_minmax_feasibility(y, gamma)
+
+    def test_stacked_violations_have_the_bits_of_each_row(self, make_skew):
+        gen = np.random.default_rng(11)
+        for k in (2, 3, 5, 10):
+            for gamma in (2.0 * k, 4.0 * k, 10.0 * k):
+                ys = np.array([make_skew(k, gen) for _ in range(6)])
+                ps = gen.dirichlet(np.ones(k), 6)
+                rows = minmax_violations(ys, ps, gamma).tolist()
+                for y, p, row in zip(ys, ps, rows):
+                    g = y @ p + (2.0 / gamma) / p
+                    assert row == float(g.max() - 5.0 * k / gamma)
+                    assert minmax_violation(y, gamma, p) == row
+
+    @pytest.mark.parametrize("gap", [0.0, 0.9],
+                             ids=["uniform-meets", "uniform-misses"])
+    def test_a_fresh_learner_solves_as_a_cold_solve(self, gap):
+        # a fresh MinMaxDb solves from its uniform held marginal, which is
+        # where a solve with no warm start begins
+        k, gamma = 3, 24.0
+        tables = np.zeros((1, 1, k, k))
+        tables[0, 0, 0, 1:], tables[0, 0, 1:, 0] = gap, -gap
+        y = PreferenceMatrix(tables[0, 0])
+        meets = minmax_violation(y, gamma, np.full(k, 1.0 / k)) \
+            <= minmax_slack(k, gamma) / 2.0
+        assert meets == (gap == 0.0)
+        learner = MinMaxDb(k, gamma, FiniteClassAggregator(tables))
+        joint, _ = learner.select(0, RngHandle(0))
+        report = solve_minmax_feasibility(y, gamma)
+        assert (report.iterations == 0) == meets
+        assert learner.last_marginal.tobytes() == \
+            report.point.weights.tobytes()
+        assert learner.last_violation == report.max_violation
+        assert learner.last_iterations == report.iterations
+        assert joint.weights.tobytes() == \
+            product_joint(report.point).weights.tobytes()
 
     def test_feasibility_totality_random_grid(self, make_skew):
         gen = np.random.default_rng(7)
