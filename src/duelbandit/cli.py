@@ -192,16 +192,17 @@ def _parse_summary_csv(path: str) -> list[RunSummary]:
 
 
 def _cmd_aggregate(args) -> int:
+    # in path order: the bootstrap ci95 depends on the summaries' order
+    paths = sorted(os.path.join(root, "summary.csv")
+                   for root, _dirs, files in os.walk(args.input)
+                   if "summary.csv" in files)
     summaries = []
-    for root, _dirs, files in os.walk(args.input):
-        for name in sorted(files):
-            if name == "summary.csv":
-                path = os.path.join(root, name)
-                try:
-                    summaries.extend(_parse_summary_csv(path))
-                except _INPUT_ERRORS as exc:
-                    print(f"config error: {path}: {exc}", file=sys.stderr)
-                    return 1
+    for path in paths:
+        try:
+            summaries.extend(_parse_summary_csv(path))
+        except _INPUT_ERRORS as exc:
+            print(f"config error: {path}: {exc}", file=sys.stderr)
+            return 1
     if not summaries:
         print(f"config error: no summary.csv under {args.input}", file=sys.stderr)
         return 1

@@ -16,7 +16,8 @@ plus 1/p_i penalty) and is solved by entropic mirror descent on a floored
 simplex. The hot loops live in the numpy kernels of `_kernels_py`; the
 solvers fetch the simplex and the descent through `get_kernels()` at call
 time. `zero_pivot_cces`, the only test of a basis an earlier solve
-reported, checks many CCE solves at once with one stacked basis solve.
+reported, checks many CCE solves at once: one stacked basis solve and one
+pass of every check over the held bases.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@
     of CCE and zero-sum Nash solves; it returns its final basis too,
   * zero_pivot_solves -- the solves that need no pivot, for a stack of
     matrices at once: the pure point, or the warm vertex of a basis held
-    from an earlier solve (the only test of a held basis),
+    from an earlier solve, found and checked in one pass over the held
+    bases (the only test of a held basis),
   * minmax_descent   -- entropic mirror descent for the inverse-gap
     feasibility program on the floored simplex.
 
@@ -65,58 +66,6 @@ def _pivot(T: np.ndarray, r: int, c: int, col: np.ndarray,
     np.subtract(T, outer, out=T)
 
 
-def warm_vertices(Ds: np.ndarray, bases: list) -> list:
-    """The vertex of each full basis in its unpivoted tableau, as a finished
-    solve, for a stack Ds of shape (S, m, n) and S bases of m + 1 columns.
-
-    Seed i gets (x, max_violation, 0, 0, bases[i]) if its vertex is primal
-    feasible with s <= 1e-15 and its point meets max(D_i x) <= 0, or None.
-    The basis systems are solved by one stacked `np.linalg.solve`; if one
-    of them is singular, each is solved alone and the singular ones get
-    None. The checks run on the whole stack too: a stacked solve, row sum
-    or `np.matmul` gives each seed the bits of its own 1-D call.
-    """
-    S, m, n = Ds.shape
-    ncol = n + 1 + m
-    template = _tableau_template(m, n)
-    # the tableaux's columns (x vars, s, slacks) as rows
-    columns = np.empty((S, ncol, m + 1))
-    columns[:] = template[:, :ncol].T
-    columns[:, :n, :m] = Ds.transpose(0, 2, 1)
-    picks = np.array(bases)
-    seed_rows = np.arange(S)[:, None]
-    # row c of B^T is the tableau column bases[i][c]
-    B = columns.reshape(S * ncol, m + 1).take(
-        picks + seed_rows * ncol, axis=0).transpose(0, 2, 1)
-    rhs = template[:, -1:]  # the true right-hand side e_m, one column
-    try:
-        values = np.linalg.solve(B, rhs)[:, :, 0]
-    except np.linalg.LinAlgError:
-        values = np.full((S, m + 1), np.nan)  # NaN rows fail every check
-        for i in range(S):
-            try:
-                values[i] = np.linalg.solve(B[i], rhs[:, 0])
-            except np.linalg.LinAlgError:
-                pass
-    # the basic solution in tableau columns, clipped at 0
-    basic = np.zeros((S, ncol))
-    basic[seed_rows, picks] = np.where(values < 0.0, 0.0, values)
-    # the seeds whose solution is primal feasible with s (column n) at
-    # most 1e-15 go on to have their point checked
-    kept = np.flatnonzero((values.min(axis=1) >= -_WARM_TOL)
-                          & (basic[:, n] <= 1e-15))
-    x = basic[kept, :n]
-    total = x.sum(axis=1)
-    positive = total > 0
-    np.divide(x, total[:, None], out=x, where=positive[:, None])
-    viol = np.matmul(Ds[kept], x[:, :, None])[:, :, 0].max(axis=1)
-    vertices = [None] * S
-    # the point itself is checked: a NaN that reaches x fails here
-    for j in np.flatnonzero(positive & (viol <= _WARM_TOL)).tolist():
-        vertices[kept[j]] = x[j], float(viol[j]), 0, 0, bases[kept[j]]
-    return vertices
-
-
 def _pure_point(j0: int, top: float, m: int, n: int):
     """The pure point e_j0 as a finished solve, when column j0's largest
     entry `top` is the smallest column maximum and is <= 0; its basis is
@@ -128,10 +77,19 @@ def _pure_point(j0: int, top: float, m: int, n: int):
 
 def zero_pivot_solves(Ds: np.ndarray, bases: list) -> list:
     """The solves that need no pivot, for a stack Ds (S, m, n) and S held
-    bases at once: `epigraph_simplex`'s pure-point exit, or else the warm
-    vertex of the full basis bases[i], checked by one stacked
-    `warm_vertices`; the only test of a held basis. Entry i is None where
-    seed i's solve needs pivots."""
+    bases at once; the only test of a held basis. Entry i is
+    `epigraph_simplex`'s pure-point exit, or else the vertex of the full
+    basis bases[i] in its unpivoted tableau, (x, max_violation, 0, 0,
+    bases[i]), or None where seed i's solve needs pivots.
+
+    A held vertex is kept if it is primal feasible within 1e-12 with
+    s <= 1e-15, has positive mass and meets max(D_i x) <= 1e-12. The
+    basis systems are solved by one stacked `np.linalg.solve`; if one of
+    them is singular, each is solved alone and the singular ones fail
+    every check. The checks run once over the whole warm stack: a stacked
+    solve, row sum or `np.matmul` gives each seed the bits of its own 1-D
+    call.
+    """
     S, m, n = Ds.shape
     col_max = Ds.max(axis=1)
     j0s = col_max.argmin(axis=1).tolist()
@@ -143,11 +101,47 @@ def zero_pivot_solves(Ds: np.ndarray, bases: list) -> list:
             solves[i] = _pure_point(j0, top, m, n)
         elif len(basis) == m + 1:
             warm.append(i)
-    if warm:
-        vertices = warm_vertices(Ds[warm] if len(warm) < S else Ds,
-                                 [bases[i] for i in warm])
-        for i, vertex in zip(warm, vertices):
-            solves[i] = vertex
+    if not warm:
+        return solves
+    W = len(warm)
+    Dw = Ds[warm] if W < S else Ds
+    ncol = n + 1 + m
+    template = _tableau_template(m, n)
+    # the tableaux's columns (x vars, s, slacks) as rows
+    columns = np.empty((W, ncol, m + 1))
+    columns[:] = template[:, :ncol].T
+    columns[:, :n, :m] = Dw.transpose(0, 2, 1)
+    picks = np.array([bases[i] for i in warm])
+    seed_rows = np.arange(W)[:, None]
+    # row c of B^T is the tableau column picks[j][c]
+    B = columns.reshape(W * ncol, m + 1).take(
+        picks + seed_rows * ncol, axis=0).transpose(0, 2, 1)
+    rhs = template[:, -1:]  # the true right-hand side e_m, one column
+    try:
+        values = np.linalg.solve(B, rhs)[:, :, 0]
+    except np.linalg.LinAlgError:
+        values = np.full((W, m + 1), np.nan)  # NaN rows fail every check
+        for j in range(W):
+            try:
+                values[j] = np.linalg.solve(B[j], rhs[:, 0])
+            except np.linalg.LinAlgError:
+                pass
+    # the basic solution in tableau columns, clipped at 0; its x part is
+    # renormalized in place
+    basic = np.zeros((W, ncol))
+    basic[seed_rows, picks] = np.where(values < 0.0, 0.0, values)
+    x = basic[:, :n]
+    total = x.sum(axis=1)
+    positive = total > 0
+    np.divide(x, total[:, None], out=x, where=positive[:, None])
+    viol = np.matmul(Dw, x[:, :, None])[:, :, 0].max(axis=1)
+    # s is column n; the point itself is checked, so a NaN that reaches x
+    # fails here
+    held = ((values.min(axis=1) >= -_WARM_TOL) & (basic[:, n] <= 1e-15)
+            & positive & (viol <= _WARM_TOL))
+    for j in np.flatnonzero(held).tolist():
+        i = warm[j]
+        solves[i] = x[j], float(viol[j]), 0, 0, bases[i]
     return solves
 
 

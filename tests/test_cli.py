@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import duelbandit.games as games
-from duelbandit.cli import load_matrix, main
-from duelbandit.harness import SUMMARY_HEADER
+from duelbandit.cli import _parse_summary_csv, load_matrix, main
+from duelbandit.harness import SUMMARY_HEADER, aggregate
 
 RPS_TEXT = "0 1 -1\n-1 0 1\n1 -1 0\n"
 
@@ -548,6 +548,31 @@ class TestRunCommand:
         assert main(["aggregate", "--in", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {path}: {where}")
+
+    def test_aggregate_reads_summaries_in_path_order(self, tmp_path,
+                                                     capsys, monkeypatch):
+        # the bootstrap ci95 of a (T, 4T) pair depends on the order of the
+        # summaries, so it must not follow the filesystem's walk order
+        rows = {"a": [(10, 1.0), (10, 3.0), (40, 2.5), (40, 7.0)],
+                "b": [(10, 2.0), (10, 5.0), (40, 4.0), (40, 9.5)]}
+        for name, runs in rows.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "summary.csv").write_text(
+                SUMMARY_HEADER + "\n" + "".join(
+                    f"{seed},{t},{br},{br},{br},0.1,0,,ok\n"
+                    for seed, (t, br) in enumerate(runs)))
+        summaries = {name: _parse_summary_csv(str(tmp_path / name
+                                                  / "summary.csv"))
+                     for name in rows}
+        forward = aggregate(summaries["a"] + summaries["b"])
+        assert forward != aggregate(summaries["b"] + summaries["a"])
+        walk = sorted(os.walk(tmp_path))
+        for order in (walk, walk[::-1]):
+            monkeypatch.setattr(os, "walk",
+                                lambda top, order=order: iter(order))
+            assert main(["aggregate", "--in", str(tmp_path)]) == 0
+            assert json.loads(capsys.readouterr().out) == json.loads(
+                json.dumps(forward))
 
     def test_aggregate_empty_dir(self, tmp_path):
         assert main(["aggregate", "--in", str(tmp_path)]) == 1

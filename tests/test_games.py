@@ -559,7 +559,7 @@ def ccedb_rounds(learner_matrices):
 @pytest.fixture(scope="module")
 def warm_cases(ccedb_rounds):
     """The (D, held basis) rounds with a full basis and no pure-point exit:
-    those whose stage one runs `warm_vertices`."""
+    those whose stage one solves the held basis."""
     return [(dev, basis) for dev, basis in ccedb_rounds
             if basis and dev.max(axis=0).min() > 0.0]
 
@@ -734,8 +734,9 @@ class TestReturnedBasis:
 
 
 class TestWarmVertices:
-    """`warm_vertices` checks a stack of bases with one stacked solve; every
-    seed must get what its basis gives alone, bit for bit."""
+    """`zero_pivot_solves` tests the warm vertices of a stack of held bases
+    in one pass; every seed must get what its basis gives alone, bit for
+    bit."""
 
     @staticmethod
     def _assert_matches_reference(got, cases):
@@ -756,25 +757,51 @@ class TestWarmVertices:
         accepted = 0
         for start in range(0, len(warm_cases), size):
             chunk = warm_cases[start:start + size]
-            got = kp.warm_vertices(np.stack([d for d, _ in chunk]),
-                                   [b for _, b in chunk])
+            got = kp.zero_pivot_solves(np.stack([d for d, _ in chunk]),
+                                       [b for _, b in chunk])
             self._assert_matches_reference(got, chunk)
             accepted += sum(v is not None for v in got)
         assert 40 <= accepted < len(warm_cases)  # both verdicts are seen
 
-    def test_singular_basis_in_a_stack(self, warm_cases):
+    def test_singular_basis_in_a_stack(self, warm_cases, ccedb_rounds):
+        # a fresh seed and a pure point ahead of the held bases, so a held
+        # seed's place in the stack is not its place among the held ones
         kp = get_kernels()
         chunk = list(warm_cases[:6])
         dev, basis = chunk[2]
         chunk[2] = dev, [basis[0]] * len(basis)  # a repeated column
+        pure = next(d for d, _ in ccedb_rounds if d.max(axis=0).min() <= 0.0)
+        cases = [(chunk[0][0], ()), (pure, warm_cases[0][1]), *chunk]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.stack([np.eye(2), np.zeros((2, 2))]),
                             np.ones((2, 2, 1)))
-        got = kp.warm_vertices(np.stack([d for d, _ in chunk]),
-                               [b for _, b in chunk])
-        assert got[2] is None
-        assert sum(v is not None for v in got) >= 3
-        self._assert_matches_reference(got, chunk)
+        got = kp.zero_pivot_solves(np.stack([d for d, _ in cases]),
+                                   [b for _, b in cases])
+        assert got[0] is None and got[4] is None
+        assert got[1][2:4] == (0, 0) and got[1][0].max() == 1.0
+        assert sum(v is not None for v in got[2:]) >= 3
+        self._assert_matches_reference(got[2:], chunk)
+        for (dev, basis), solve in zip(cases, got):
+            alone = kp.zero_pivot_solves(dev[None], [basis])[0]
+            if alone is None:
+                assert solve is None
+            else:
+                _assert_same_solve(solve, alone)
+                assert (solve[4] is basis) == (alone[4] is basis)
+
+    def test_a_vertex_without_mass_is_refused(self, warm_cases, monkeypatch):
+        # The sum row makes a basis's x part add up to 1, so only a solve
+        # that lost it can give a feasible vertex with no x mass; it must
+        # not be played as the zero point, whose D x is 0 everywhere.
+        kp = get_kernels()
+        chunk = warm_cases[:4]
+        Ds = np.stack([d for d, _ in chunk])
+        n = Ds.shape[2]
+        # x and s at 0, the slacks at 0.5: every other check passes
+        massless = np.array([[0.0 if j <= n else 0.5 for j in basis]
+                             for _, basis in chunk])[:, :, None]
+        monkeypatch.setattr(np.linalg, "solve", lambda B, rhs: massless)
+        assert kp.zero_pivot_solves(Ds, [b for _, b in chunk]) == [None] * 4
 
     def test_zero_pivot_solves_match_epigraph_simplex(self, ccedb_rounds):
         # a run's matrices with the bases CceDb holds as their rounds

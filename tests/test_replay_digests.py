@@ -28,6 +28,10 @@ CONFIGS = {
         "horizon": 300, "seeds": [0, 1], "diagnostic": True,
         "benchmark": {"q_star": "condorcet", "policy_count": 2},
     },
+    # MinMaxDb plays the uniform marginal here with 0 descent iterations
+    # (1 distinct marginal in 300 rounds on both seeds), so its bytes do not
+    # depend on the forecasts: this pin covers the ledger and CSV path, not
+    # the oracle; the two minmaxdb-finite3-ctx2* pins cover the oracle
     "minmaxdb-finite3-nash": {
         "algorithm": {"kind": "minmaxdb", "gamma": "auto",
                       "oracle": {"kind": "finite"}},
