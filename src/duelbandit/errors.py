@@ -33,7 +33,8 @@ class DimensionMismatch(DuelBanditError):
 
 
 class NotConverged(DuelBanditError):
-    """A solver exhausted its iteration budget above tolerance.
+    """A solver exhausted its iteration budget above tolerance, or reported
+    a NaN violation.
 
     For CCE and the inverse-gap program this signals a solver bug or a
     budget (`games.MAX_ITERATIONS`) too small, never a property of the

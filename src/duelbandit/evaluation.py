@@ -129,18 +129,23 @@ class RegretLedger:
     def record(self, f_star: PreferenceMatrix, context,
                joint: JointActionDistribution, duel: tuple[int, int]) -> None:
         """Check one round and queue it; a round that fails a check is not
-        booked. Calls every policy on `context` now."""
-        _check_k(f_star, joint)
-        if self.q_star is not None:
-            _check_q_star(f_star, self.q_star)
+        booked. Calls every policy on `context` now. The checks are
+        `_check_k`'s and `_check_q_star`'s, read off the array shapes."""
+        truth, weights = f_star.entries, joint.weights
+        k = truth.shape[0]
+        if weights.shape[0] != k:
+            raise DimensionMismatch(
+                f"matrix k={k} vs joint k={weights.shape[0]}")
+        if self._half_q is not None and self._half_q.shape[0] != k:
+            raise DimensionMismatch(
+                f"q_star k={self._half_q.shape[0]} vs matrix k={k}")
         if self.policies:
             a, b = duel
-            k = f_star.k
             if not (0 <= a < k and 0 <= b < k):
                 raise DimensionMismatch(f"duel {duel} out of range for k={k}")
             self._picks += [a, b] + [policy(context) for policy in self.policies]
-        self._truths.append(f_star.entries)
-        self._joints.append(joint.weights)
+        self._truths.append(truth)
+        self._joints.append(weights)
         if len(self._joints) == _FLUSH_ROUNDS:
             self._flush()
 

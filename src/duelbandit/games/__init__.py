@@ -143,7 +143,8 @@ def solve_cce(u) -> FeasibilityReport:
     x, viol, iters, status, basis = get_kernels().epigraph_simplex(
         dev, MAX_ITERATIONS
     )
-    if status != 0 or viol > VIOLATION_TOLERANCE:
+    # written so that a NaN violation fails too
+    if status != 0 or not viol <= VIOLATION_TOLERANCE:
         raise NotConverged(
             f"CCE solve stopped at violation {viol:.3e} "
             f"(tolerance {VIOLATION_TOLERANCE:.1e}) after {iters} pivots",
@@ -182,9 +183,9 @@ def solve_zero_sum_nash(p) -> FeasibilityReport:
         pe = PreferenceMatrix(pe).entries  # validates skew-symmetry
     # (q^T P)_j >= 0 for all j  <=>  (P q)_j <= 0 for all j, by skew-symmetry
     q, viol, iters, status, basis = get_kernels().epigraph_simplex(
-        pe.copy(), MAX_ITERATIONS
+        pe, MAX_ITERATIONS
     )
-    if status != 0 or viol > VIOLATION_TOLERANCE:
+    if status != 0 or not viol <= VIOLATION_TOLERANCE:
         raise NotConverged(
             f"zero-sum Nash solve stopped at violation {viol:.3e} "
             f"after {iters} pivots",

@@ -1,7 +1,9 @@
 """Pure-numpy solver kernels, the hot loops behind the solvers:
 
   * epigraph_simplex -- minimize max_i (D x)_i over the simplex, the core
-    of CCE and zero-sum Nash solves; it returns its final basis too,
+    of CCE and zero-sum Nash solves; it writes its first basis in closed
+    form, runs its ratio tests on Python floats and returns its final
+    basis too,
   * zero_pivot_solves -- the solves that need no pivot, for a stack of
     matrices at once: the pure point, or the warm vertex of a basis held
     from an earlier solve, found and checked in one pass over the held
@@ -15,6 +17,7 @@ Status codes: 0 = converged, 1 = iteration budget exhausted.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -54,16 +57,29 @@ def _pivot(T: np.ndarray, r: int, c: int, col: np.ndarray,
            outer: np.ndarray) -> None:
     """Gauss-Jordan pivot on (r, c), in place.
 
-    `col` (rows,) and `outer` (the tableau's shape) are scratch. The pivot
-    row takes the rank-1 update too, with factor 0, which turns its -0.0
-    entries into +0.0; the sign of a zero can reach the returned x.
+    `col` (rows, 1) and `outer` (the tableau's shape) are scratch. The
+    pivot row takes the rank-1 update too, with factor 0, which turns its
+    -0.0 entries into +0.0; the sign of a zero can reach the returned x.
     """
     prow = T[r]
-    prow /= prow[c]
-    np.copyto(col, T[:, c])
+    prow /= prow.item(c)
+    np.copyto(col, T[:, c:c + 1])
     col[r] = 0.0
-    np.multiply(col[:, None], prow, out=outer)
+    np.multiply(col, prow, out=outer)
     np.subtract(T, outer, out=T)
+
+
+def _leaving_row(column: list, rhs: list) -> int:
+    """The ratio test on Python floats: the first row with the smallest
+    rhs[i] / column[i] among the entries column[i] > 1e-12, or -1 if there
+    is none. A NaN or infinite ratio is never picked."""
+    row, best = -1, math.inf
+    for i, v in enumerate(column):
+        if v > _RATIO_EPS:
+            ratio = rhs[i] / v
+            if ratio < best:
+                row, best = i, ratio
+    return row
 
 
 def _pure_point(j0: int, top: float, m: int, n: int):
@@ -154,33 +170,44 @@ def epigraph_simplex(D: np.ndarray, max_iter: int):
     vertex for the true right-hand side. Returns (x, max_violation, pivots,
     status, basis), the basis a tuple of tableau columns, one per row (x
     vars, then s, then the row slacks).
+
+    The first basis comes from two pivots, on (m, j0) and (i0, s), written
+    out in closed form with the bits the rank-1 updates give: the sum row
+    holds exact 1s, so the first subtracts column j0 from the x block and
+    from both right-hand sides; s holds -1 in every constraint row, so the
+    second subtracts row i0 from the others and negates row i0 as 0.0 - row
+    (a -0.0 becomes +0.0). The ratio test of every later pivot runs on
+    Python floats (`_leaving_row`).
     """
     D = np.ascontiguousarray(D, dtype=np.float64)
     m, n = D.shape
     col_max = D.max(axis=0)
     j0 = int(col_max.argmin())
-    if col_max[j0] <= 0.0:
-        return _pure_point(j0, float(col_max[j0]), m, n)
+    top = col_max.item(j0)
+    if top <= 0.0:
+        return _pure_point(j0, top, m, n)
 
     ncol = n + 1 + m  # x vars, epigraph s, row slacks
     rows = m + 1
-    template = _tableau_template(m, n)
-    T = template.copy()
-    T[:m, :n] = D
-    # s enters where D x_j0 - delta is largest, so the first basis is
+    T = _tableau_template(m, n).copy()
+    # pivot (m, j0): x_j0 enters in the sum row
+    d0 = D[:, j0:j0 + 1]
+    np.subtract(D, d0, out=T[:m, :n])
+    T[:m, ncol:] -= d0
+    # s enters where delta - D x_j0 is smallest, so the first basis is
     # feasible for the perturbed rows
-    i0 = int((D[:, j0] - template[:m, ncol]).argmax())
-    col = np.empty(rows)
+    i0 = int(T[:m, ncol].argmin())
+    # pivot (i0, n): s enters in row i0
+    lead = T[i0].copy()
+    T[:m] -= lead
+    np.subtract(0.0, lead, out=T[i0])
+
+    col = np.empty((rows, 1))
     outer = np.empty((rows, ncol + 2))
-    ratios = np.empty(rows)
-    pos = np.empty(rows, dtype=bool)
     rhs = T[:, ncol]  # perturbed
     basis = [*range(n + 1, n + 1 + m), j0]
     basis[i0] = n
     srow = i0  # the row where s is basic, -1 once it leaves
-
-    _pivot(T, m, j0, col, outer)
-    _pivot(T, i0, n, col, outer)
 
     it = 0
     status = 1
@@ -198,29 +225,23 @@ def epigraph_simplex(D: np.ndarray, max_iter: int):
         # largest entry of T[srow], if it is above the tolerance, with s's
         # own unit entry set to 0 during the search.
         cost_row = T[srow, :ncol]
-        unit = cost_row[n]
+        unit = cost_row.item(n)
         cost_row[n] = 0.0
         e = int(cost_row.argmax())
-        improving = cost_row[e] > _COST_TOL
+        improving = cost_row.item(e) > _COST_TOL
         cost_row[n] = unit
         if not improving:
             status = 0
             break
-        entering = T[:, e]
-        np.greater(entering, _RATIO_EPS, out=pos)
-        ratios.fill(np.inf)
-        np.divide(rhs, entering, out=ratios, where=pos)
-        r = int(ratios.argmin())
-        if not pos[r]:
-            # no positive entry, since a finite tableau has finite ratios:
-            # unbounded cannot happen here; treat as optimal
+        r = _leaving_row(T[:, e].tolist(), rhs.tolist())
+        if r < 0:
+            # no positive entry: unbounded cannot happen here; treat as
+            # optimal
             status = 0
             break
         _pivot(T, r, e, col, outer)
         basis[r] = e
-        if e == n:
-            srow = r
-        elif r == srow:
+        if r == srow:  # s leaves; it never enters, as its cost reads 0
             srow = -1
 
     point = [0.0] * n  # the x part, clipped at 0 and renormalized

@@ -214,7 +214,7 @@ class _RidgeState:
         """For each row x of `feats`: the ridge mean b^T A^{-1} x and the
         quadratic form x^T A^{-1} x."""
         v = self._inv @ feats.T                      # (d, n)
-        return self.moment @ v, np.sum(feats.T * v, axis=0)
+        return self.moment @ v, (feats.T * v).sum(axis=0)
 
 
 class VawForecaster:

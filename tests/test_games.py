@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,12 @@ from duelbandit.games import (
     solve_zero_sum_nash,
     zero_pivot_cces,
 )
-from duelbandit.games._kernels_py import _COST_TOL, _PERTURBATION, _RATIO_EPS
+from duelbandit.games._kernels_py import (
+    _COST_TOL,
+    _PERTURBATION,
+    _RATIO_EPS,
+    _leaving_row,
+)
 from duelbandit.games.grid_oracle import (
     cce_grid_min_violation,
     minmax_grid_min_violation,
@@ -535,6 +542,49 @@ class TestNumpyKernelMatchesReference:
         _assert_same_solve(got, want)
         _assert_kernel_value(dev, _linprog_value(dev))
 
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_CASES))
+    def test_degenerate_cases(self, case):
+        dev = DEGENERATE_CASES[case]()
+        want = _reference_epigraph_simplex(dev, 0.0, 50_000)
+        assert want[2] > 2
+        _assert_same_solve(get_kernels().epigraph_simplex(dev, 50_000), want)
+
+    def test_late_ccelindb_matrices(self):
+        """Rounds 2000-2149 of a T=10000 CceLinDb run: more of their cold
+        solves pivot, and for longer, than in the run's first 150 rounds."""
+        algorithm, environment = LEARNER_SPECS["ccelindb"]
+        uppers = _learner_uppers(algorithm, environment, 3, 2150, 10_000)
+        kp = get_kernels()
+        pivots = {}
+        for first in (0, 2000):
+            pivots[first] = 0
+            for u in uppers[first:first + 150]:
+                dev = cce_deviation_matrix(u)
+                want = _reference_epigraph_simplex(dev, 0.0, 50_000)
+                _assert_same_solve(kp.epigraph_simplex(dev, 50_000), want)
+                pivots[first] += want[2]
+        assert pivots[2000] > 2 * pivots[0] > 0
+
+
+class TestLeavingRow:
+    """The ratio test: the first row with the smallest rhs / column among
+    the entries above _RATIO_EPS, or -1 if there is none."""
+
+    def test_a_tie_gives_the_first_row(self):
+        assert _leaving_row([0.5, 1.0, 2.0, 1.0], [3.0, 1.0, 2.0, 1.0]) == 1
+
+    def test_an_entry_at_the_tolerance_is_excluded(self):
+        assert _leaving_row([_RATIO_EPS, 1.0], [0.0, 1.0]) == 1
+        assert _leaving_row([_RATIO_EPS], [0.0]) == -1
+
+    def test_no_admissible_entry_gives_minus_one(self):
+        assert _leaving_row([0.0, -0.0, -1.0], [1.0, 1.0, 1.0]) == -1
+        assert _leaving_row([], []) == -1
+
+    def test_a_nan_ratio_is_skipped(self):
+        assert _leaving_row([1.0, 1.0], [np.nan, 2.0]) == 1
+        assert _leaving_row([1.0], [np.nan]) == -1
+
 
 def _ccedb_solve(kp, dev, basis):
     """The solve CceDb makes of `dev` from the basis it holds: stage one
@@ -920,3 +970,21 @@ class TestKernelSeam:
         report = solve_minmax_feasibility(PreferenceMatrix(0.5 * RPS), 10.0)
         assert report.basis == ()
         assert len(calls) == 3
+
+    def test_a_nan_violation_raises(self, monkeypatch):
+        """A simplex that reports status 0 with a NaN violation has failed:
+        both solvers raise NotConverged rather than pass it on."""
+        kernels = get_kernels()
+
+        def nan_simplex(D, max_iter):
+            x, _viol, pivots, status, basis = kernels.epigraph_simplex(
+                D, max_iter)
+            return x, float("nan"), pivots, status, basis
+
+        stub = types.SimpleNamespace(epigraph_simplex=nan_simplex)
+        monkeypatch.setattr(games, "get_kernels", lambda: stub)
+        u = np.array([[0.0, 0.5, -0.2], [0.1, 0.0, 0.3], [-0.4, 0.2, 0.0]])
+        for solve, matrix in ((solve_cce, u), (solve_zero_sum_nash, RPS)):
+            with pytest.raises(NotConverged) as raised:
+                solve(matrix)
+            assert np.isnan(raised.value.max_violation)
