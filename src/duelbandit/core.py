@@ -202,7 +202,7 @@ def clamp_forecasts(forecasts: np.ndarray) -> np.ndarray:
     # each pair is counted twice; NaN != NaN counts as clamped
     changed = np.count_nonzero(out != forecasts, axis=(1, 2))
     for n_changed in changed[changed > 0].tolist():
-        log.debug("skew_complete clamped %d of %d predictions into [-1, 1]",
+        log.debug("clamp_forecasts clamped %d of %d predictions into [-1, 1]",
                   n_changed // 2, k * (k - 1) // 2)
     return out
 

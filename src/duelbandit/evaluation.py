@@ -96,14 +96,17 @@ class RegretLedger:
     policy (policy regret is the max column sum). Step arrays and exact
     prefix sums are exposed for the dominance checks.
 
-    `record` checks a round and queues it: its truth and joint arrays (both
-    frozen), its duel and, with policies, each policy's arm for the
-    round's context. Every 256 rounds, and before any result is read, the
-    queue is flushed: a few stacked numpy calls give the chunk's steps with
-    the bits of `br_regret_step`, `fb_regret_step` and the scalar policy
-    step, and one scalar `_KahanSum` pass per column adds them up in round
-    order. Results are held in float64 arrays; those the properties return
-    are read-only views.
+    `record` checks a round and queues it: the index of its (truth, joint)
+    pair among the chunk's distinct pairs, its duel and, with policies,
+    each policy's arm for the round's context. A round whose truth and
+    joint arrays (both frozen) are the very objects of the round before
+    takes that round's index; otherwise its pair is new. Every 256 rounds,
+    and before any result is read, the queue is flushed: a few stacked
+    numpy calls over the distinct pairs give the chunk's steps with the
+    bits of `br_regret_step`, `fb_regret_step` and the scalar policy step,
+    gathered per round, and one scalar `_KahanSum` pass per column adds
+    them up in round order. Results are held in float64 arrays; those the
+    properties return are read-only views.
     """
 
     def __init__(self, q_star: ActionDistribution | None = None,
@@ -112,8 +115,10 @@ class RegretLedger:
         self.policies = list(policies) if policies else []
         # the fixed-benchmark dot is (0.5 * q) @ values, as in fb_regret_step
         self._half_q = None if q_star is None else 0.5 * q_star.weights
+        # the chunk's distinct (truth, joint) pairs, and each round's index
         self._truths: list[np.ndarray] = []
         self._joints: list[np.ndarray] = []
+        self._pairs: list[int] = []
         # with policies, per round: arm a, arm b, then each policy's arm
         self._picks: list[int] = []
         self._table = np.empty((5, _FLUSH_ROUNDS))
@@ -124,39 +129,46 @@ class RegretLedger:
 
     @property
     def rounds(self) -> int:
-        return self._done + len(self._joints)
+        return self._done + len(self._pairs)
 
     def record(self, f_star: PreferenceMatrix, context,
                joint: JointActionDistribution, duel: tuple[int, int]) -> None:
         """Check one round and queue it; a round that fails a check is not
         booked. Calls every policy on `context` now. The checks are
-        `_check_k`'s and `_check_q_star`'s, read off the array shapes."""
+        `_check_k`'s and `_check_q_star`'s, read off the array shapes; a
+        repeated pair passed them when it was first queued."""
         truth, weights = f_star.entries, joint.weights
         k = truth.shape[0]
-        if weights.shape[0] != k:
-            raise DimensionMismatch(
-                f"matrix k={k} vs joint k={weights.shape[0]}")
-        if self._half_q is not None and self._half_q.shape[0] != k:
-            raise DimensionMismatch(
-                f"q_star k={self._half_q.shape[0]} vs matrix k={k}")
+        new = not (self._joints and weights is self._joints[-1]
+                   and truth is self._truths[-1])
+        if new:
+            if weights.shape[0] != k:
+                raise DimensionMismatch(
+                    f"matrix k={k} vs joint k={weights.shape[0]}")
+            if self._half_q is not None and self._half_q.shape[0] != k:
+                raise DimensionMismatch(
+                    f"q_star k={self._half_q.shape[0]} vs matrix k={k}")
         if self.policies:
             a, b = duel
             if not (0 <= a < k and 0 <= b < k):
                 raise DimensionMismatch(f"duel {duel} out of range for k={k}")
             self._picks += [a, b] + [policy(context) for policy in self.policies]
-        self._truths.append(truth)
-        self._joints.append(weights)
-        if len(self._joints) == _FLUSH_ROUNDS:
+        if new:
+            self._truths.append(truth)
+            self._joints.append(weights)
+        self._pairs.append(len(self._joints) - 1)
+        if len(self._pairs) == _FLUSH_ROUNDS:
             self._flush()
 
     def _flush(self) -> None:
         """Book the queued rounds."""
-        n = len(self._joints)
+        n = len(self._pairs)
         if not n:
             return
         f = np.array(self._truths)
         w = np.array(self._joints)
-        # stacked forms that give exposure(joint)'s and F @ e's bits per round
+        pairs = np.array(self._pairs)
+        # stacked forms that give exposure(joint)'s and F @ e's bits per pair
         expo = w.sum(axis=2) + w.sum(axis=1)
         values = np.matmul(f, expo[:, :, None])[:, :, 0]
         start, end = self._done, self._done + n
@@ -165,28 +177,28 @@ class RegretLedger:
             grown[:, :start] = self._table[:, :start]
             self._table = grown
         table = self._table[:, start:end]
-        table[_BR] = 0.5 * values.max(axis=1)
+        table[_BR] = (0.5 * values.max(axis=1))[pairs]
         table[_BR_CUM] = self._br_acc.extend(table[_BR].tolist())
         if self._half_q is None:
             table[_FB] = 0.0
             table[_FB_CUM] = 0.0
         else:
-            # one (1, K) @ (K, 1) product per round: the bits of the 1-D dot
+            # one (1, K) @ (K, 1) product per pair: the bits of the 1-D dot
             table[_FB] = np.matmul(values[:, None, :],
-                                   self._half_q[:, None])[:, 0, 0]
+                                   self._half_q[:, None])[pairs, 0, 0]
             table[_FB_CUM] = self._fb_acc.extend(table[_FB].tolist())
         if self.policies:
             picks = np.array(self._picks).reshape(n, -1)
-            rows, arms = np.arange(n)[:, None], picks[:, 2:]
-            steps = 0.5 * (f[rows, arms, picks[:, :1]]
-                           + f[rows, arms, picks[:, 1:2]])
+            arms = picks[:, 2:]
+            steps = 0.5 * (f[pairs[:, None], arms, picks[:, :1]]
+                           + f[pairs[:, None], arms, picks[:, 1:2]])
             totals = [acc.extend(column)
                       for acc, column in zip(self._policy_accs, steps.T.tolist())]
             table[_POLICY_CUM] = np.max(totals, axis=0)
         else:
             table[_POLICY_CUM] = 0.0
         self._done = end
-        self._truths, self._joints, self._picks = [], [], []
+        self._truths, self._joints, self._pairs, self._picks = [], [], [], []
 
     def _column(self, row: int) -> np.ndarray:
         self._flush()

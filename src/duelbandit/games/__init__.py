@@ -219,12 +219,6 @@ def minmax_violations(y_hats: np.ndarray, points: np.ndarray,
     return g.max(axis=1) - minmax_rhs(points.shape[1], gamma)
 
 
-def minmax_violation(y_hat, gamma: float, point) -> float:
-    """Signed worst violation of the inverse-gap constraints at `point`."""
-    pw = point.weights if isinstance(point, ActionDistribution) else np.asarray(point)
-    return float(minmax_violations(_entries(y_hat)[None], pw[None], gamma)[0])
-
-
 def solve_minmax_feasibility(
     y_hat,
     gamma: float,

@@ -448,22 +448,33 @@ def run_single_seed(config: ExperimentConfig, seed: int):
 
 def _round_lines(seed: int, gamma: float | None, rows: array,
                  ledger: RegretLedger) -> list[str]:
-    """The round CSV's rows, one per booked round, formatted after the run
-    from the flat (arm_a, arm_b, outcome, solver_iters) `rows`.
+    """The round CSV's rows, one per booked round and each ending in a
+    newline, formatted after the run from the flat (arm_a, arm_b, outcome,
+    solver_iters) `rows`.
 
     Each float goes through "%.17g", the format `_fmt` applies; integers
-    through str.
+    through str. The step columns repeat from round to round, so each
+    distinct step is formatted once (`_step_strings`).
     """
-    template = (f"{seed},%s,%s,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,"
-                f"{_fmt(0.0 if gamma is None else gamma)},%s")
+    template = (f"{seed},%s,%s,%s,%s,%s,%.17g,%s,%.17g,%.17g,"
+                f"{_fmt(0.0 if gamma is None else gamma)},%s\n")
     columns = zip(range(1, len(rows) // 4 + 1), zip(*[iter(rows)] * 4),
-                  ledger.br_steps.tolist(), ledger.br_cum.tolist(),
-                  ledger.fb_steps.tolist(), ledger.fb_cum.tolist(),
+                  _step_strings(ledger.br_steps), ledger.br_cum.tolist(),
+                  _step_strings(ledger.fb_steps), ledger.fb_cum.tolist(),
                   ledger.policy_cum.tolist())
     return [template % (t, a, b, outcome, br, br_cum, fb, fb_cum, policy,
                         iters)
             for t, (a, b, outcome, iters), br, br_cum, fb, fb_cum, policy
             in columns]
+
+
+def _step_strings(steps: np.ndarray) -> list[str]:
+    """Each step's "%.17g" string, formatted once per distinct value.
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    strings."""
+    bits, index = np.unique(steps.view(np.int64), return_inverse=True)
+    strings = ["%.17g" % value for value in bits.view(np.float64).tolist()]
+    return [strings[i] for i in index.tolist()]
 
 
 def _run_and_write_seeds(config: ExperimentConfig, seeds: list[int]) -> list:
@@ -489,7 +500,7 @@ def _write_rounds(config: ExperimentConfig, seed: int, lines: list[str]) -> None
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         # line by line: the joined file is never held in memory
-        fh.writelines(line + "\n" for line in lines)
+        fh.writelines(lines)
 
 
 def worker_count() -> int:

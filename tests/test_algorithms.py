@@ -21,7 +21,7 @@ from duelbandit.games import (
     cce_deviation_matrix,
     cce_violation,
     minmax_slack,
-    minmax_violation,
+    minmax_violations,
     solve_minmax_feasibility,
 )
 from duelbandit.harness import build_environment, build_learner
@@ -359,8 +359,9 @@ class TestMinMaxDb:
         joint, duel = learner.select(0, rng)
         p = learner.last_marginal
         assert np.array_equal(joint.weights, np.outer(p, p))
-        assert minmax_violation(learner.last_prediction, 16.0, joint.left_marginal()) \
-            <= k / 16.0
+        assert minmax_violations(learner.last_prediction.entries[None],
+                                 joint.left_marginal().weights[None],
+                                 16.0)[0] <= k / 16.0
         assert np.abs(joint.weights - np.outer(p, p)).max() <= 1e-12
 
     def test_unit_gap_predictions_satisfy_program(self, rng):
@@ -597,8 +598,8 @@ class TestMinMaxDbReuse:
         assert second is first
         assert learner.last_iterations == 0
         assert np.array_equal(learner.last_prediction.entries, near)
-        assert learner.last_violation == minmax_violation(
-            near, 12.0, learner.last_marginal)
+        assert learner.last_violation == minmax_violations(
+            near[None], learner.last_marginal[None], 12.0)[0]
         assert learner.last_violation <= minmax_slack(3, 12.0) / 2.0
 
     def test_new_forecast_the_held_marginal_misses_is_solved(self, rng):
@@ -608,7 +609,8 @@ class TestMinMaxDbReuse:
         learner = MinMaxDb(3, 24.0, _Scripted(zero, far))
         first, _ = learner.select(0, rng)
         held = learner.last_marginal
-        assert minmax_violation(far, 24.0, held) > minmax_slack(3, 24.0) / 2.0
+        assert minmax_violations(far[None], held[None], 24.0)[0] \
+            > minmax_slack(3, 24.0) / 2.0
         second, _ = learner.select(0, rng)
         report = solve_minmax_feasibility(skew_complete(far), 24.0,
                                           warm_start=held)

@@ -83,7 +83,7 @@ class TestSkewComplete:
             m = skew_complete([[0, 1.7], [-1.7, 0]])
         assert np.array_equal(m.entries, [[0, 1], [-1, 0]])
         assert [r.getMessage() for r in caplog.records] == [
-            "skew_complete clamped 1 of 1 predictions into [-1, 1]"]
+            "clamp_forecasts clamped 1 of 1 predictions into [-1, 1]"]
 
     def test_clamp_count_is_per_pair(self, caplog):
         forecast = np.zeros((4, 4))
@@ -92,7 +92,7 @@ class TestSkewComplete:
         with caplog.at_level(logging.DEBUG, logger="duelbandit.core"):
             skew_complete(forecast)
         assert [r.getMessage() for r in caplog.records] == [
-            "skew_complete clamped 2 of 6 predictions into [-1, 1]"]
+            "clamp_forecasts clamped 2 of 6 predictions into [-1, 1]"]
 
     @pytest.mark.parametrize("k", [2, 3, 7])
     def test_clamp_keeps_the_matrix_skew(self, k):
@@ -128,7 +128,7 @@ class TestSkewComplete:
         assert m.tobytes() == np.clip(forecast, -1, 1).tobytes()
         assert not np.shares_memory(m, forecast)
         assert [r.getMessage() for r in caplog.records] == [
-            "skew_complete clamped 1 of 3 predictions into [-1, 1]"]
+            "clamp_forecasts clamped 1 of 3 predictions into [-1, 1]"]
 
     def test_non_square_rejected(self):
         for shape in [(3,), (2, 3), (1, 2, 2)]:

@@ -246,6 +246,71 @@ class TestLedgerSteps:
                     self._check_against_replay(ledger, br, [0.0] * t,
                                                [[]] * t)
 
+    @pytest.mark.parametrize("pattern", ["repeat", "alternate", "runs"])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_repeated_pairs_match_a_scalar_replay(self, k, pattern,
+                                                  make_skew):
+        """A round whose truth and joint are the previous round's objects
+        is booked from that round's pair. Whether one pair repeats across
+        the flushes at 256 and 512, two contexts alternate, or runs of
+        repeats change truth, joint or both, the ledger must show the step
+        functions' bits, a scalar replay's sums, and the bits of a ledger
+        fed fresh copies every round."""
+        gen = np.random.default_rng(200 + k)
+        rounds = 600
+        q = ActionDistribution(gen.dirichlet(np.ones(k)))
+        policies = [lambda x: x % k, lambda x: (x // 2 + 1) % k]
+
+        def new_joint():
+            w = gen.uniform(0, 1, (k, k)) * (gen.random((k, k)) < 0.5)
+            w[gen.integers(k), gen.integers(k)] += 0.1
+            return JointActionDistribution(w / w.sum())
+
+        truths = [PreferenceMatrix(make_skew(k, gen)) for _ in range(2)]
+        joints = [new_joint(), new_joint()]
+        f, joint = truths[0], joints[0]
+        ledger = RegretLedger(q_star=q, policies=policies)
+        fresh = RegretLedger(q_star=q, policies=policies)
+        br, fb, policy_steps = [], [], []
+        for t in range(1, rounds + 1):
+            if pattern == "alternate":
+                f, joint = truths[t % 2], joints[t % 2]
+            elif pattern == "runs":
+                move = gen.random()
+                if move < 0.05:
+                    f = PreferenceMatrix(make_skew(k, gen))
+                elif move < 0.1:
+                    joint = new_joint()
+                elif move < 0.15:
+                    f, joint = PreferenceMatrix(make_skew(k, gen)), new_joint()
+            a, b = int(gen.integers(k)), int(gen.integers(k))
+            br.append(br_regret_step(f, joint))
+            fb.append(fb_regret_step(f, joint, q))
+            policy_steps.append([0.5 * (f.entries.item(policy(t), a)
+                                        + f.entries.item(policy(t), b))
+                                 for policy in policies])
+            ledger.record(f, t, joint, (a, b))
+            fresh.record(PreferenceMatrix(f.entries.copy()), t,
+                         JointActionDistribution(joint.weights.copy()),
+                         (a, b))
+        self._check_against_replay(ledger, br, fb, policy_steps)
+        for column in ("br_steps", "br_cum", "fb_steps", "fb_cum",
+                       "policy_cum", "policy_totals"):
+            assert (getattr(ledger, column).tobytes()
+                    == getattr(fresh, column).tobytes())
+
+    def test_a_repeated_pair_still_checks_its_duel(self):
+        f, joint = rps3(), uniform_joint(3)
+        ledger = RegretLedger(policies=[lambda x: 0])
+        ledger.record(f, 0, joint, (0, 1))
+        with pytest.raises(DimensionMismatch, match="duel"):
+            ledger.record(f, 0, joint, (0, 3))
+        ledger.record(f, 0, joint, (2, 1))
+        assert ledger.rounds == 2
+        assert ledger.br_steps.tolist() == [br_regret_step(f, joint)] * 2
+        # arm 0 against (0, 1) and then (2, 1): 0.5 * (0 + 1) + 0.5 * (-1 + 1)
+        assert ledger.policy_totals.tolist() == [0.5]
+
     @staticmethod
     def _check_against_replay(ledger, br, fb, policy_steps):
         def running(steps):

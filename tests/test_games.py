@@ -22,7 +22,6 @@ from duelbandit.games import (
     get_kernels,
     minmax_rhs,
     minmax_slack,
-    minmax_violation,
     minmax_violations,
     solve_cce,
     solve_minmax_feasibility,
@@ -408,7 +407,8 @@ class TestSolveMinmaxFeasibility:
         y = PreferenceMatrix(np.zeros((4, 4)))
         report = solve_minmax_feasibility(y, 16.0)
         uniform = ActionDistribution(np.full(4, 0.25))
-        assert minmax_violation(y, 16.0, uniform) == pytest.approx(0.5 - 1.25)
+        assert minmax_violations(y.entries[None], uniform.weights[None],
+                                 16.0)[0] == pytest.approx(0.5 - 1.25)
         assert report.max_violation <= 4.0 / 16.0 / 2.0
 
     def test_two_arm_unit_gap_against_grid_oracle(self):
@@ -416,9 +416,10 @@ class TestSolveMinmaxFeasibility:
         # point and the grid oracle must both certify feasibility
         y = np.array([[0.0, 1.0], [-1.0, 0.0]])
         hand = ActionDistribution([0.8, 0.2])
-        assert minmax_violation(y, 10.0, hand) <= 0.0
+        assert minmax_violations(y[None], hand.weights[None], 10.0)[0] <= 0.0
         report = solve_minmax_feasibility(PreferenceMatrix(y), 10.0)
-        assert minmax_violation(y, 10.0, report.point) <= 2.0 / 10.0 + 1e-12
+        assert minmax_violations(y[None], report.point.weights[None],
+                                 10.0)[0] <= 2.0 / 10.0 + 1e-12
         assert minmax_grid_min_violation(y, 10.0, 1e-3) <= 0.0
 
     def test_gamma_below_threshold_rejected(self):
@@ -437,7 +438,6 @@ class TestSolveMinmaxFeasibility:
                 for y, p, row in zip(ys, ps, rows):
                     g = y @ p + (2.0 / gamma) / p
                     assert row == float(g.max() - 5.0 * k / gamma)
-                    assert minmax_violation(y, gamma, p) == row
 
     @pytest.mark.parametrize("gap", [0.0, 0.9],
                              ids=["uniform-meets", "uniform-misses"])
@@ -448,8 +448,8 @@ class TestSolveMinmaxFeasibility:
         tables = np.zeros((1, 1, k, k))
         tables[0, 0, 0, 1:], tables[0, 0, 1:, 0] = gap, -gap
         y = PreferenceMatrix(tables[0, 0])
-        meets = minmax_violation(y, gamma, np.full(k, 1.0 / k)) \
-            <= minmax_slack(k, gamma) / 2.0
+        meets = minmax_violations(y.entries[None], np.full((1, k), 1.0 / k),
+                                  gamma)[0] <= minmax_slack(k, gamma) / 2.0
         assert meets == (gap == 0.0)
         learner = MinMaxDb(k, gamma, FiniteClassAggregator(tables))
         joint, _ = learner.select(0, RngHandle(0))
