@@ -30,7 +30,7 @@ from .errors import DiagnosticFailure, GammaTooSmall, HorizonTooShort
 from .evaluation import exposure
 from .games import (
     minmax_rhs,
-    minmax_slack,
+    minmax_stop_violation,
     minmax_violations,
     solve_cce,
     solve_minmax_feasibility,
@@ -240,7 +240,7 @@ class MinMaxDb:
         self.k = int(k)
         self.gamma = float(gamma)
         self.oracle = oracle
-        self._stop_violation = minmax_slack(self.k, self.gamma) / 2.0
+        self._stop_violation = minmax_stop_violation(self.k, self.gamma)
         self._solved = None      # the last solve's (point, product joint)
         self._prepared = False   # whether this round's forecast is in
         self.last_prediction = None
@@ -282,16 +282,15 @@ class MinMaxDb:
     def select(self, context, rng: RngHandle):
         """Play a marginal that meets the inverse-gap program of the forecast.
 
-        Any marginal within the descent's stop test serves the round, so
+        Any marginal within the solver's stop test serves the round, so
         the held marginal of the last solve is kept while it meets that
         test under the current forecast, and solved again, warm-started
         from itself, only when it misses. Its violation is what a solve
-        finds at iteration 0 (the held marginal lies on the floored
-        simplex, so the solve's projection copies it), and a solve that
-        meets the test there returns it after 0 iterations: keeping it
-        gives the bits of solving every round. The first round solves from
-        the uniform marginal, where a cold descent starts. A NaN violation
-        fails the test, and the solver raises NotConverged.
+        finds at step 0, and a solve that meets the test there returns it
+        as it is after 0 iterations: keeping it gives the bits of solving
+        every round. The first round solves from the uniform marginal,
+        where a cold solve starts. A NaN violation fails the test, and the
+        solver raises NotConverged.
         """
         if not self._prepared:
             self.prepare_round([self], [context])

@@ -11,13 +11,13 @@ Three entry points, all pure functions of their input:
                                exploration penalty stays within budget.
 
 CCE and Nash reduce to one linear program: minimize the maximum constraint
-violation over a simplex. The inverse-gap program is convex (linear exposure
-plus 1/p_i penalty) and is solved by entropic mirror descent on a floored
-simplex. The hot loops live in the numpy kernels of `_kernels_py`; the
-solvers fetch the simplex and the descent through `get_kernels()` at call
-time. `zero_pivot_cces`, the only test of a basis an earlier solve
-reported, checks many CCE solves at once: one stacked basis solve and one
-pass of every check over the held bases.
+violation over a simplex. The inverse-gap program's value, 2K/gamma, is
+reached where every constraint is equal, and Newton's method solves for that
+point. The hot loops live in the numpy kernels of `_kernels_py`; the solvers
+fetch them through `get_kernels()` at call time. `zero_pivot_cces`, the
+only test of a basis an earlier solve reported, checks many CCE solves at
+once: one stacked basis solve and one pass of every check over the held
+bases.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 # Every solver reads these at call time, so a test can patch them.
-MAX_ITERATIONS = 50_000     # pivot or descent budget of one solve
+MAX_ITERATIONS = 50_000     # pivot or Newton step budget of one solve
 VIOLATION_TOLERANCE = 1e-8  # worst violation a simplex solve may return
 
 
@@ -67,8 +67,8 @@ def backend_name() -> str:
 class FeasibilityReport:
     """Solver output: the point, its worst signed constraint violation
     (<= 0 means strictly feasible), the iterations used and the simplex's
-    final basis (empty for the descent). A solver that does not converge
-    raises NotConverged instead."""
+    final basis (empty for the inverse-gap solve). A solver that does not
+    converge raises NotConverged instead."""
 
     point: object
     max_violation: float
@@ -205,6 +205,11 @@ def minmax_slack(k: int, gamma: float) -> float:
     return k / gamma
 
 
+def minmax_stop_violation(k: int, gamma: float) -> float:
+    """The stop test: a violation of at most half the slack."""
+    return minmax_slack(k, gamma) / 2.0
+
+
 def minmax_violations(y_hats: np.ndarray, points: np.ndarray,
                       gamma: float) -> np.ndarray:
     """Signed worst violation of the inverse-gap constraints
@@ -212,7 +217,7 @@ def minmax_violations(y_hats: np.ndarray, points: np.ndarray,
     predictions Y and (S, K) points p give (S,).
 
     Each matrix-vector product is one (K, K) @ (K, 1) `np.matmul`, which
-    gives the bits of the descent's `Y @ p` at its start.
+    gives the bits of the Newton kernel's `Y @ p`.
     """
     g = np.matmul(y_hats, points[:, :, None])[:, :, 0]
     g += (2.0 / gamma) / points
@@ -228,8 +233,11 @@ def solve_minmax_feasibility(
 
         (Y p)_i + (2/gamma) / p_i  <=  5K/gamma  (+ slack K/gamma).
 
-    Requires gamma >= 2K, under which a feasible point always exists; the
-    solver targets half the slack and reports the violation it achieved.
+    Requires gamma >= 2K, under which a feasible point always exists. From
+    `warm_start` (every coordinate > 0, as in a solve's point, or else
+    ValueError) or uniform, the solver stops at the first point that meets
+    `minmax_stop_violation` and reports its violation; one above the slack,
+    or NaN, raises NotConverged.
     """
     ye = _entries(y_hat)
     if not isinstance(y_hat, PreferenceMatrix):
@@ -237,23 +245,14 @@ def solve_minmax_feasibility(
     k = ye.shape[0]
     if not 2.0 * k <= gamma < np.inf:
         raise GammaTooSmall(f"gamma={gamma} below 2K={2 * k} or not finite")
-    # the floor keeps the feasibility proof's smoothed point, every
-    # coordinate of which is >= 1/gamma; gamma >= 2K puts it below 1/K
-    floor = 1.0 / (4.0 * gamma)
-    rhs = minmax_rhs(k, gamma)
+    if warm_start is not None and not (np.asarray(warm_start) > 0.0).all():
+        raise ValueError("warm_start needs every coordinate > 0")
     slack = minmax_slack(k, gamma)
-    eta0 = 1.0 / (gamma * k)
-    p, viol, iters, status = get_kernels().minmax_descent(
-        np.ascontiguousarray(ye),
-        float(gamma),
-        float(floor),
-        float(rhs),
-        slack / 2.0,
-        eta0,
-        MAX_ITERATIONS,
-        None if warm_start is None else np.asarray(warm_start, dtype=np.float64),
-    )
-    if viol > slack:
+    p, viol, iters = get_kernels().minmax_descent(
+        ye, float(gamma), minmax_rhs(k, gamma),
+        minmax_stop_violation(k, gamma), MAX_ITERATIONS, warm_start)
+    # written so that a NaN violation fails too
+    if not viol <= slack:
         raise NotConverged(
             f"inverse-gap solve stopped at violation {viol:.3e} "
             f"(slack {slack:.3e}); feasibility is guaranteed, so this is a bug",

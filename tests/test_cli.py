@@ -65,6 +65,21 @@ class TestSolveCommands:
         out = capsys.readouterr().out
         assert "marginal:" in out
 
+    def test_solve_igw_at_gamma_over_k_1000(self, tmp_path, capsys):
+        # a K=5 forecast at gamma/K = 1000: the program is feasible for
+        # every gamma >= 2K, so the solve must succeed
+        upper = [0.52, -0.01, 0.06, 0.57, 0.42, 0.86, -0.77, -0.97, 0.73,
+                 0.78]
+        y = np.zeros((5, 5))
+        y[np.triu_indices(5, 1)] = upper
+        y -= y.T
+        path = tmp_path / "y.txt"
+        np.savetxt(path, y)
+        assert main(["solve-igw", "--matrix", str(path),
+                     "--gamma", "5000"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "marginal:" in captured.out
+
     def test_solve_igw_bad_gamma_is_config_error(self, rps_file, capsys):
         # gamma below 2K or not finite is bad input, as in a run config:
         # exit 1 before any iteration

@@ -21,7 +21,7 @@ from duelbandit.games import (
     cce_violation,
     get_kernels,
     minmax_rhs,
-    minmax_slack,
+    minmax_stop_violation,
     minmax_violations,
     solve_cce,
     solve_minmax_feasibility,
@@ -449,7 +449,7 @@ class TestSolveMinmaxFeasibility:
         tables[0, 0, 0, 1:], tables[0, 0, 1:, 0] = gap, -gap
         y = PreferenceMatrix(tables[0, 0])
         meets = minmax_violations(y.entries[None], np.full((1, k), 1.0 / k),
-                                  gamma)[0] <= minmax_slack(k, gamma) / 2.0
+                                  gamma)[0] <= minmax_stop_violation(k, gamma)
         assert meets == (gap == 0.0)
         learner = MinMaxDb(k, gamma, FiniteClassAggregator(tables))
         joint, _ = learner.select(0, RngHandle(0))
@@ -463,19 +463,48 @@ class TestSolveMinmaxFeasibility:
             product_joint(report.point).weights.tobytes()
 
     def test_feasibility_totality_random_grid(self, make_skew):
+        # cold and warm starts on random targets over K from 2 to 20 and
+        # gamma/K from 2 to 10^4: every point meets the stop test on the
+        # floored simplex, within 50 steps (at most 39 here; Newton from
+        # the start alone, without continuation, takes up to 689)
         gen = np.random.default_rng(7)
-        for i in range(120):
-            k = (2, 3, 5, 10)[i % 4]
-            gamma = (2.0, 4.0, 10.0)[i % 3] * k
+        for k in (2, 3, 5, 10, 20):
+            for ratio in (2.0, 4.0, 10.0, 100.0, 1000.0, 10000.0):
+                gamma = ratio * k
+                floor = 1.0 / (4.0 * gamma)
+                stop = minmax_stop_violation(k, gamma)
+                for _ in range(20):
+                    y = make_skew(k, gen)
+                    warm = floor + (1.0 - k * floor) * gen.dirichlet(np.ones(k))
+                    for start in (None, warm):
+                        p, viol, steps = get_kernels().minmax_descent(
+                            y, gamma, minmax_rhs(k, gamma), stop, 50_000, start)
+                        assert viol <= stop and steps <= 50
+                        assert viol == minmax_violations(y[None], p[None],
+                                                         gamma)[0]
+                        assert p.min() >= floor
+                        assert abs(p.sum() - 1) <= 1e-12
+
+    def test_equalizer_jacobian_matches_finite_differences(self, make_skew):
+        gen = np.random.default_rng(17)
+        kernels = get_kernels()
+        for k in (2, 3, 5, 10):
+            c = 2.0 / (10.0 * k)
             y = make_skew(k, gen)
-            p, viol, iters, status = get_kernels().minmax_descent(
-                y, gamma, 1.0 / (4 * gamma), minmax_rhs(k, gamma),
-                0.5 * k / gamma, 1.0 / (gamma * k), 50_000, None,
-            )
-            assert status == 0
-            assert viol <= k / gamma + 1e-6
-            assert p.min() >= 1.0 / (4 * gamma) - 1e-12
-            assert abs(p.sum() - 1) <= 1e-9
+            p = 0.05 / k + 0.95 * gen.dirichlet(np.ones(k))
+            t = float(gen.uniform(0.0, 1.0))
+
+            def residual(z):
+                q, s = z[:k], z[k]
+                return np.append(y @ q + c / q - s, q.sum() - 1.0)
+
+            z = np.append(p, t)
+            h = 1e-7
+            columns = [(residual(z + h * e) - residual(z - h * e)) / (2 * h)
+                       for e in np.eye(k + 1)]
+            J = kernels.equalizer_jacobian(y, p, c)
+            np.testing.assert_allclose(J, np.array(columns).T,
+                                       rtol=1e-6, atol=1e-6)
 
     def test_per_round_inequality_random(self, make_skew):
         gen = np.random.default_rng(8)
@@ -502,6 +531,11 @@ class TestSolveMinmaxFeasibility:
             PreferenceMatrix(y), 30.0, warm_start=first.point.weights
         )
         assert second.iterations <= first.iterations
+        # Newton needs an interior start
+        for bad in ([1.0, 0.0, 0.0], [0.5, 0.5, np.nan]):
+            with pytest.raises(ValueError):
+                solve_minmax_feasibility(PreferenceMatrix(y), 30.0,
+                                         warm_start=np.array(bad))
 
     def test_not_converged_raises(self, monkeypatch):
         y = np.zeros((10, 10))
@@ -876,69 +910,6 @@ class TestWarmVertices:
             assert solve[4] is held
             kinds.add("warm")
         assert kinds == {"pure", "warm", "miss"}
-
-
-class TestKlProjectFloored:
-    """The early return for a point already on the floored simplex gives
-    the bytes the projection loop gives."""
-
-    @staticmethod
-    def _loop(w, floor):
-        k = w.shape[0]
-        if k * floor >= 1.0:
-            return np.full(k, 1.0 / k)
-        order = np.argsort(w, kind="stable")
-        ws = w[order]
-        prefix = np.concatenate(([0.0], np.cumsum(ws)))
-        res = np.empty(k)
-        for f in range(k):
-            denom = 1.0 - prefix[f]
-            if denom <= 0.0:
-                break
-            lam = (1.0 - f * floor) / denom
-            ok_low = f == 0 or lam * ws[f - 1] <= floor + 1e-15
-            ok_high = lam * ws[f] >= floor - 1e-15
-            if ok_low and ok_high:
-                res[order[:f]] = floor
-                res[order[f:]] = ws[f:] * lam
-                return res
-        return np.full(k, 1.0 / k)
-
-    def test_same_bytes_as_the_loop(self):
-        project = get_kernels().kl_project_floored
-        env = build_environment({"kind": "finite_class", "k": 3,
-                                 "class_size": 16, "class_seed": 11})
-        learner = build_learner({"kind": "minmaxdb"}, env, horizon=2500)
-        floor = 1.0 / (4.0 * learner.gamma)
-        root = RngHandle(5)
-        env_rng, learner_rng, outcome_rng = (
-            root.substream(name) for name in ("environment", "learner", "outcome"))
-        cases = []
-        for _ in range(300):
-            x, truth = env.sample_round(env_rng)
-            _joint, duel = learner.select(x, learner_rng)
-            cases.append((learner.last_marginal, floor))
-            learner.observe(x, duel, sample_outcome(truth.entries[duel],
-                                                    outcome_rng))
-        gen = np.random.default_rng(0)
-        for _ in range(300):
-            k = int(gen.integers(2, 9))
-            floor = float(gen.uniform(0.0, 1.0 / k))
-            w = gen.dirichlet(np.ones(k))
-            cases.append((w, floor))  # often below the floor
-            floored = floor + (1.0 - k * floor) * w
-            cases.append((floored, floor))
-            for below in (1e-16, 1e-13):  # either side of the tolerance
-                edge = floored.copy()
-                edge[edge.argmin()] = floor - below
-                cases.append((edge, floor))
-        on_floor = 0
-        for w, floor in cases:
-            want = self._loop(w, floor)
-            assert project(w, floor).tobytes() == want.tobytes()
-            on_floor += w.min() >= floor - 1e-15
-        assert 300 < on_floor < len(cases)
-
 
 
 class TestKernelSeam:

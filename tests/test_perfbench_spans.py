@@ -53,7 +53,7 @@ runs = {
         ("ccelindb-linear5", (CceLinDb, LinearRealizableEnvironment, None)),
     )
 }
-# the finite-class instance with two contexts, where the descent iterates
+# the finite-class instance with two contexts, where the Newton kernel steps
 runs["finite-ctx2"] = (
     (MinMaxDb, FiniteClassEnvironment, FiniteClassAggregator),
     dict(WORKLOADS["minmaxdb-finite3-csv"].config, horizon=HORIZON,
@@ -156,7 +156,7 @@ def test_traced_solver_values_are_the_solver_iterations(traced_runs):
     # the tracer reads a kernel's iteration count at index 2 of what it
     # returns; summed over a run, the learners' solver spans give the
     # summaries' count. A MinMaxDb run builds its nash q_star with the
-    # simplex too, so only its descent spans are summed.
+    # simplex too, so only its Newton kernel's spans are summed.
     for name, run in traced_runs.items():
         span = ("games.epigraph_simplex" if name.startswith("cce")
                 else "games.minmax_descent")
@@ -164,5 +164,5 @@ def test_traced_solver_values_are_the_solver_iterations(traced_runs):
             name, run["values"], run["solver_iterations"])
     assert traced_runs["ccedb-condorcet5"]["solver_iterations"] > 0
     assert traced_runs["ccelindb-linear5"]["solver_iterations"] > 0
-    # the one traced MinMaxDb run whose descent iterates
+    # the one traced MinMaxDb run whose Newton kernel steps
     assert traced_runs["finite-ctx2"]["solver_iterations"] > 0

@@ -28,7 +28,7 @@ CONFIGS = {
         "horizon": 300, "seeds": [0, 1], "diagnostic": True,
         "benchmark": {"q_star": "condorcet", "policy_count": 2},
     },
-    # MinMaxDb plays the uniform marginal here with 0 descent iterations
+    # MinMaxDb plays the uniform marginal here with 0 solver steps
     # (1 distinct marginal in 300 rounds on both seeds), so its bytes do not
     # depend on the forecasts: this pin covers the ledger and CSV path, not
     # the oracle; the two minmaxdb-finite3-ctx2* pins cover the oracle
@@ -56,7 +56,7 @@ CONFIGS = {
         "benchmark": {"q_star": None, "policy_count": 0},
     },
     # criterion 11's instance: the context switches, and after a switch
-    # the inverse-gap descent iterates (23 rounds of the 2000)
+    # the inverse-gap solver steps (6 rounds of the 2000)
     "minmaxdb-finite3-ctx2": {
         "algorithm": {"kind": "minmaxdb", "gamma": "auto",
                       "oracle": {"kind": "finite"}},
@@ -65,7 +65,7 @@ CONFIGS = {
         "horizon": 1000, "seeds": [0, 1],
         "benchmark": {"q_star": None, "policy_count": 2},
     },
-    # two contexts over a class of 16: the descent iterates on many rounds
+    # two contexts over a class of 16: the solver steps on many rounds
     # and, between them, the held marginal meets new forecasts unsolved
     "minmaxdb-finite3-ctx2-class16": {
         "algorithm": {"kind": "minmaxdb", "gamma": "auto",
@@ -107,19 +107,19 @@ DIGESTS = {
         "summary.csv": "e0d4868a5dae143c89cbfa6df330d96deef9a8d8dc077ba7a700ca12b3ae4bad",
     },
     "minmaxdb-finite3-ctx2": {
-        "rounds_seed0.csv": "3ee3955e67d22f50fd9198b5049466d5f50094791b4d4901cc17c6ced9df05e1",
-        "rounds_seed1.csv": "b573c8172dfd27520771d7b520392b18941128f2ae7bd1b62b32db1df3f2ac64",
-        "summary.csv": "e60ceb5ade079cf9f052ef658d2acdffa48bac9f548e362a73691350c0257de9",
+        "rounds_seed0.csv": "029d1b3dd5336f77325a248fc7bcc9e5323fe4a10ea4749cb629bf41634311df",
+        "rounds_seed1.csv": "a33e4207e1e0b1cb2d8e1f45ec82e0384a90392de2715391292e35570da9eecd",
+        "summary.csv": "b09fef3fdeea26b006fc21706f7c6bb96a1b38b15345d5ea18661eafd268fb1b",
     },
     "minmaxdb-finite3-ctx2-class16": {
-        "rounds_seed0.csv": "5e34d98f8a8c64a4332c970d8c0a655cb4ce4222c7b6e0070ee9fcdeb42dc81e",
-        "rounds_seed1.csv": "661cbb84e10d97f4bf844157257073707201337ea0900d4eb5747e18316bd8b7",
-        "summary.csv": "7b0b5c4ea7b32568bb9c222793f96b43dec03752788272190695c05b72549e84",
+        "rounds_seed0.csv": "a023f1c7b46e664b59d6601d07cf6a042ab1812f938178cbe9b1877588ee781c",
+        "rounds_seed1.csv": "0ca369dec5193e1ae3f4d500156127b6695969ce7c2e03601c3e0e4078dbd064",
+        "summary.csv": "3ad266c113f7130defceaef1178485ada2f6cd0e8465261b3e379b3514e3fcec",
     },
     "minmaxdb-vaw-linear3": {
-        "rounds_seed0.csv": "f44a07cc0178a36872138702a6a7db99c4a01748bb4621390d429357abf90636",
-        "rounds_seed1.csv": "d963e1a26e005a1fef8bd93dbe7cd938debcb77ecff67e7e5b16f8e48fa79baa",
-        "summary.csv": "15669478fb94a0d3edfc935799ba76705486bd0890aad385073a19e848b0b31a",
+        "rounds_seed0.csv": "9285f4bc94fc242474ceed509016e780c6dbd647e6e09316e4e0496af77c53b8",
+        "rounds_seed1.csv": "36599ec33619b45b22fcf7fb60f9fbd7321ae1797848b3e6de3888ed3764784c",
+        "summary.csv": "1635743a5d2a6258431cbfe07a7709fddd3fa5423cabfcf516e44e5f397db002",
     },
 }
 
