@@ -268,10 +268,14 @@ def equalizer_jacobian(Y: np.ndarray, p: np.ndarray, c: float) -> np.ndarray:
 
 
 def _newton(Y, p, c, cap, stop_viol, max_steps):
-    """Newton steps on F(p, t) = 0 from p and t = K c, the program's value,
-    until max_i g_i - cap <= stop_viol; returns (p, max_i g_i - cap, steps).
-    A step goes at most 0.99 of the way to p = 0, halves until |F|^2 falls
-    (60 halvings end the steps) and is renormalized onto the simplex."""
+    """Steps from p until max_i g_i - cap <= stop_viol; returns (p, max_i
+    g_i - cap, steps). Step 1 is the least move: a minimum-norm Newton step
+    on the worst g_i = cap alone, within the simplex, so that a warm start
+    moves only as far as that constraint's linearization needs. The rest,
+    and step 1 if the least move leaves p > 0, are Newton steps on F(p, t)
+    = 0 from t = K c, the program's value. A Newton step goes at most 0.99
+    of the way to p = 0, halves until |F|^2 falls (60 halvings end the
+    steps) and is renormalized onto the simplex."""
     k = p.shape[0]
     t = k * c
     for steps in range(max_steps + 1):
@@ -279,6 +283,16 @@ def _newton(Y, p, c, cap, stop_viol, max_steps):
         viol = float(g.max() - cap)
         if not viol > stop_viol or steps == max_steps:  # a NaN ends them
             break
+        if steps == 0:
+            i = int(g.argmax())
+            v = Y[i].copy()  # the gradient of g_i, less its mean
+            v[i] -= c / p.item(i) ** 2
+            v -= v.mean()
+            # v = 0 would put g_i at c (2 p_i - 1) / p_i^2 <= c, below cap
+            q = p - (g.item(i) - cap) / float(v @ v) * v
+            if (q > 0.0).all():
+                p = q / q.sum()
+                continue
         F = np.append(g - t, p.sum() - 1.0)
         norm = F @ F
         d = np.linalg.solve(equalizer_jacobian(Y, p, c), -F)
@@ -300,16 +314,16 @@ def _newton(Y, p, c, cap, stop_viol, max_steps):
 
 def minmax_descent(Y: np.ndarray, gamma: float, rhs: float, stop_viol: float,
                    max_iter: int, warm: np.ndarray | None):
-    """With c = 2/gamma and g_i = (Y p)_i + c/p_i, the first Newton point
-    on the way to the equalizer, where every g_i is K c, the program's value
-    (Y is skew), with max_i g_i - rhs <= stop_viol; returns (p, max_i g_i -
-    rhs, steps). Newton starts from `warm` (copied) or uniform, a start that
-    meets the test is returned as it is, and if 8 steps miss, Newton
-    restarts from the start and continues in c: at c_j = c 4^j, the largest
-    below 1/(2K), to max g <= 2.5 K c_j, then at c_j / 4, on down to c. At
-    the solver's test, max g <= 5.5K/gamma, c/p_i <= 2.75 K c + 1 puts p on
-    the floored simplex p_i >= 1/(4 gamma). The name predates Newton;
-    perfbench wraps the kernel by it."""
+    """With c = 2/gamma and g_i = (Y p)_i + c/p_i, the first point on the
+    way from the start to the equalizer, where every g_i is K c, the
+    program's value (Y is skew), with max_i g_i - rhs <= stop_viol; returns
+    (p, max_i g_i - rhs, steps). `_newton` starts from `warm` (copied) or
+    uniform, a start that meets the test is returned as it is, and if 8
+    steps miss, `_newton` restarts from the start and continues in c: at
+    c_j = c 4^j, the largest below 1/(2K), to max g <= 2.5 K c_j, then at
+    c_j / 4, on down to c. At the solver's test, max g <= 5.5K/gamma,
+    c/p_i <= 2.75 K c + 1 puts p on the floored simplex p_i >= 1/(4 gamma).
+    The name predates Newton; perfbench wraps the kernel by it."""
     k = Y.shape[0]
     start = np.full(k, 1.0 / k) if warm is None else np.array(warm, float)
     c = 2.0 / gamma

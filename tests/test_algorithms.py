@@ -549,6 +549,11 @@ class TestMinMaxDbReuse:
         # rounds, and the solver steps on some of the others
         assert kept >= 0.9 * self.HORIZON
         assert solved > 0
+        # a solve's least move keeps the one held marginal where both
+        # contexts' tests can accept it, so few rounds solve (6-20 here);
+        # Newton steps alone, which go on toward the current context's
+        # equalizer, ping-pong between the contexts (32-164)
+        assert solved <= 30
 
     @pytest.mark.parametrize("seed", range(4))
     def test_vaw_reuse_gives_the_bits_of_a_new_solve(self, seed):
@@ -562,9 +567,9 @@ class TestMinMaxDbReuse:
 
     def test_a_solve_that_missed_the_stop_test_is_not_reused(self, rng,
                                                              monkeypatch):
-        # with one Newton step per solve, the first solve on this forecast
-        # ends above the stop test, so the same forecast is solved again,
-        # from the point it ended at, and one more step meets the test
+        # with one step per solve, the first solve's least move on this
+        # forecast ends above the stop test, so the same forecast is solved
+        # again, from the point it ended at, and one more step meets it
         tabs = np.zeros((1, 1, 3, 3))
         tabs[0, 0, 0, 1:], tabs[0, 0, 1:, 0] = 0.9, -0.9
         monkeypatch.setattr(games, "MAX_ITERATIONS", 1)
@@ -728,14 +733,14 @@ class TestMinMaxDbStackedPass:
                                                       gamma)
 
     def test_linear_forecasts_match_the_reference(self):
-        # vaw overshoots [-1, 1] on 10 of seed 0's 400 rounds here (and
+        # vaw overshoots [-1, 1] on 16 of seed 0's 400 rounds here (and
         # on none of seeds 1-2's); one forecast is made NaN, which takes
         # the clamp too
         env, gamma, recorded = _record_minmax_rounds(
             {"kind": "vaw"},
             {"kind": "linear", "k": 5, "dim": 4, "weight_seed": 5},
             range(3), 400)
-        assert sum(seen.max() > 1.0 for *_, seen in recorded) == 10
+        assert sum(seen.max() > 1.0 for *_, seen in recorded) == 16
         nan = recorded[5][3].copy()
         nan[0, 1], nan[1, 0] = np.nan, np.nan
         recorded[5] = recorded[5][:3] + (nan,)

@@ -465,7 +465,7 @@ class TestSolveMinmaxFeasibility:
     def test_feasibility_totality_random_grid(self, make_skew):
         # cold and warm starts on random targets over K from 2 to 20 and
         # gamma/K from 2 to 10^4: every point meets the stop test on the
-        # floored simplex, within 50 steps (at most 39 here; Newton from
+        # floored simplex, within 50 steps (at most 44 here; Newton from
         # the start alone, without continuation, takes up to 689)
         gen = np.random.default_rng(7)
         for k in (2, 3, 5, 10, 20):

@@ -55,8 +55,8 @@ CONFIGS = {
         "horizon": 300, "seeds": [0, 1],
         "benchmark": {"q_star": None, "policy_count": 0},
     },
-    # criterion 11's instance: the context switches, and after a switch
-    # the inverse-gap solver steps (6 rounds of the 2000)
+    # criterion 11's instance: the context switches, and the inverse-gap
+    # solver steps on 12 rounds of the 2000, 5 of them after a switch
     "minmaxdb-finite3-ctx2": {
         "algorithm": {"kind": "minmaxdb", "gamma": "auto",
                       "oracle": {"kind": "finite"}},
@@ -107,19 +107,19 @@ DIGESTS = {
         "summary.csv": "e0d4868a5dae143c89cbfa6df330d96deef9a8d8dc077ba7a700ca12b3ae4bad",
     },
     "minmaxdb-finite3-ctx2": {
-        "rounds_seed0.csv": "029d1b3dd5336f77325a248fc7bcc9e5323fe4a10ea4749cb629bf41634311df",
-        "rounds_seed1.csv": "a33e4207e1e0b1cb2d8e1f45ec82e0384a90392de2715391292e35570da9eecd",
-        "summary.csv": "b09fef3fdeea26b006fc21706f7c6bb96a1b38b15345d5ea18661eafd268fb1b",
+        "rounds_seed0.csv": "f7a6d702c2aab866a029e8f7f8ec325ecb16f5479906c66cfd6aa2bee58bf294",
+        "rounds_seed1.csv": "7220e2cbcbb796dcb960e98e7c99f79d029f090826f8f310c83db429575dbe62",
+        "summary.csv": "d7a5678fde8cfa0085fe255ac538097943ce1c052d71d1be2a6cbc8a5ab49f99",
     },
     "minmaxdb-finite3-ctx2-class16": {
-        "rounds_seed0.csv": "a023f1c7b46e664b59d6601d07cf6a042ab1812f938178cbe9b1877588ee781c",
-        "rounds_seed1.csv": "0ca369dec5193e1ae3f4d500156127b6695969ce7c2e03601c3e0e4078dbd064",
-        "summary.csv": "3ad266c113f7130defceaef1178485ada2f6cd0e8465261b3e379b3514e3fcec",
+        "rounds_seed0.csv": "a408493dda1734c8013a0e48db536695cfb139e87d1ef9bea25dcb31dfed5076",
+        "rounds_seed1.csv": "b54cb77edaae95ec48ad16f8d15dc81ea1dc8b50489d3affe893f849d562e89f",
+        "summary.csv": "86a3cb9342809f4a2dc99d88ffcd0249bf870cd27e152d162af2993e12d918ac",
     },
     "minmaxdb-vaw-linear3": {
-        "rounds_seed0.csv": "9285f4bc94fc242474ceed509016e780c6dbd647e6e09316e4e0496af77c53b8",
-        "rounds_seed1.csv": "36599ec33619b45b22fcf7fb60f9fbd7321ae1797848b3e6de3888ed3764784c",
-        "summary.csv": "1635743a5d2a6258431cbfe07a7709fddd3fa5423cabfcf516e44e5f397db002",
+        "rounds_seed0.csv": "0f2ed3c3389cd2b8b2860fbdaee49d6f34a907af84d789504d86c33d7b9ad719",
+        "rounds_seed1.csv": "7fb04532689181a6e09ebc909ae7ffae0552744c67a14afd2013303e453d6a2c",
+        "summary.csv": "f7980ec68e96334cdd272546445420470732519253b7b6f8c95989033a4cfe55",
     },
 }
 
